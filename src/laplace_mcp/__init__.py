@@ -30,12 +30,10 @@ from .linalg import (
     GramSolver,
     clarke_diag,
     edge_gram_matrix,
-    laplacian_opnorm,
     moreau_logdet_value,
     project_nonneg,
     prox_logdet,
     prox_logdet_dderiv,
-    solve_shifted_gram,
     sym_eig,
 )
 from .metrics import EdgeDecision, detected_edges, edge_decision, f1_score, recovery_error

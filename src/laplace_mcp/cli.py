@@ -1,6 +1,7 @@
 """Command-line surface: gen, solve, sweep, and eval subcommands.
 
-Exit codes: 0 success, 2 iteration cap hit, 1 usage or IO error.
+Exit codes: 0 success, 1 usage, input or IO error, 2 iteration cap hit,
+3 solver invariant violated (the quantified descent check failed).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 
 from . import io
 from .admm import AdmmParams, solve_l1
-from .dca import DcaParams, solve_mcp
+from .dca import DcaParams, DescentError, solve_mcp
 from .graphs import (
     EdgeGraph,
     GraphError,
@@ -92,12 +93,6 @@ def _build_parser():
     solve.add_argument("--sigma0", type=float, default=1.0)
     solve.add_argument("--max-outer", type=int, default=500)
     solve.add_argument("--max-iter", type=int, default=20000, help="ADMM iteration cap")
-    solve.add_argument(
-        "--gram-strategy",
-        choices=["auto", "cholesky", "smw", "cg"],
-        default="auto",
-        help="solver for the (3I + |B|^T|B|) linear system",
-    )
     solve.add_argument("--out", help="report JSON output path")
 
     sweep = sub.add_parser("sweep", help="lambda/seed benchmark sweep on synthetic graphs")
@@ -178,9 +173,7 @@ def _cmd_solve(args):
         raise ValueError("the cgl-l1 model requires lambda > 0")
     if args.lam < 0:
         raise ValueError("lambda must be non-negative")
-    problem = ProblemData(
-        S, prior, PenaltyParams(args.lam, args.gamma), gram_strategy=args.gram_strategy
-    )
+    problem = ProblemData(S, prior, PenaltyParams(args.lam, args.gamma))
     if args.model == "cgl-mcp":
         report = solve_mcp(
             problem,
@@ -194,7 +187,6 @@ def _cmd_solve(args):
             "data": args.data,
             "connectivity": args.connectivity,
             "connectivity_kind": tag,
-            "gram_strategy": args.gram_strategy,
             "out": args.out,
         }
     )
@@ -285,6 +277,9 @@ def main(argv=None):
     except (OSError, ValueError, GraphError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except DescentError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -121,6 +121,18 @@ def solve_mcp(problem, params=None, keep_trace=False):
         raise ValueError(
             "connectivity prior is disconnected: the objective is +inf everywhere"
         )
+    a_S = problem.a_of_S
+    degenerate = np.flatnonzero(a_S <= 1e-12 * max(1.0, float(a_S.max())))
+    if degenerate.size:
+        edges = ", ".join(
+            f"({i}, {j})" for i, j in problem.prior.edges[degenerate[:10]].tolist()
+        )
+        more = f" and {degenerate.size - 10} more" if degenerate.size > 10 else ""
+        raise ValueError(
+            f"degenerate covariance: S_ii + S_jj - 2 S_ij vanishes on candidate "
+            f"edges {edges}{more} (duplicate data columns?), so the MCP "
+            "objective is unbounded below"
+        )
     t0 = time.perf_counter()
     admm_params = AdmmParams(
         eps=max(params.eps, params.admm_eps_floor), max_iter=params.admm_max_iter

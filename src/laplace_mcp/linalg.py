@@ -1,5 +1,5 @@
 """Symmetric eigen-calculus for the log-determinant proximal map, non-negative
-cone projections, and solvers for the shifted edge Gram system."""
+cone projections, and the solver for the shifted edge Gram system."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 __all__ = [
     "sym_eig",
@@ -20,8 +19,6 @@ __all__ = [
     "clarke_diag",
     "edge_gram_matrix",
     "GramSolver",
-    "solve_shifted_gram",
-    "laplacian_opnorm",
 ]
 
 
@@ -122,86 +119,21 @@ def edge_gram_matrix(B):
 class GramSolver:
     """Solver for the SPD system (3I + |B|^T |B|) x = b.
 
-    Strategies: ``cholesky`` factorizes the m x m system directly (sparse LU;
-    SciPy ships no sparse Cholesky), ``smw`` reduces to the n x n system
-    3I + |B||B|^T via the Sherman-Morrison-Woodbury identity, ``cg`` runs
-    matrix-free conjugate gradients. ``auto`` picks cholesky for m < 5000,
-    smw for m >= 5000 with n < 5000, and cg otherwise. Factorizations are
-    computed once and the instance is read-only afterwards.
+    The Sherman-Morrison-Woodbury identity reduces the m x m system to the
+    n x n system 3I + |B||B|^T, whose dense Cholesky factor is computed once
+    in the constructor; the instance is read-only afterwards.
     """
 
-    def __init__(self, B, strategy="auto", cg_tol=1e-10, cg_maxiter=None):
-        B = sp.csc_matrix(B)
-        n, m = B.shape
-        if strategy == "auto":
-            if m < 5000:
-                strategy = "cholesky"
-            elif n < 5000:
-                strategy = "smw"
-            else:
-                strategy = "cg"
-        if strategy not in ("cholesky", "smw", "cg"):
-            raise ValueError(f"unknown strategy {strategy!r}")
-        self.strategy = strategy
-        self.m = m
-        self.n = n
-        self._babs = abs(B).tocsr()
+    def __init__(self, B):
+        self._babs = abs(sp.csc_matrix(B)).tocsr()
         self._babs_t = self._babs.T.tocsr()
-        self._cg_tol = cg_tol
-        self._cg_maxiter = cg_maxiter if cg_maxiter is not None else 10 * max(m, 1)
-        if strategy == "cholesky":
-            M = (edge_gram_matrix(B) + sp.identity(m, format="csr")).tocsc()
-            self._lu = spla.splu(M)
-        elif strategy == "smw":
-            C = 3.0 * np.eye(n) + (self._babs @ self._babs_t).toarray()
-            self._cho = sla.cho_factor(C, lower=True)
+        self.n, self.m = self._babs.shape
+        C = 3.0 * np.eye(self.n) + (self._babs @ self._babs_t).toarray()
+        self._cho = sla.cho_factor(C, lower=True)
 
     def solve(self, b):
         b = np.asarray(b, dtype=float).reshape(-1)
         if b.shape[0] != self.m:
             raise ValueError(f"right-hand side must have length {self.m}")
-        if self.strategy == "cholesky":
-            return self._lu.solve(b)
-        if self.strategy == "smw":
-            y = sla.cho_solve(self._cho, self._babs @ b)
-            return (b - self._babs_t @ y) / 3.0
-        op = spla.LinearOperator(
-            (self.m, self.m),
-            matvec=lambda v: 3.0 * v + self._babs_t @ (self._babs @ v),
-        )
-        x, info = spla.cg(op, b, rtol=self._cg_tol, atol=0.0, maxiter=self._cg_maxiter)
-        if info != 0:
-            raise RuntimeError(f"conjugate gradients failed to converge (info={info})")
-        return x
-
-
-def solve_shifted_gram(solver, b):
-    """Solve (3I + |B|^T |B|) x = b with a prepared :class:`GramSolver`."""
-    return solver.solve(b)
-
-
-def laplacian_opnorm(B, tol=1e-8, max_iter=10000):
-    """Operator norm of the weights-to-Laplacian map: sqrt(lam_max(2I + |B|^T|B|)).
-
-    Power iteration with relative tolerance ``tol``; the iteration matrix is
-    entrywise non-negative, so the all-ones start vector cannot be orthogonal
-    to the leading eigenvector.
-    """
-    G = edge_gram_matrix(B)
-    m = G.shape[0]
-    if m == 0:
-        return 0.0
-    v = np.full(m, 1.0 / np.sqrt(m))
-    lam = 0.0
-    for _ in range(max_iter):
-        gv = G @ v
-        lam_new = float(v @ gv)
-        nv = np.linalg.norm(gv)
-        if nv == 0.0:
-            return 0.0
-        v = gv / nv
-        if abs(lam_new - lam) <= tol * max(lam_new, np.finfo(float).tiny):
-            lam = lam_new
-            break
-        lam = lam_new
-    return float(np.sqrt(lam))
+        y = sla.cho_solve(self._cho, self._babs @ b)
+        return (b - self._babs_t @ y) / 3.0

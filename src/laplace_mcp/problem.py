@@ -15,7 +15,7 @@ from .graphs import (
     laplacian_adjoint,
     weights_to_laplacian,
 )
-from .linalg import GramSolver, laplacian_opnorm
+from .linalg import GramSolver
 from .penalty import PenaltyParams
 
 __all__ = ["ProblemData"]
@@ -24,12 +24,12 @@ __all__ = ["ProblemData"]
 class ProblemData:
     """Covariance S, candidate edge pattern, penalty parameters, and J = (1/n)11^T.
 
-    Heavy derived objects (incidence matrix, Gram factorization, operator norm)
-    are built lazily and cached; everything is read-only after construction, so
-    one instance can back many concurrent solver runs.
+    Heavy derived objects (incidence matrix, Gram factorization) are built
+    lazily and cached; everything is read-only after construction, so one
+    instance can back many concurrent solver runs.
     """
 
-    def __init__(self, S, prior, params, gram_strategy="auto"):
+    def __init__(self, S, prior, params):
         S = np.asarray(S, dtype=float)
         if S.ndim != 2 or S.shape[0] != S.shape[1]:
             raise ValueError("covariance must be a square matrix")
@@ -63,10 +63,8 @@ class ProblemData:
         self.J.setflags(write=False)
         self.a_of_S = laplacian_adjoint(S, prior)
         self.a_of_S.setflags(write=False)
-        self._gram_strategy = gram_strategy
         self._incidence = None
         self._gram = None
-        self._opnorm = None
         self._shifted_S = None
 
     def astar(self, w):
@@ -84,14 +82,8 @@ class ProblemData:
     @property
     def gram_solver(self):
         if self._gram is None:
-            self._gram = GramSolver(self.incidence, strategy=self._gram_strategy)
+            self._gram = GramSolver(self.incidence)
         return self._gram
-
-    @property
-    def opnorm(self):
-        if self._opnorm is None:
-            self._opnorm = laplacian_opnorm(self.incidence)
-        return self._opnorm
 
     @property
     def shifted_S(self):

@@ -127,6 +127,17 @@ class TestSolveMcp:
         with pytest.raises(ValueError):
             solve_mcp(problem)
 
+    def test_degenerate_covariance_rejected(self):
+        # a duplicated data column makes S_44 + S_55 - 2 S_45 exactly zero
+        X = np.random.default_rng(0).standard_normal((400, 6))
+        X[:, 5] = X[:, 4]
+        X -= X.mean(axis=0)
+        S = X.T @ X / X.shape[0]
+        g = lm.EdgeGraph(6, np.column_stack(np.triu_indices(6, 1)))
+        problem = lm.ProblemData(S, lm.true_prior(g), lm.PenaltyParams(0.05, 1.5))
+        with pytest.raises(ValueError, match=r"degenerate covariance.*\(4, 5\)"):
+            solve_mcp(problem)
+
     def test_param_overrides(self):
         problem, _, _ = make_problem(n=8, p=0.5, seed=11, lam=0.5, k=5000 * 8)
         r = solve_mcp(problem, lm.DcaParams(lam=0.05, gamma=2.0, eps=1e-6))

@@ -222,25 +222,6 @@ class TestCliSolveEval:
         assert rep.model == "cgl-l1"
         assert rep.config["connectivity_kind"] == "full"
 
-    def test_gram_strategy_override(self, tmp_path, instance):
-        graph, cov = instance
-        ws = {}
-        for strategy in ("cholesky", "smw", "cg"):
-            report = tmp_path / f"{strategy}.json"
-            rc = main(
-                [
-                    "solve", "--model", "cgl-mcp", "--cov", str(cov),
-                    "--connectivity", str(graph), "--lambda", "0.05",
-                    "--gram-strategy", strategy, "--out", str(report),
-                ]
-            )
-            assert rc == 0
-            rep = lio.load_report(report)
-            assert rep.config["gram_strategy"] == strategy
-            ws[strategy] = rep.w
-        np.testing.assert_allclose(ws["cholesky"], ws["smw"], atol=1e-6)
-        np.testing.assert_allclose(ws["cholesky"], ws["cg"], atol=1e-6)
-
     def test_l1_requires_positive_lambda(self, tmp_path, instance):
         _, cov = instance
         rc = main(
@@ -293,6 +274,38 @@ class TestCliSolveEval:
             ]
         )
         assert rc == 2
+
+    def test_degenerate_data_rejected(self, tmp_path, capsys):
+        X = np.random.default_rng(0).standard_normal((400, 6))
+        X[:, 5] = X[:, 4]
+        path = tmp_path / "dup.csv"
+        np.savetxt(path, X, delimiter=",")
+        rc = main(
+            [
+                "solve", "--model", "cgl-mcp", "--data", str(path),
+                "--connectivity", "full", "--lambda", "0.05",
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: degenerate covariance")
+        assert "(4, 5)" in err
+
+    def test_descent_error_exit_code(self, tmp_path, instance, monkeypatch, capsys):
+        graph, cov = instance
+
+        def broken(problem, params=None):
+            raise lm.DescentError("descent property violated at outer step 3")
+
+        monkeypatch.setattr("laplace_mcp.cli.solve_mcp", broken)
+        rc = main(
+            [
+                "solve", "--model", "cgl-mcp", "--cov", str(cov),
+                "--connectivity", str(graph), "--lambda", "0.05",
+            ]
+        )
+        assert rc == 3
+        assert "error: descent property violated" in capsys.readouterr().err
 
 
 class TestCliSweep:
