@@ -106,7 +106,10 @@ def solve_mcp(problem, params=None, keep_trace=False):
     halves and the subproblem resumes from the same multiplier. Accepted steps
     must satisfy the quantified descent property (violations raise
     :class:`DescentError`). Terminates on the relative successive change of the
-    weights or of the objective falling below eps.
+    weights or of the objective falling below eps. Each history entry records
+    the status of the accepted Newton run (``ssn_status``) and how many Newton
+    runs of that step, retries included, ended without converging
+    (``ssn_unconverged``: iteration cap or stalled line search).
     """
     params = params or DcaParams()
     if params.lam is not None or params.gamma is not None:
@@ -154,10 +157,12 @@ def solve_mcp(problem, params=None, keep_trace=False):
         Y_attempt = np.zeros((n, n)) if Y_ws is None else Y_ws
         accepted = None
         ssn_iters = 0
+        ssn_unconverged = 0
         for retry in range(params.max_cert_retries + 1):
             res = ssn_solve(ctx, Y_attempt, dataclasses.replace(params.ssn, grad_tol=tol))
             Y_attempt = res.Y
             ssn_iters += res.iterations
+            ssn_unconverged += res.status != "converged"
             _, w_next = recover_primal(res.Y, ctx)
             f_next = objective_value(w_next, problem)
             if not np.isfinite(f_next):
@@ -194,6 +199,8 @@ def solve_mcp(problem, params=None, keep_trace=False):
                 "sigma": sigma,
                 "dw_norm": dw_norm,
                 "ssn_iterations": ssn_iters,
+                "ssn_status": res.status,
+                "ssn_unconverged": ssn_unconverged,
                 "cert_retries": retries,
                 "delta_norm": cert.delta_norm,
                 "r": cert.r,

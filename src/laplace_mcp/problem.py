@@ -24,7 +24,7 @@ __all__ = ["ProblemData"]
 class ProblemData:
     """Covariance S, candidate edge pattern, penalty parameters, and J = (1/n)11^T.
 
-    Heavy derived objects (incidence matrix, Gram factorization) are built
+    Heavy derived objects (incidence matrix, Gram solver) are built
     lazily and cached; everything is read-only after construction, so one
     instance can back many concurrent solver runs.
     """

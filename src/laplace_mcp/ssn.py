@@ -311,11 +311,11 @@ def subproblem_error_vector(w_next, E, ctx):
     E = np.asarray(E, dtype=float)
     X2 = ctx.problem.astar(w_next) + ctx.problem.J
     X1 = X2 - E
-    M = np.linalg.solve(X1, E)
+    X1_inv = np.linalg.inv(X1)
+    M = X1_inv @ E
     r = float(np.linalg.norm(M, 2))
     if not np.isfinite(r) or r >= 1:
         raise CertificateError(r)
-    X1_inv = np.linalg.inv(X1)
     X2_inv = np.linalg.inv(X2)
     delta = -ctx.problem.a(ctx.sigma * E + X1_inv - X2_inv)
     # operator norm of the adjoint map over the spectral-norm unit ball:

@@ -106,6 +106,29 @@ class TestKktResiduals:
         assert np.isneginf(res.dobj)
         assert res.eta_g == 1.0
 
+    def test_primal_objective_matches_slogdet(self):
+        problem, _, _ = make_problem(n=9, seed=4, lam=0.05, k=4000)
+        state = initial_state(problem)
+        state.w = np.random.default_rng(5).uniform(0.1, 2.0, problem.m)
+        Atw = problem.astar(state.w)
+        sign, logdet = np.linalg.slogdet(Atw + problem.J)
+        assert sign > 0
+        expected = -logdet + float(np.vdot(problem.shifted_S, Atw))
+        res = kkt_residuals(state, problem)
+        assert abs(res.pobj - expected) <= 1e-12 * max(1.0, abs(expected))
+
+    def test_singular_and_indefinite_objectives_are_infinite(self):
+        problem, _, _ = make_problem(n=6, seed=6, lam=0.05, k=4000)
+        state = initial_state(problem)
+        # Y + K is the zero matrix, A*w + J is indefinite
+        state.Y = -problem.shifted_S
+        state.w = -np.ones(problem.m)
+        assert np.linalg.eigvalsh(problem.astar(state.w) + problem.J)[0] < 0
+        res = kkt_residuals(state, problem)
+        assert np.isposinf(res.pobj)
+        assert np.isneginf(res.dobj)
+        assert res.eta_g == 1.0
+
 
 class TestSolveL1:
     def test_er20_converges(self):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,21 @@ class TestSolveMcp:
         assert report.termination == "certificate_failed"
         assert not report.converged
 
+    def test_ssn_status_in_history(self):
+        problem, _, _ = make_problem(n=8, p=0.5, seed=12, lam=0.05, k=5000 * 8)
+        report = solve_mcp(problem, lm.DcaParams(eps=1e-6, ssn=lm.SsnParams(max_iter=1)))
+        assert report.history
+        statuses = [h["ssn_status"] for h in report.history]
+        assert "max_iter" in statuses
+        for h in report.history:
+            assert h["ssn_unconverged"] >= (h["ssn_status"] != "converged")
+            assert h["ssn_unconverged"] <= h["cert_retries"] + 1
+        back = lm.SolveReport.from_dict(json.loads(json.dumps(report.to_dict())))
+        assert [h["ssn_status"] for h in back.history] == statuses
+        assert [h["ssn_unconverged"] for h in back.history] == [
+            h["ssn_unconverged"] for h in report.history
+        ]
+
     def test_outer_cap_reported(self):
         problem, _, _ = make_problem(n=10, p=0.4, seed=14, lam=0.05, k=5000 * 10)
         report = solve_mcp(problem, lm.DcaParams(eps=1e-14, max_outer=2))
@@ -178,7 +195,8 @@ class TestSolveMcp:
         assert report.model == "cgl-mcp"
         assert report.warm_start is not None
         assert report.warm_start["termination"] == "converged"
-        for key in ("f", "sigma", "dw_norm", "ssn_iterations", "cert_retries", "r"):
+        keys = ("f", "sigma", "dw_norm", "ssn_iterations", "ssn_status")
+        for key in keys + ("ssn_unconverged", "cert_retries", "r"):
             assert key in report.history[0]
         assert report.config["eps"] == 1e-6
         assert np.isfinite(report.objective)

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -230,8 +233,10 @@ class TestGramSolver:
             lm.EdgeGraph(7, [(0, 1), (1, 2), (1, 3), (3, 4), (4, 5), (4, 6)]),
             random_connected_graph(12, 0.4, 14),
             lm.EdgeGraph(9, np.column_stack(np.triu_indices(9, 1))),
+            # largest d_max for its n, so the largest cond(3I + |B||B|^T)
+            lm.EdgeGraph(12, [(0, j) for j in range(1, 12)]),
         ],
-        ids=["single-edge", "tree", "erdos-renyi", "complete"],
+        ids=["single-edge", "tree", "erdos-renyi", "complete", "star"],
     )
     def test_matches_dense_solve(self, graph):
         B = lm.incidence_matrix(graph)
@@ -263,3 +268,30 @@ class TestEigCacheStaleness:
         assert cache.matches(X)
         assert not cache.matches(X + 1e-6)
         assert isinstance(cache, EigCache)
+
+
+def test_no_module_imports_scipy_linalg():
+    """Every dense kernel must run on numpy's LAPACK/BLAS.
+
+    numpy and scipy each bundle their own OpenBLAS with its own thread pool,
+    whose workers busy-wait after each call. An ADMM iteration that alternates
+    numpy's eigh with scipy's Cholesky makes the two pools fight for the same
+    cores. At n=250 on 2 vCPUs, one eigh plus two Choleskys took 33-58 ms
+    with scipy.linalg.cho_factor and 10-13 ms with np.linalg.cholesky, and
+    the median ER n=250 l1 solve (bench/run.py, er250-l1) took 23.8 s
+    instead of 4.4 s.
+    """
+    src = Path(lm.__file__).resolve().parent
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                mod = node.module or ""
+                names = [mod] + [f"{mod}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(n == "scipy.linalg" or n.startswith("scipy.linalg.") for n in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, f"scipy.linalg imported at {offenders}"
