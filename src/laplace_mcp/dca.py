@@ -107,9 +107,10 @@ def solve_mcp(problem, params=None, keep_trace=False):
     must satisfy the quantified descent property (violations raise
     :class:`DescentError`). Terminates on the relative successive change of the
     weights or of the objective falling below eps. Each history entry records
-    the status of the accepted Newton run (``ssn_status``) and how many Newton
-    runs of that step, retries included, ended without converging
-    (``ssn_unconverged``: iteration cap or stalled line search).
+    the Newton iterations and CG steps of that step, retries included
+    (``ssn_iterations``, ``ssn_cg_steps``), the status of the accepted Newton
+    run (``ssn_status``) and how many Newton runs of that step ended without
+    converging (``ssn_unconverged``: iteration cap or stalled line search).
     """
     params = params or DcaParams()
     if params.lam is not None or params.gamma is not None:
@@ -157,11 +158,13 @@ def solve_mcp(problem, params=None, keep_trace=False):
         Y_attempt = np.zeros((n, n)) if Y_ws is None else Y_ws
         accepted = None
         ssn_iters = 0
+        ssn_cg_steps = 0
         ssn_unconverged = 0
         for retry in range(params.max_cert_retries + 1):
             res = ssn_solve(ctx, Y_attempt, dataclasses.replace(params.ssn, grad_tol=tol))
             Y_attempt = res.Y
             ssn_iters += res.iterations
+            ssn_cg_steps += res.cg_steps
             ssn_unconverged += res.status != "converged"
             _, w_next = recover_primal(res.Y, ctx)
             f_next = objective_value(w_next, problem)
@@ -199,6 +202,7 @@ def solve_mcp(problem, params=None, keep_trace=False):
                 "sigma": sigma,
                 "dw_norm": dw_norm,
                 "ssn_iterations": ssn_iters,
+                "ssn_cg_steps": ssn_cg_steps,
                 "ssn_status": res.status,
                 "ssn_unconverged": ssn_unconverged,
                 "cert_retries": retries,

@@ -57,18 +57,25 @@ class EdgeGraph:
         key = edges[:, 0] * n + edges[:, 1]
         if np.unique(key).size != key.size:
             raise GraphError("duplicate edges")
+        if weights is not None:
+            weights = _check_weights(weights, edges.shape[0])[order]
+        self._set(n, edges, weights)
+
+    def _set(self, n, edges, weights):
+        """Store sorted, duplicate-free edges and aligned weights read-only."""
         edges.setflags(write=False)
         self.n = n
         self.edges = edges
         if weights is not None:
-            weights = np.asarray(weights, dtype=float).reshape(-1)
-            if weights.shape[0] != edges.shape[0]:
-                raise GraphError("weights must align with edges")
-            if np.any(weights < 0) or not np.all(np.isfinite(weights)):
-                raise GraphError("weights must be finite and non-negative")
-            weights = np.ascontiguousarray(weights[order])
+            weights = np.ascontiguousarray(weights)
             weights.setflags(write=False)
         self.weights = weights
+        # row-major flat positions of (i, j) and (j, i) in an n x n matrix,
+        # the index arithmetic shared by the edge-weight/Laplacian maps
+        self._flat_ij = edges[:, 0] * n + edges[:, 1]
+        self._flat_ji = edges[:, 1] * n + edges[:, 0]
+        self._flat_ij.setflags(write=False)
+        self._flat_ji.setflags(write=False)
 
     @property
     def m(self):
@@ -79,6 +86,19 @@ class EdgeGraph:
         ei, ej = self.edges[:, 0], self.edges[:, 1]
         ones = np.ones(self.m)
         return np.bincount(ei, ones, self.n) + np.bincount(ej, ones, self.n)
+
+    def support(self, weights):
+        """Subgraph of the edges with nonzero ``weights``, weighted by them.
+
+        ``weights`` aligns with ``edges`` and must be finite and non-negative.
+        The subgraph keeps the node set and the edge order. Evaluating the
+        edge-weight/Laplacian maps on it costs time in its own edge count.
+        """
+        weights = _check_weights(weights, self.m)
+        keep = weights != 0
+        sub = EdgeGraph.__new__(EdgeGraph)
+        sub._set(self.n, self.edges[keep], weights[keep])
+        return sub
 
     def with_weights(self, weights):
         return EdgeGraph(self.n, self.edges, weights)
@@ -98,6 +118,15 @@ class EdgeGraph:
     def __repr__(self):
         w = "weighted" if self.weights is not None else "unweighted"
         return f"EdgeGraph(n={self.n}, m={self.m}, {w})"
+
+
+def _check_weights(weights, m):
+    weights = np.asarray(weights, dtype=float).reshape(-1)
+    if weights.shape[0] != m:
+        raise GraphError("weights must align with edges")
+    if np.any(weights < 0) or not np.all(np.isfinite(weights)):
+        raise GraphError("weights must be finite and non-negative")
+    return weights
 
 
 @dataclass(frozen=True)
@@ -132,12 +161,11 @@ def weights_to_laplacian(w, graph):
         raise ValueError(f"expected {graph.m} weights, got {w.shape[0]}")
     n = graph.n
     ei, ej = graph.edges[:, 0], graph.edges[:, 1]
-    theta = np.zeros((n, n))
-    theta[ei, ej] = -w
-    theta[ej, ei] = -w
-    idx = np.arange(n)
-    theta[idx, idx] = np.bincount(ei, w, n) + np.bincount(ej, w, n)
-    return theta
+    theta = np.zeros(n * n)
+    theta[graph._flat_ij] = -w
+    theta[graph._flat_ji] = -w
+    theta[:: n + 1] = np.bincount(ei, w, n) + np.bincount(ej, w, n)
+    return theta.reshape(n, n)
 
 
 def laplacian_adjoint(X, graph):
@@ -150,7 +178,8 @@ def laplacian_adjoint(X, graph):
         raise ValueError(f"expected a {graph.n}x{graph.n} matrix, got {X.shape}")
     ei, ej = graph.edges[:, 0], graph.edges[:, 1]
     d = X.diagonal()
-    return d[ei] + d[ej] - X[ei, ej] - X[ej, ei]
+    flat = X.reshape(-1)
+    return d[ei] + d[ej] - flat[graph._flat_ij] - flat[graph._flat_ji]
 
 
 def _pair_indices(n):

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .graphs import laplacian_adjoint, weights_to_laplacian
 from .linalg import clarke_diag, project_nonneg, prox_logdet, prox_logdet_dderiv
 
 __all__ = [
@@ -149,56 +150,84 @@ def dual_jacobian_apply(Y, H, ctx, mask, cache=None):
     ``mask`` must be the Clarke mask at the projection point of Y and ``cache``
     the prox eigendecomposition at the base point of Y; a mismatched cache
     raises. The operator is linear, self-adjoint, and negative semidefinite.
+    The projection part A*(mask o A(H)) is summed over the edges where the
+    mask is nonzero only.
     """
     base = ctx.base_point(np.asarray(Y, dtype=float))
     if cache is None:
         _, cache = prox_logdet(base, ctx.sigma)
     elif not cache.matches(base):
         raise ValueError("stale eigendecomposition cache for this multiplier")
-    return _jacobian_apply(H, ctx, mask, cache)
+    return _jacobian_apply(H, ctx, ctx.problem.prior.support(mask), cache)
 
 
-def _jacobian_apply(H, ctx, mask, cache):
+def _jacobian_apply(H, ctx, active, cache):
+    """-(prox'(H) + A*(mask o A(H)))/sigma with ``active`` the support of the
+    mask in the prior, weighted by the mask."""
     d = prox_logdet_dderiv(cache, H)
-    p = ctx.problem.astar(mask * ctx.problem.a(H))
+    p = weights_to_laplacian(active.weights * laplacian_adjoint(H, active), active)
     return -(d + p) / ctx.sigma
 
 
+def _jacobi_diagonal(cache, active, sigma, ridge):
+    """Positive diagonal of the Newton operator -Jacobian + ridge I.
+
+    The log-det part ((U o U) Gamma (U o U)^T)/sigma is exact on the matrix
+    diagonal and stands in for it off the diagonal; the projection part
+    |A*(mask)|/sigma, the mask on edge positions and the weighted active
+    degree on the diagonal, is the exact diagonal of A*(mask o A(.))/sigma.
+    """
+    V = cache.U * cache.U
+    return (V @ cache.gamma @ V.T + np.abs(active.laplacian())) / sigma + ridge
+
+
 def _newton_direction(point, ctx, mask, params, gnorm):
-    """Inexact Newton direction: conjugate gradients on the negated Jacobian
-    with absolute residual target min(eta_bar, gnorm^(1+tau)) and a tiny ridge."""
+    """Inexact Newton direction and the number of CG steps it took.
+
+    Jacobi-preconditioned conjugate gradients on the negated Jacobian plus a
+    tiny ridge, with the projection part applied on the active edges only.
+    The stopping test reads the unpreconditioned residual: ||T D - g|| <=
+    min(eta_bar, gnorm^(1+tau)).
+    """
     target = min(params.eta_bar, gnorm ** (1.0 + params.tau))
     ridge = params.cg_ridge
+    active = ctx.problem.prior.support(mask)
 
     def T(H):
-        return -_jacobian_apply(H, ctx, mask, point.cache) + ridge * H
+        return -_jacobian_apply(H, ctx, active, point.cache) + ridge * H
 
     g = point.grad
+    if gnorm <= target:
+        return g.copy(), 0
+    diag = _jacobi_diagonal(point.cache, active, ctx.sigma, ridge)
     x = np.zeros_like(g)
     r = g.copy()
-    rs = float(np.vdot(r, r))
-    if np.sqrt(rs) <= target:
-        return g.copy()
-    p = r.copy()
-    for _ in range(params.cg_max_iter):
+    z = r / diag
+    rz = float(np.vdot(r, z))
+    p = z.copy()
+    steps = 0
+    while steps < params.cg_max_iter:
+        steps += 1
         Tp = T(p)
         pTp = float(np.vdot(p, Tp))
         if pTp <= 0:
             break
-        alpha = rs / pTp
+        alpha = rz / pTp
         x += alpha * p
         r -= alpha * Tp
-        rs_new = float(np.vdot(r, r))
-        if np.sqrt(rs_new) <= target:
+        if np.linalg.norm(r) <= target:
             break
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    return x
+        z = r / diag
+        rz_new = float(np.vdot(r, z))
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    return x, steps
 
 
 @dataclass
 class SsnResult:
-    """Final multiplier Y, residual matrix E = -grad, and run diagnostics."""
+    """Final multiplier Y, residual matrix E = -grad, and run diagnostics;
+    ``cg_steps`` totals the CG steps of every Newton direction of the run."""
 
     Y: np.ndarray
     E: np.ndarray
@@ -206,6 +235,7 @@ class SsnResult:
     converged: bool
     grad_norm: float
     status: str
+    cg_steps: int = 0
     grad_norms: list = field(default_factory=list)
     values: list = field(default_factory=list)
 
@@ -224,13 +254,21 @@ def ssn_solve(ctx, Y0=None, params=None):
     cur = _dual_eval(Y, ctx)
     grad_norms = []
     values = [cur.value]
+    cg_steps = 0
+
+    def result(iterations, converged, gnorm, status):
+        return SsnResult(
+            Y, -cur.grad, iterations, converged, gnorm, status, cg_steps, grad_norms, values
+        )
+
     for j in range(params.max_iter):
         gnorm = float(np.linalg.norm(cur.grad))
         grad_norms.append(gnorm)
         if gnorm <= params.grad_tol:
-            return SsnResult(Y, -cur.grad, j, True, gnorm, "converged", grad_norms, values)
+            return result(j, True, gnorm, "converged")
         mask = clarke_diag(cur.c)
-        D = _newton_direction(cur, ctx, mask, params, gnorm)
+        D, steps = _newton_direction(cur, ctx, mask, params, gnorm)
+        cg_steps += steps
         gD = float(np.vdot(cur.grad, D))
         if not np.isfinite(gD) or gD <= 0:
             D = cur.grad.copy()
@@ -244,17 +282,14 @@ def ssn_solve(ctx, Y0=None, params=None):
                 break
             step *= params.rho
         if nxt is None:
-            return SsnResult(
-                Y, -cur.grad, j, False, gnorm, "linesearch_failed", grad_norms, values
-            )
+            return result(j, False, gnorm, "linesearch_failed")
         Y = Y + step * D
         cur = nxt
         values.append(cur.value)
     gnorm = float(np.linalg.norm(cur.grad))
     grad_norms.append(gnorm)
     converged = gnorm <= params.grad_tol
-    status = "converged" if converged else "max_iter"
-    return SsnResult(Y, -cur.grad, params.max_iter, converged, gnorm, status, grad_norms, values)
+    return result(params.max_iter, converged, gnorm, "converged" if converged else "max_iter")
 
 
 def recover_primal(Y, ctx):
@@ -298,6 +333,11 @@ class Certificate:
         return float(np.linalg.norm(self.delta))
 
 
+def _sym_norm2(X):
+    """Spectral norm of a symmetric matrix: its largest eigenvalue modulus."""
+    return float(np.abs(np.linalg.eigvalsh(X)).max())
+
+
 def subproblem_error_vector(w_next, E, ctx):
     """Error vector of the inexact subproblem solution and its certificate.
 
@@ -324,8 +364,8 @@ def subproblem_error_vector(w_next, E, ctx):
     opnorm_spectral = 2.0 * np.sqrt(ctx.problem.m)
     bound = (
         opnorm_spectral
-        * np.linalg.norm(E, 2)
-        * (ctx.sigma + np.linalg.norm(X1_inv, 2) ** 2 / (1.0 - r))
+        * _sym_norm2(E)
+        * (ctx.sigma + _sym_norm2(X1_inv) ** 2 / (1.0 - r))
     )
     return Certificate(delta, r, float(bound))
 

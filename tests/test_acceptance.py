@@ -280,6 +280,7 @@ class TestCriterion4:
 
 
 class TestCriterion5:
+    @pytest.mark.slow
     def test_descent_every_iteration(self, runs):
         checked = 0
         failed = 0
@@ -302,6 +303,7 @@ class TestCriterion5:
 
 
 class TestCriterion6:
+    @pytest.mark.slow
     def test_scalar_oracle_equivalence(self, runs):
         problem = runs["scalar"]["problem"]
         oracle = scan_then_golden(
@@ -317,6 +319,7 @@ class TestCriterion6:
 
 
 class TestCriterion7:
+    @pytest.mark.slow
     def test_fig1_reproduction(self, runs):
         by_lam = {}
         for cell in runs["fig1"]:
@@ -344,6 +347,7 @@ class TestCriterion7:
 
 
 class TestCriterion8:
+    @pytest.mark.slow
     def test_table2_reproduction(self, runs):
         rows = runs["table2"]
         ok = all(
@@ -396,6 +400,7 @@ class TestCriterion9:
 
 
 class TestCriterion10:
+    @pytest.mark.slow
     def test_certificate_soundness(self, runs):
         audits = []
         for cell in runs["fig1"]:

@@ -177,11 +177,34 @@ class TestSolveMcp:
         for h in report.history:
             assert h["ssn_unconverged"] >= (h["ssn_status"] != "converged")
             assert h["ssn_unconverged"] <= h["cert_retries"] + 1
+        for h in report.history:
+            assert h["ssn_cg_steps"] >= h["ssn_iterations"]
         back = lm.SolveReport.from_dict(json.loads(json.dumps(report.to_dict())))
         assert [h["ssn_status"] for h in back.history] == statuses
-        assert [h["ssn_unconverged"] for h in back.history] == [
-            h["ssn_unconverged"] for h in report.history
-        ]
+        for key in ("ssn_unconverged", "ssn_cg_steps"):
+            assert [h[key] for h in back.history] == [h[key] for h in report.history]
+
+    def test_node_permutation_equivariance(self):
+        # a coarse prior leaves half the candidate edges at zero weight, so the
+        # Newton steps see partial Clarke masks
+        base, gw, _ = make_problem(n=12, p=0.35, seed=16, lam=0.05, k=5000 * 12)
+        prior = lm.perturb_connectivity(lm.true_prior(gw), "coarse", seed=18, factor=2.0)
+        problem = lm.ProblemData(base.S, prior, base.params)
+        report = solve_mcp(problem, lm.DcaParams(eps=1e-8))
+        assert 0 < np.count_nonzero(report.w) < problem.m
+        perm = np.random.default_rng(17).permutation(12)
+        inv = np.argsort(perm)
+        # node i of the permuted instance is node perm[i] of the original
+        S_perm = problem.S[np.ix_(perm, perm)]
+        edges = inv[problem.prior.edges]
+        edges.sort(axis=1)
+        prior_perm = lm.EdgeGraph(12, edges)
+        permuted = lm.ProblemData(S_perm, prior_perm, problem.params)
+        report_perm = solve_mcp(permuted, lm.DcaParams(eps=1e-8))
+        assert report.termination == report_perm.termination == "converged"
+        w_perm = dict(zip(map(tuple, prior_perm.edges.tolist()), report_perm.w))
+        mapped = np.array([w_perm[tuple(e)] for e in edges.tolist()])
+        np.testing.assert_allclose(mapped, report.w, rtol=0, atol=1e-6 * np.abs(report.w).max())
 
     def test_outer_cap_reported(self):
         problem, _, _ = make_problem(n=10, p=0.4, seed=14, lam=0.05, k=5000 * 10)
@@ -196,8 +219,13 @@ class TestSolveMcp:
         assert report.warm_start is not None
         assert report.warm_start["termination"] == "converged"
         keys = ("f", "sigma", "dw_norm", "ssn_iterations", "ssn_status")
-        for key in keys + ("ssn_unconverged", "cert_retries", "r"):
+        for key in keys + ("ssn_unconverged", "ssn_cg_steps", "cert_retries", "r"):
             assert key in report.history[0]
+        back = lm.SolveReport.from_dict(json.loads(json.dumps(report.to_dict())))
+        assert [h["ssn_cg_steps"] for h in back.history] == [
+            h["ssn_cg_steps"] for h in report.history
+        ]
+        assert all(isinstance(h["ssn_cg_steps"], int) for h in back.history)
         assert report.config["eps"] == 1e-6
         assert np.isfinite(report.objective)
 

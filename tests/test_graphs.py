@@ -89,6 +89,48 @@ class TestAdjointMap:
             lm.laplacian_adjoint(np.eye(4), path3())
 
 
+class TestSupport:
+    def test_keeps_nonzero_edges_and_weights(self):
+        g = lm.EdgeGraph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+        sub = g.support([0.0, 0.5, 0.0, 2.0])
+        assert sub.n == 4
+        assert [tuple(e) for e in sub.edges] == [(0, 2), (2, 3)]
+        np.testing.assert_array_equal(sub.weights, [0.5, 2.0])
+        with pytest.raises(ValueError):
+            sub.edges[0, 0] = 1
+
+    def test_maps_match_masked_full_maps(self):
+        g = random_connected_graph(9, 0.5, 3)
+        rng = np.random.default_rng(4)
+        mask = (rng.random(g.m) < 0.4) * rng.uniform(0.5, 2.0, g.m)
+        sub = g.support(mask)
+        X = rng.standard_normal((9, 9))
+        v = rng.standard_normal(g.m)
+        np.testing.assert_array_equal(
+            lm.weights_to_laplacian(v[mask != 0], sub),
+            lm.weights_to_laplacian(np.where(mask != 0, v, 0.0), g),
+        )
+        np.testing.assert_array_equal(
+            lm.laplacian_adjoint(X, sub), lm.laplacian_adjoint(X, g)[mask != 0]
+        )
+
+    def test_empty_support(self):
+        g = path3()
+        sub = g.support([0.0, 0.0])
+        assert sub.m == 0
+        assert np.all(lm.weights_to_laplacian(np.zeros(0), sub) == 0.0)
+        assert lm.laplacian_adjoint(np.eye(3), sub).shape == (0,)
+
+    def test_rejects_bad_weights(self):
+        g = path3()
+        with pytest.raises(GraphError):
+            g.support([1.0])
+        with pytest.raises(GraphError):
+            g.support([1.0, -1.0])
+        with pytest.raises(GraphError):
+            g.support([1.0, np.nan])
+
+
 class TestGenerators:
     def test_er_expected_edge_count(self):
         # binomial mean C(100,2)*0.1 = 495, averaged over seeds (3 standard errors)

@@ -10,6 +10,9 @@ from laplace_mcp.ssn import (
     dual_gradient,
     dual_jacobian_apply,
     dual_value,
+    _dual_eval,
+    _jacobi_diagonal,
+    _newton_direction,
     recover_primal,
     ssn_solve,
     subproblem_error_vector,
@@ -134,6 +137,123 @@ class TestDualJacobian:
             dual_jacobian_apply(Y, np.eye(5), ctx, mask, cache)
 
 
+def dense_jacobian_apply(ctx, cache, mask, H):
+    """Generalized Jacobian with the projection part summed over every edge."""
+    problem = ctx.problem
+    d = lm.prox_logdet_dderiv(cache, H)
+    return -(d + problem.astar(mask * problem.a(H))) / ctx.sigma
+
+
+MASK_KINDS = ("random", "fractional", "zero", "one")
+
+
+def make_mask(kind, m, rng):
+    """Projection Jacobian mask; "fractional" takes values in (0, 1) as a
+    Clarke element may at ties."""
+    if kind == "random":
+        return (rng.random(m) < 0.5).astype(float)
+    if kind == "fractional":
+        return (rng.random(m) < 0.5) * rng.uniform(0.1, 0.9, m)
+    return np.full(m, float(kind == "one"))
+
+
+class TestActiveEdgeJacobian:
+    def test_matches_all_edge_formula(self):
+        rng = np.random.default_rng(40)
+        for seed in range(3):
+            ctx, _ = random_context(n=7, seed=41 + seed)
+            Y = random_symmetric(7, rng)
+            _, cache = lm.prox_logdet(ctx.base_point(Y), ctx.sigma)
+            for kind in MASK_KINDS:
+                mask = make_mask(kind, ctx.problem.m, rng)
+                H = random_symmetric(7, rng)
+                out = dual_jacobian_apply(Y, H, ctx, mask, cache)
+                ref = dense_jacobian_apply(ctx, cache, mask, H)
+                np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
+
+    def test_rejects_negative_mask(self):
+        ctx, _ = random_context(n=5, seed=44)
+        mask = -np.ones(ctx.problem.m)
+        with pytest.raises(ValueError):
+            dual_jacobian_apply(np.zeros((5, 5)), np.eye(5), ctx, mask)
+
+
+class TestJacobiPreconditioner:
+    def setup_point(self, seed, mask_kind):
+        ctx, _ = random_context(n=6, seed=seed, sigma=0.7)
+        rng = np.random.default_rng(seed + 100)
+        Y = random_symmetric(6, rng)
+        _, cache = lm.prox_logdet(ctx.base_point(Y), ctx.sigma)
+        mask = make_mask(mask_kind, ctx.problem.m, rng)
+        return ctx, Y, cache, mask
+
+    @pytest.mark.parametrize("mask_kind", MASK_KINDS)
+    def test_positive_and_exact_on_diagonal(self, mask_kind):
+        ridge = 1e-12
+        ctx, Y, cache, mask = self.setup_point(50, mask_kind)
+        active = ctx.problem.prior.support(mask)
+        diag = _jacobi_diagonal(cache, active, ctx.sigma, ridge)
+        assert np.all(diag > 0.0)
+        np.testing.assert_allclose(diag, diag.T, rtol=0, atol=1e-15)
+        n = ctx.problem.n
+        for i in range(n):
+            E = np.zeros((n, n))
+            E[i, i] = 1.0
+            T_E = -dual_jacobian_apply(Y, E, ctx, mask, cache) + ridge * E
+            assert diag[i, i] == pytest.approx(T_E[i, i], rel=1e-12)
+
+    @pytest.mark.parametrize("mask_kind", MASK_KINDS)
+    def test_mask_part_exact_everywhere(self, mask_kind):
+        ctx, Y, cache, mask = self.setup_point(51, mask_kind)
+        problem, sigma = ctx.problem, ctx.sigma
+        active = problem.prior.support(mask)
+        V = cache.U * cache.U
+        mask_part = _jacobi_diagonal(cache, active, sigma, 0.0) - V @ cache.gamma @ V.T / sigma
+        n = problem.n
+        brute = np.zeros((n, n))
+        for i in range(n):
+            for j in range(n):
+                E = np.zeros((n, n))
+                E[i, j] = 1.0
+                brute[i, j] = problem.astar(mask * problem.a(E))[i, j] / sigma
+        np.testing.assert_allclose(mask_part, brute, rtol=0, atol=1e-12)
+
+
+class TestNewtonDirection:
+    def test_residual_meets_forcing_target(self):
+        params = lm.SsnParams()
+        rng = np.random.default_rng(60)
+        for seed in range(4):
+            ctx, _ = random_context(n=8, seed=61 + seed, sigma=0.5)
+            Y = random_symmetric(8, rng, scale=0.3)
+            point = _dual_eval(Y, ctx)
+            mask = lm.clarke_diag(point.c)
+            gnorm = float(np.linalg.norm(point.grad))
+            D, steps = _newton_direction(point, ctx, mask, params, gnorm)
+            assert 0 < steps < params.cg_max_iter
+            T_D = -dual_jacobian_apply(Y, D, ctx, mask, point.cache) + params.cg_ridge * D
+            target = min(params.eta_bar, gnorm ** (1.0 + params.tau))
+            assert np.linalg.norm(T_D - point.grad) <= target * (1.0 + 1e-9)
+
+    def test_step_cap_counts(self):
+        ctx, _ = random_context(n=8, seed=65)
+        point = _dual_eval(np.zeros((8, 8)), ctx)
+        mask = lm.clarke_diag(point.c)
+        gnorm = float(np.linalg.norm(point.grad))
+        _, steps = _newton_direction(point, ctx, mask, lm.SsnParams(cg_max_iter=2), gnorm)
+        assert steps == 2
+
+    def test_run_total_matches_first_direction(self):
+        ctx, _ = random_context(n=8, seed=66)
+        params = lm.SsnParams(max_iter=1, grad_tol=1e-12)
+        point = _dual_eval(np.zeros((8, 8)), ctx)
+        gnorm = float(np.linalg.norm(point.grad))
+        _, steps = _newton_direction(point, ctx, lm.clarke_diag(point.c), params, gnorm)
+        res = ssn_solve(ctx, None, params)
+        assert res.status == "max_iter"
+        assert res.cg_steps == steps
+
+
 class TestSsnSolve:
     def test_starts_at_optimum(self):
         ctx, _, Y_star = one_edge_context()
@@ -250,6 +370,22 @@ class TestErrorCertificate:
         n1 = subproblem_error_vector(w_bar, E, ctx).delta_norm
         n2 = subproblem_error_vector(w_bar, 0.5 * E, ctx).delta_norm
         assert 0.3 < n2 / n1 < 0.7
+
+    def test_bound_matches_svd_formula(self):
+        for seed in range(4):
+            ctx, _ = random_context(n=7, seed=70 + seed)
+            res = ssn_solve(ctx, None, lm.SsnParams(grad_tol=1e-4))
+            _, w_bar = recover_primal(res.Y, ctx)
+            E = res.E if np.linalg.norm(res.E) > 0 else 1e-6 * np.eye(7)
+            cert = subproblem_error_vector(w_bar, E, ctx)
+            X1_inv = np.linalg.inv(ctx.problem.astar(w_bar) + ctx.problem.J - E)
+            svd = (
+                2.0
+                * np.sqrt(ctx.problem.m)
+                * np.linalg.norm(E, 2)
+                * (ctx.sigma + np.linalg.norm(X1_inv, 2) ** 2 / (1.0 - cert.r))
+            )
+            assert cert.bound == pytest.approx(svd, rel=1e-12)
 
     def test_large_error_rejected(self):
         ctx, w_k = random_context(n=5, seed=24)
