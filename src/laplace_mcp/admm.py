@@ -3,6 +3,7 @@ standalone l1 baseline and as the warm start for the non-convex solver."""
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass
 
@@ -120,22 +121,9 @@ class KktResiduals:
         return iter((self.eta_p, self.eta_d, self.eta_g))
 
 
-def kkt_residuals(state, problem):
-    """Relative KKT residuals of the current iterate.
-
-    dobj falls back to -inf when Y + K is not positive definite, in which case
-    the gap residual saturates at 1.
-    """
-    K = problem.shifted_S
-    Atw = problem.astar(state.w)
+def _feasibility(state, problem):
+    """Relative primal and dual infeasibility (eta_p, eta_d) of the iterate."""
     Atx = problem.astar(state.x)
-    pobj = _neg_logdet_chol(Atw + problem.J) + float(np.vdot(K, Atw))
-    YK = state.Y + K
-    ld = _neg_logdet_chol(YK)
-    if np.isinf(ld):
-        dobj = float("-inf")
-    else:
-        dobj = -ld - float(np.vdot(problem.J, YK)) + problem.n
     eta_p = max(
         max(np.linalg.norm(state.theta - Atx), np.linalg.norm(state.w - state.x))
         / (1.0 + np.linalg.norm(state.x)),
@@ -145,50 +133,98 @@ def kkt_residuals(state, problem):
         np.linalg.norm(problem.a(state.Y) + state.zeta),
         np.linalg.norm(project_nonneg(-state.zeta)),
     ) / (1.0 + np.linalg.norm(state.zeta))
+    return float(eta_p), float(eta_d)
+
+
+def kkt_residuals(state, problem):
+    """Relative KKT residuals of the current iterate.
+
+    dobj falls back to -inf when Y + K is not positive definite, in which case
+    the gap residual saturates at 1.
+    """
+    K = problem.shifted_S
+    Atw = problem.astar(state.w)
+    pobj = _neg_logdet_chol(Atw + problem.J) + float(np.vdot(K, Atw))
+    YK = state.Y + K
+    ld = _neg_logdet_chol(YK)
+    if np.isinf(ld):
+        dobj = float("-inf")
+    else:
+        dobj = -ld - float(np.vdot(problem.J, YK)) + problem.n
+    eta_p, eta_d = _feasibility(state, problem)
     if np.isfinite(pobj) and np.isfinite(dobj):
         eta_g = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
     else:
         eta_g = 1.0
-    return KktResiduals(float(eta_p), float(eta_d), float(eta_g), pobj, dobj)
+    return KktResiduals(eta_p, eta_d, float(eta_g), pobj, dobj)
 
 
-def solve_l1(problem, params=None):
+def _start_state(problem, params, start):
+    """Zero iterate, or the iterate ``start`` (arrays shared, never written)
+    with this run's step tau."""
+    if start is None:
+        return initial_state(problem, params)
+    n, m = problem.n, problem.m
+    shapes = {"x": (m,), "theta": (n, n), "w": (m,), "Y": (n, n), "zeta": (m,)}
+    for name, shape in shapes.items():
+        got = np.shape(getattr(start, name))
+        if got != shape:
+            raise ValueError(
+                f"start.{name} has shape {got}, expected {shape} for n={n}, m={m}"
+            )
+    if not start.sigma > 0:
+        raise ValueError("start.sigma must be positive")
+    return dataclasses.replace(start, sigma=float(start.sigma), tau=params.tau)
+
+
+def solve_l1(problem, params=None, start=None):
     """Solve the l1 (trace) penalized model to the relative KKT tolerance.
 
-    Terminates when max(eta_p, eta_d, eta_g) < eps, or with a cap-hit flag after
-    ``max_iter`` iterations; the last iterate is returned either way. The penalty
-    sigma rescales by 2 whenever eta_p/eta_d leaves the configured band, checked
-    every ``adapt_every`` iterations.
+    Starts from zero, or from ``start``, an :class:`AdmmState` such as the
+    ``admm_state`` of an earlier report on the same candidate edges (its
+    sigma is kept, its tau replaced by ``params.tau``; it is not modified).
+    Terminates when max(eta_p, eta_d, eta_g) < eps, or with a cap-hit flag
+    after ``max_iter`` iterations; the last iterate is returned either way and
+    kept as the report's ``admm_state``. The duality gap costs two Cholesky
+    factorizations, so it is evaluated only when the feasibility residuals are
+    already below eps and on recorded iterations. The penalty sigma rescales
+    by 2 whenever eta_p/eta_d leaves the configured band, checked every
+    ``adapt_every`` iterations.
     """
     params = params or AdmmParams()
     t0 = time.perf_counter()
     gram = problem.gram_solver
-    state = initial_state(problem, params)
+    state = _start_state(problem, params, start)
     history = []
     termination = "max_iter"
     iterations = params.max_iter
     res = None
+
+    def entry(it):
+        return {
+            "iteration": it,
+            "pobj": res.pobj,
+            "dobj": res.dobj,
+            "eta_p": res.eta_p,
+            "eta_d": res.eta_d,
+            "eta_g": res.eta_g,
+            "sigma": state.sigma,
+        }
+
     for it in range(1, params.max_iter + 1):
         state = admm_step(state, problem, gram)
-        res = kkt_residuals(state, problem)
-        if it % params.history_every == 0 or it == 1:
-            history.append(
-                {
-                    "iteration": it,
-                    "pobj": res.pobj,
-                    "dobj": res.dobj,
-                    "eta_p": res.eta_p,
-                    "eta_d": res.eta_d,
-                    "eta_g": res.eta_g,
-                    "sigma": state.sigma,
-                }
-            )
-        if res.max < params.eps:
-            termination = "converged"
-            iterations = it
-            break
+        eta_p, eta_d = _feasibility(state, problem)
+        recorded = it % params.history_every == 0 or it == 1
+        if recorded or it == params.max_iter or max(eta_p, eta_d) < params.eps:
+            res = kkt_residuals(state, problem)
+            if recorded:
+                history.append(entry(it))
+            if res.max < params.eps:
+                termination = "converged"
+                iterations = it
+                break
         if it % params.adapt_every == 0:
-            ratio = res.eta_p / max(res.eta_d, 1e-30)
+            ratio = eta_p / max(eta_d, 1e-30)
             if ratio > params.adapt_hi:
                 state.sigma *= 2.0
             elif ratio < params.adapt_lo:
@@ -200,21 +236,11 @@ def solve_l1(problem, params=None):
         "max_iter": params.max_iter,
         "tau": params.tau,
         "sigma0": params.sigma0,
-        "initial_point": "zeros",
+        "initial_point": "zeros" if start is None else "previous_lambda",
         "prior_tag": problem.prior_tag,
     }
     if not history or history[-1]["iteration"] != iterations:
-        history.append(
-            {
-                "iteration": iterations,
-                "pobj": res.pobj,
-                "dobj": res.dobj,
-                "eta_p": res.eta_p,
-                "eta_d": res.eta_d,
-                "eta_g": res.eta_g,
-                "sigma": state.sigma,
-            }
-        )
+        history.append(entry(iterations))
     return SolveReport(
         model="cgl-l1",
         n=problem.n,
@@ -226,4 +252,5 @@ def solve_l1(problem, params=None):
         history=history,
         config=config,
         warm_start=None,
+        admm_state=state,
     )

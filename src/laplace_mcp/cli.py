@@ -116,7 +116,12 @@ def _build_parser():
     sweep.add_argument("--gamma", type=float, default=1.5)
     sweep.add_argument("--eps", type=float, default=1e-6)
     sweep.add_argument("--weights", type=float, nargs=2, default=(0.1, 3.0))
-    sweep.add_argument("--threads", type=int)
+    sweep.add_argument(
+        "--threads",
+        type=int,
+        help="seed chains run at once (each chain solves its lambda grid in "
+        "descending order); default LAPLACE_MCP_THREADS, else min(4, cpus)",
+    )
     sweep.add_argument("--out", required=True, help="CSV output path")
 
     ev = sub.add_parser("eval", help="score a report against a truth graph")

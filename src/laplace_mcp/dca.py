@@ -17,7 +17,7 @@ from .ssn import (
     SsnParams,
     SubproblemContext,
     check_stop_condition,
-    recover_primal,
+    recover_primal,  # noqa: F401  (unused here; bench/spans.py traces this name in dca)
     ssn_solve,
     subproblem_error_vector,
 )
@@ -96,14 +96,17 @@ class _TraceStep:
     sigma: float
 
 
-def solve_mcp(problem, params=None, keep_trace=False):
+def solve_mcp(problem, params=None, keep_trace=False, start=None):
     """Solve the MCP-penalized Laplacian model by the inexact proximal d.c. loop.
 
-    Step 0 warm-starts from the l1 model via ADMM. Each outer step builds the
-    subproblem at (sigma_k, A* w_k, w_k), maximizes its dual by semismooth
-    Newton, recovers the primal pair, and accepts only when the recomputed
-    error vector passes the inexactness rule; on failure the Newton tolerance
-    halves and the subproblem resumes from the same multiplier. Accepted steps
+    Step 0 warm-starts from the l1 model via ADMM, itself started from zero or
+    from the :class:`AdmmState` ``start`` (see :func:`solve_l1`); the final
+    ADMM iterate is kept as the report's ``admm_state``. Each outer step
+    builds the subproblem at (sigma_k, A* w_k, w_k), maximizes its dual by
+    semismooth Newton, takes the recovered weights of the final Newton point,
+    and accepts only when the recomputed error vector passes the inexactness
+    rule; on failure the Newton tolerance halves and the subproblem resumes
+    from the same multiplier. Accepted steps
     must satisfy the quantified descent property (violations raise
     :class:`DescentError`). Terminates on the relative successive change of the
     weights or of the objective falling below eps. Each history entry records
@@ -141,7 +144,7 @@ def solve_mcp(problem, params=None, keep_trace=False):
     admm_params = AdmmParams(
         eps=max(params.eps, params.admm_eps_floor), max_iter=params.admm_max_iter
     )
-    warm = solve_l1(problem, admm_params)
+    warm = solve_l1(problem, admm_params, start=start)
     w = np.asarray(warm.w, dtype=float)
     f_prev = objective_value(w, problem)
     sigma = params.sigma0
@@ -166,7 +169,7 @@ def solve_mcp(problem, params=None, keep_trace=False):
             ssn_iters += res.iterations
             ssn_cg_steps += res.cg_steps
             ssn_unconverged += res.status != "converged"
-            _, w_next = recover_primal(res.Y, ctx)
+            w_next = res.w_hat
             f_next = objective_value(w_next, problem)
             if not np.isfinite(f_next):
                 tol *= 0.5
@@ -235,7 +238,7 @@ def solve_mcp(problem, params=None, keep_trace=False):
         "admm_eps": admm_params.eps,
         "ssn": dataclasses.asdict(params.ssn),
         "prior_tag": problem.prior_tag,
-        "warm_start_initial_point": "zeros",
+        "warm_start_initial_point": warm.config["initial_point"],
     }
     return SolveReport(
         model="cgl-mcp",
@@ -258,4 +261,5 @@ def solve_mcp(problem, params=None, keep_trace=False):
             "eps": admm_params.eps,
         },
         trace=trace,
+        admm_state=warm.admm_state,
     )

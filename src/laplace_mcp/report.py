@@ -18,7 +18,9 @@ class SolveReport:
     ``history`` holds one dict per recorded iteration with plain floats only;
     ``config`` echoes the fully resolved run configuration so the run can be
     reproduced from the report alone. ``trace`` carries in-memory arrays for
-    certificate auditing and is never serialized.
+    certificate auditing and ``admm_state`` the final ADMM iterate (an
+    ``AdmmState``, the warm start of a later ``start=``); neither is
+    serialized.
     """
 
     model: str
@@ -32,6 +34,7 @@ class SolveReport:
     config: dict = field(default_factory=dict)
     warm_start: dict | None = None
     trace: list | None = None
+    admm_state: object | None = None
 
     @property
     def converged(self):

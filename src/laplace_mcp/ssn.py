@@ -226,11 +226,14 @@ def _newton_direction(point, ctx, mask, params, gnorm):
 
 @dataclass
 class SsnResult:
-    """Final multiplier Y, residual matrix E = -grad, and run diagnostics;
-    ``cg_steps`` totals the CG steps of every Newton direction of the run."""
+    """Final multiplier Y, residual matrix E = -grad, the recovered weights
+    ``w_hat`` = project_nonneg(w_ref + A(Y)/sigma) (the ``w`` of
+    :func:`recover_primal` at Y), and run diagnostics; ``cg_steps`` totals
+    the CG steps of every Newton direction of the run."""
 
     Y: np.ndarray
     E: np.ndarray
+    w_hat: np.ndarray
     iterations: int
     converged: bool
     grad_norm: float
@@ -258,7 +261,8 @@ def ssn_solve(ctx, Y0=None, params=None):
 
     def result(iterations, converged, gnorm, status):
         return SsnResult(
-            Y, -cur.grad, iterations, converged, gnorm, status, cg_steps, grad_norms, values
+            Y, -cur.grad, cur.w_hat, iterations, converged, gnorm, status, cg_steps,
+            grad_norms, values,
         )
 
     for j in range(params.max_iter):

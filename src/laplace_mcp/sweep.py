@@ -33,7 +33,8 @@ _SCENARIOS = ("true", "coarse", "full", "drop")
 
 
 def default_threads():
-    """Sweep parallelism: LAPLACE_MCP_THREADS when set, else min(4, cpu count)."""
+    """Number of seed chains a sweep runs at once: LAPLACE_MCP_THREADS when
+    set, else min(4, cpu count)."""
     env = os.environ.get("LAPLACE_MCP_THREADS")
     if env:
         return max(1, int(env))
@@ -149,17 +150,19 @@ def make_instance(cfg, seed):
     return _Instance(truth, L, S, prior)
 
 
-def _run_cell(cfg, inst, lam, seed):
+def _run_cell(cfg, inst, lam, seed, start):
+    """Solve one cell with its ADMM stage started from ``start``; returns the
+    record and the final ADMM iterate."""
     t0 = time.perf_counter()
     problem = ProblemData(inst.S, inst.prior, PenaltyParams(lam, cfg.gamma))
     if cfg.model == "cgl-mcp":
-        report = solve_mcp(problem, DcaParams(eps=cfg.eps))
+        report = solve_mcp(problem, DcaParams(eps=cfg.eps), start=start)
     elif cfg.model == "cgl-l1":
-        report = solve_l1(problem, AdmmParams(eps=cfg.eps))
+        report = solve_l1(problem, AdmmParams(eps=cfg.eps), start=start)
     else:
         raise ValueError(f"unknown model {cfg.model!r}")
     est = detected_edges(report.w, problem.prior.edges, cfg.threshold_rel)
-    return SweepRecord(
+    record = SweepRecord(
         lam=float(lam),
         seed=int(seed),
         edges=int(est.shape[0]),
@@ -169,28 +172,44 @@ def _run_cell(cfg, inst, lam, seed):
         time_s=time.perf_counter() - t0,
         status=report.termination,
     )
+    return record, report.admm_state
+
+
+def _run_chain(cfg, inst, seed):
+    """One seed's lambda path, solved in descending lambda (ties in grid
+    order); each cell's ADMM stage starts from the previous cell's final
+    iterate. Returns the records in grid order."""
+    order = sorted(range(len(cfg.lambdas)), key=lambda i: cfg.lambdas[i], reverse=True)
+    records = [None] * len(order)
+    state = None
+    for i in order:
+        records[i], state = _run_cell(cfg, inst, cfg.lambdas[i], seed, state)
+    return records
 
 
 def run_sweep(cfg):
     """Run every (lambda, seed) cell and return (records, per-lambda averages).
 
-    Instance data is synthesized once per seed and shared read-only; cells run
-    on a thread pool capped by LAPLACE_MCP_THREADS.
+    Instance data is synthesized once per seed. Each seed's lambda grid runs as
+    one chain in descending lambda: the convex ADMM stage of a cell starts from
+    the previous lambda's final ADMM iterate (pathwise continuation), while
+    every d.c. loop starts from its own lambda's l1 solution. Chains run on a
+    thread pool capped by LAPLACE_MCP_THREADS. Records come back lambda-major
+    in the grid order as given, seeds in the order as given.
     """
     if not cfg.lambdas:
         raise ValueError("lambda grid is empty")
     if not cfg.seeds:
         raise ValueError("seed list is empty")
     instances = {seed: make_instance(cfg, seed) for seed in cfg.seeds}
-    cells = [(lam, seed) for lam in cfg.lambdas for seed in cfg.seeds]
     threads = cfg.threads if cfg.threads is not None else default_threads()
+    run = lambda seed: _run_chain(cfg, instances[seed], seed)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(
-                pool.map(lambda c: _run_cell(cfg, instances[c[1]], c[0], c[1]), cells)
-            )
+            chains = list(pool.map(run, cfg.seeds))
     else:
-        records = [_run_cell(cfg, instances[seed], lam, seed) for lam, seed in cells]
+        chains = [run(seed) for seed in cfg.seeds]
+    records = [chain[i] for i in range(len(cfg.lambdas)) for chain in chains]
     averages = []
     for lam in cfg.lambdas:
         group = [r for r in records if r.lam == float(lam)]

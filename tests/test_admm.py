@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -199,3 +201,126 @@ class TestSolveL1:
             lm.AdmmParams(tau=2.0)
         with pytest.raises(ValueError):
             lm.AdmmParams(sigma0=0.0)
+
+    @pytest.mark.parametrize("c", [0.1, 10.0])
+    def test_scale_equivariance(self, c):
+        # (cS, c lam) scales the linear term by c, and -log det(A*w/c + J)
+        # differs from -log det(A*w + J) by a constant, so w -> w/c
+        problem, _, _ = make_problem(n=10, p=0.4, seed=8, lam=0.05, k=5000 * 10)
+        ref = lm.solve_l1(problem, lm.AdmmParams(eps=1e-8))
+        scaled = lm.ProblemData(c * problem.S, problem.prior, lm.PenaltyParams(c * 0.05, 1.5))
+        rep = lm.solve_l1(scaled, lm.AdmmParams(eps=1e-8))
+        assert ref.converged and rep.converged
+        np.testing.assert_allclose(c * rep.w, ref.w, rtol=0, atol=1e-5 * np.abs(ref.w).max())
+
+    def test_node_permutation_equivariance(self):
+        base, gw, _ = make_problem(n=12, p=0.35, seed=16, lam=0.05, k=5000 * 12)
+        prior = lm.perturb_connectivity(lm.true_prior(gw), "coarse", seed=18, factor=2.0)
+        problem = lm.ProblemData(base.S, prior, base.params)
+        report = lm.solve_l1(problem, lm.AdmmParams(eps=1e-8))
+        perm = np.random.default_rng(17).permutation(12)
+        inv = np.argsort(perm)
+        # node i of the permuted instance is node perm[i] of the original
+        edges = inv[problem.prior.edges]
+        edges.sort(axis=1)
+        prior_perm = lm.EdgeGraph(12, edges)
+        permuted = lm.ProblemData(problem.S[np.ix_(perm, perm)], prior_perm, problem.params)
+        report_perm = lm.solve_l1(permuted, lm.AdmmParams(eps=1e-8))
+        assert report.termination == report_perm.termination == "converged"
+        w_perm = dict(zip(map(tuple, prior_perm.edges.tolist()), report_perm.w))
+        mapped = np.array([w_perm[tuple(e)] for e in edges.tolist()])
+        np.testing.assert_allclose(mapped, report.w, rtol=0, atol=1e-6 * np.abs(report.w).max())
+
+
+def reference_solve_l1(problem, params):
+    """The ADMM loop with all three KKT residuals at every iteration: returns
+    the final state, the history and the iteration count."""
+    state = initial_state(problem, params)
+    history = []
+    iterations = params.max_iter
+    for it in range(1, params.max_iter + 1):
+        state = admm_step(state, problem, problem.gram_solver)
+        res = kkt_residuals(state, problem)
+        entry = {
+            "iteration": it, "pobj": res.pobj, "dobj": res.dobj, "eta_p": res.eta_p,
+            "eta_d": res.eta_d, "eta_g": res.eta_g, "sigma": state.sigma,
+        }
+        if it % params.history_every == 0 or it == 1:
+            history.append(entry)
+        if res.max < params.eps:
+            iterations = it
+            break
+        if it % params.adapt_every == 0:
+            ratio = res.eta_p / max(res.eta_d, 1e-30)
+            if ratio > params.adapt_hi:
+                state.sigma *= 2.0
+            elif ratio < params.adapt_lo:
+                state.sigma /= 2.0
+    if history[-1]["iteration"] != iterations:
+        history.append(dict(entry, sigma=state.sigma))
+    return state, history, iterations
+
+
+class TestOnDemandGap:
+    @pytest.mark.parametrize(
+        "eps, max_iter", [(1e-7, 20000), (1e-12, 137), (1e-12, 150)],
+        ids=["converged", "cap-off-record", "cap-on-record"],
+    )
+    def test_matches_every_iteration_reference(self, eps, max_iter):
+        problem, _, _ = make_problem(n=10, p=0.4, seed=9, lam=0.05, k=5000 * 10)
+        params = lm.AdmmParams(eps=eps, max_iter=max_iter)
+        state, history, iterations = reference_solve_l1(problem, params)
+        rep = lm.solve_l1(problem, params)
+        assert rep.w.tobytes() == state.w.tobytes()
+        assert rep.history == history
+        assert rep.history[-1]["iteration"] == iterations
+        assert rep.objective == history[-1]["pobj"]
+        assert rep.converged == (max_iter == 20000)
+
+
+class TestWarmStart:
+    def test_restart_from_own_solution(self):
+        problem, _, _ = make_problem(n=10, p=0.4, seed=10, lam=0.05, k=5000 * 10)
+        params = lm.AdmmParams(eps=1e-7)
+        cold = lm.solve_l1(problem, params)
+        warm = lm.solve_l1(problem, params, start=cold.admm_state)
+        assert cold.config["initial_point"] == "zeros"
+        assert warm.config["initial_point"] == "previous_lambda"
+        assert warm.converged
+        assert warm.history[-1]["iteration"] < cold.history[-1]["iteration"] / 10
+        np.testing.assert_allclose(warm.w, cold.w, rtol=0, atol=1e-5 * np.abs(cold.w).max())
+
+    def test_start_not_mutated(self):
+        problem, _, _ = make_problem(n=10, p=0.4, seed=10, lam=0.05, k=5000 * 10)
+        start = lm.solve_l1(problem, lm.AdmmParams(eps=1e-4)).admm_state
+        before = {k: np.copy(v) for k, v in vars(start).items()}
+        lm.solve_l1(problem.with_params(lm.PenaltyParams(0.01, 1.5)), lm.AdmmParams(eps=1e-7),
+                    start=start)
+        for key, value in before.items():
+            assert np.array_equal(getattr(start, key), value), key
+
+    @pytest.mark.parametrize("other", ["n", "m"])
+    def test_start_shape_mismatch(self, other):
+        problem, gw, _ = make_problem(n=10, p=0.4, seed=10, lam=0.05, k=5000 * 10)
+        if other == "n":
+            wrong, _, _ = make_problem(n=11, p=0.4, seed=10, lam=0.05, k=5000 * 11)
+        else:
+            wrong = lm.ProblemData(
+                problem.S, lm.perturb_connectivity(lm.true_prior(gw), "full"), problem.params
+            )
+            assert wrong.m != problem.m
+        start = initial_state(wrong)
+        with pytest.raises(ValueError, match="start"):
+            lm.solve_l1(problem, start=start)
+        with pytest.raises(ValueError, match="start"):
+            lm.solve_mcp(problem, start=start)
+
+    def test_admm_state_not_serialized(self):
+        problem, _, _ = make_problem(n=8, p=0.5, seed=12, lam=0.05, k=5000 * 8)
+        for report in (lm.solve_l1(problem), lm.solve_mcp(problem)):
+            assert isinstance(report.admm_state, AdmmState)
+            d = report.to_dict()
+            assert "admm_state" not in d
+            back = lm.SolveReport.from_dict(json.loads(json.dumps(d)))
+            assert back.admm_state is None
+            assert back.to_dict() == json.loads(json.dumps(d))

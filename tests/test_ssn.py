@@ -281,6 +281,13 @@ class TestSsnSolve:
         res = ssn_solve(ctx, None, lm.SsnParams(grad_tol=1e-9))
         assert np.linalg.norm(res.E) <= 1e-9
 
+    @pytest.mark.parametrize("max_iter", [0, 2, 100])
+    def test_w_hat_is_recovered_weight(self, max_iter):
+        ctx, _ = random_context(n=8, seed=22)
+        res = ssn_solve(ctx, None, lm.SsnParams(grad_tol=1e-9, max_iter=max_iter))
+        _, w_bar = recover_primal(res.Y, ctx)
+        assert res.w_hat.tobytes() == w_bar.tobytes()
+
 
 class TestRecoverPrimal:
     def test_nonnegative_and_definite(self):
