@@ -183,7 +183,8 @@ def solve_l1(problem, params=None, start=None):
     Starts from zero, or from ``start``, an :class:`AdmmState` such as the
     ``admm_state`` of an earlier report on the same candidate edges (its
     sigma is kept, its tau replaced by ``params.tau``; it is not modified).
-    Terminates when max(eta_p, eta_d, eta_g) < eps, or with a cap-hit flag
+    The config echo ``initial_point`` says ``"zeros"`` or ``"given"``; the
+    start state itself is not recorded. Terminates when max(eta_p, eta_d, eta_g) < eps, or with a cap-hit flag
     after ``max_iter`` iterations; the last iterate is returned either way and
     kept as the report's ``admm_state``. The duality gap costs two Cholesky
     factorizations, so it is evaluated only when the feasibility residuals are
@@ -236,7 +237,7 @@ def solve_l1(problem, params=None, start=None):
         "max_iter": params.max_iter,
         "tau": params.tau,
         "sigma0": params.sigma0,
-        "initial_point": "zeros" if start is None else "previous_lambda",
+        "initial_point": "zeros" if start is None else "given",
         "prior_tag": problem.prior_tag,
     }
     if not history or history[-1]["iteration"] != iterations:

@@ -17,7 +17,7 @@ from .ssn import (
     SsnParams,
     SubproblemContext,
     check_stop_condition,
-    recover_primal,  # noqa: F401  (unused here; bench/spans.py traces this name in dca)
+    recover_primal,  # noqa: F401
     ssn_solve,
     subproblem_error_vector,
 )

@@ -285,7 +285,7 @@ class TestWarmStart:
         cold = lm.solve_l1(problem, params)
         warm = lm.solve_l1(problem, params, start=cold.admm_state)
         assert cold.config["initial_point"] == "zeros"
-        assert warm.config["initial_point"] == "previous_lambda"
+        assert warm.config["initial_point"] == "given"
         assert warm.converged
         assert warm.history[-1]["iteration"] < cold.history[-1]["iteration"] / 10
         np.testing.assert_allclose(warm.w, cold.w, rtol=0, atol=1e-5 * np.abs(cold.w).max())
