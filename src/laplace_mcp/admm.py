@@ -184,9 +184,10 @@ def solve_l1(problem, params=None, start=None):
     ``admm_state`` of an earlier report on the same candidate edges (its
     sigma is kept, its tau replaced by ``params.tau``; it is not modified).
     The config echo ``initial_point`` says ``"zeros"`` or ``"given"``; the
-    start state itself is not recorded. Terminates when max(eta_p, eta_d, eta_g) < eps, or with a cap-hit flag
-    after ``max_iter`` iterations; the last iterate is returned either way and
-    kept as the report's ``admm_state``. The duality gap costs two Cholesky
+    start state itself is not recorded. Terminates when
+    max(eta_p, eta_d, eta_g) < eps, or with a cap-hit flag after ``max_iter``
+    iterations; the last iterate is returned either way and kept as the
+    report's ``admm_state``. The duality gap costs two Cholesky
     factorizations, so it is evaluated only when the feasibility residuals are
     already below eps and on recorded iterations. The penalty sigma rescales
     by 2 whenever eta_p/eta_d leaves the configured band, checked every

@@ -195,8 +195,8 @@ def run_sweep(cfg):
     the previous lambda's final ADMM iterate (pathwise continuation), while
     every d.c. loop starts from its own lambda's l1 solution. Chains run on a
     thread pool capped by LAPLACE_MCP_THREADS, so at most one thread per seed
-    is busy. Records come back lambda-major
-    in the grid order as given, seeds in the order as given.
+    is busy. Records come back lambda-major in the grid order as given, seeds
+    in the order as given.
     """
     if not cfg.lambdas:
         raise ValueError("lambda grid is empty")
