@@ -30,7 +30,6 @@ from .linalg import (
     GramSolver,
     clarke_diag,
     edge_gram_matrix,
-    moreau_logdet_value,
     project_nonneg,
     prox_logdet,
     prox_logdet_dderiv,
@@ -41,8 +40,6 @@ from .penalty import (
     PenaltyParams,
     dc_smooth_grad,
     dc_smooth_grad_matrix,
-    dc_smooth_value,
-    mcp_matrix_value,
     mcp_value,
     objective_value,
 )
@@ -60,7 +57,6 @@ from .ssn import (
     recover_primal,
     ssn_solve,
     subproblem_error_vector,
-    subproblem_primal_value,
 )
 
 __version__ = "0.1.0"

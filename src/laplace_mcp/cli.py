@@ -70,7 +70,8 @@ def _build_parser():
     gen.add_argument(
         "--samples",
         type=int,
-        help="sample size for the covariance; omit to write the exact pseudo-inverse",
+        help="sample size for the covariance, at least 1; omit to write the exact "
+        "pseudo-inverse",
     )
 
     solve = sub.add_parser("solve", help="solve one model instance from files")
@@ -133,6 +134,8 @@ def _build_parser():
 
 
 def _cmd_gen(args):
+    if args.samples is not None and args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     if args.ensemble == "er":
         factory = lambda s: gen_erdos_renyi(args.nodes, args.prob, s)
     elif args.ensemble == "grid":
@@ -145,12 +148,13 @@ def _cmd_gen(args):
     print(f"wrote {args.out}: n={g.n}, edges={g.m}")
     if args.cov:
         L = g.laplacian()
-        if args.samples:
+        if args.samples is not None:
             S = sample_covariance(L, args.samples, args.seed + 104729)
+            kind = f"sampled k={args.samples}"
         else:
             S = population_covariance(L)
+            kind = "exact pseudo-inverse"
         io.write_covariance(args.cov, S)
-        kind = f"sampled k={args.samples}" if args.samples else "exact pseudo-inverse"
         print(f"wrote {args.cov} ({kind})")
     return 0
 

@@ -340,8 +340,19 @@ def population_covariance(L_true):
 def sample_covariance(L_true, k, seed, chunk=65536):
     """Sample covariance of k draws from the degenerate Gaussian N(0, pinv(L)).
 
-    Each draw is pinv(L)^(1/2) z with z standard normal projected onto the
-    complement of the all-ones direction, so S converges to pinv(L) as k grows.
+    Each draw is A z with A = pinv(L)^(1/2) and z standard normal projected
+    onto the complement of the all-ones direction by P = I - 11^T/n. The
+    result is S = A P W P A / k = A W A / k (A 1 = 0, so A P = A), where
+    W ~ Wishart_n(k, I) is the scatter matrix of the k raw draws. So
+    k S ~ Wishart_n(k, Sigma) with Sigma = pinv(L): E S = Sigma,
+    Var S_ij = (Sigma_ij^2 + Sigma_ii Sigma_jj)/k, and S 1 = 0.
+
+    For k >= n, W = T T^T is drawn by the Bartlett decomposition (Bartlett
+    1933; Odell and Feiveson 1966): T is lower triangular with standard normals
+    below the diagonal and T_ii = sqrt(chi2(k - i)), i = 0..n-1. The cost is
+    one n x n draw and two GEMMs, whatever k is. For k < n, where Bartlett does
+    not apply, the k draws are made directly, ``chunk`` rows at a time;
+    ``chunk`` bounds memory on that path only.
     """
     k = int(k)
     if k < 1:
@@ -352,6 +363,12 @@ def sample_covariance(L_true, k, seed, chunk=65536):
     A = (U * inv_half) @ U.T
     n = A.shape[0]
     rng = np.random.default_rng(seed)
+    if k >= n:
+        T = np.tril(rng.standard_normal((n, n)), -1)
+        T[np.diag_indices(n)] = np.sqrt(rng.chisquare(k - np.arange(n)))
+        B = A @ T
+        S = B @ B.T / k
+        return 0.5 * (S + S.T)
     M = np.zeros((n, n))
     done = 0
     while done < k:

@@ -21,7 +21,6 @@ __all__ = [
     "EigCache",
     "prox_logdet",
     "prox_logdet_dderiv",
-    "moreau_logdet_value",
     "project_nonneg",
     "clarke_diag",
     "edge_gram_matrix",
@@ -93,12 +92,6 @@ def prox_logdet_dderiv(cache, H):
     M = cache.U.T @ H @ cache.U
     out = cache.U @ (cache.gamma * M) @ cache.U.T
     return 0.5 * (out + out.T)
-
-
-def moreau_logdet_value(X, sigma):
-    """Moreau envelope of -log det: -log det(P) + (sigma/2) ||P - X||^2 at P = prox."""
-    P, cache = prox_logdet(X, sigma)
-    return float(-np.log(cache.d).sum() + 0.5 * sigma * np.linalg.norm(P - X) ** 2)
 
 
 def project_nonneg(c):

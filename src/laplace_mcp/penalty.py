@@ -1,9 +1,9 @@
 """Minimax concave penalty, its difference-of-convex split, and the penalized
 negative log-likelihood objective.
 
-A penalty enters the solvers only through the triple (value, smooth part,
-smooth-part gradient), so other separable non-convex penalties can slot in by
-providing the same three functions.
+A penalty enters the solvers only through its value and the gradient of the
+smooth convex part h of its split lam|x| - h(x), so other separable non-convex
+penalties can slot in by providing the same two functions.
 """
 
 from __future__ import annotations
@@ -15,10 +15,8 @@ import numpy as np
 __all__ = [
     "PenaltyParams",
     "mcp_value",
-    "dc_smooth_value",
     "dc_smooth_grad",
     "dc_smooth_grad_matrix",
-    "mcp_matrix_value",
     "objective_value",
 ]
 
@@ -51,18 +49,6 @@ def mcp_value(x, params):
     return np.where(ax <= gamma * lam, inner, 0.5 * gamma * lam * lam)
 
 
-def dc_smooth_value(x, params):
-    """Smooth convex part h of the split MCP = lam|x| - h(x)."""
-    x = np.asarray(x, dtype=float)
-    lam, gamma = params.lam, params.gamma
-    ax = np.abs(x)
-    return np.where(
-        ax <= gamma * lam,
-        x * x / (2.0 * gamma),
-        lam * ax - 0.5 * gamma * lam * lam,
-    )
-
-
 def dc_smooth_grad(x, params):
     """Gradient of the smooth part: min(|x|/gamma, lam) * sign(x).
 
@@ -78,13 +64,6 @@ def dc_smooth_grad_matrix(theta, params):
     G = dc_smooth_grad(theta, params)
     np.fill_diagonal(G, 0.0)
     return G
-
-
-def mcp_matrix_value(theta, params):
-    """Penalty of a symmetric matrix: sum of MCP over off-diagonal entries."""
-    theta = np.asarray(theta, dtype=float)
-    p = mcp_value(theta, params)
-    return float(p.sum() - np.trace(p))
 
 
 def objective_value(w, problem):

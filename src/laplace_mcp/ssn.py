@@ -21,7 +21,6 @@ __all__ = [
     "dual_jacobian_apply",
     "ssn_solve",
     "recover_primal",
-    "subproblem_primal_value",
     "subproblem_error_vector",
     "check_stop_condition",
 ]
@@ -304,23 +303,6 @@ def recover_primal(Y, ctx):
     P, _ = prox_logdet(ctx.base_point(Y), ctx.sigma)
     w_bar = project_nonneg(ctx.projection_point(Y))
     return P - ctx.problem.J, w_bar
-
-
-def subproblem_primal_value(w, ctx):
-    """Subproblem objective at the feasible point (A* w, w); +inf off the domain."""
-    w = np.asarray(w, dtype=float).reshape(-1)
-    if np.any(w < 0):
-        return float("inf")
-    theta = ctx.problem.astar(w)
-    vals = np.linalg.eigvalsh(theta + ctx.problem.J)
-    if vals[0] <= 0:
-        return float("inf")
-    return float(
-        -np.log(vals).sum()
-        + np.vdot(ctx.cost_matrix, theta)
-        + 0.5 * ctx.sigma * np.linalg.norm(theta - ctx.theta_ref) ** 2
-        + 0.5 * ctx.sigma * np.linalg.norm(w - ctx.w_ref) ** 2
-    )
 
 
 @dataclass(frozen=True)

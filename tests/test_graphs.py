@@ -308,6 +308,49 @@ class TestCovariance:
         )
 
 
+class TestSampleCovarianceLaw:
+    """k S ~ Wishart_n(k, pinv(L)): checked by moments over many seeds and by the
+    rank and null direction at and below the Bartlett boundary k = n."""
+
+    @staticmethod
+    def laplacian(n=8):
+        g = random_connected_graph(n, 0.5, 21)
+        return lm.sample_weights(g, 0.1, 3.0, 22).laplacian()
+
+    @pytest.mark.parametrize("k", [5, 50])
+    def test_first_two_moments(self, k):
+        L, draws = self.laplacian(), 20000
+        sigma = lm.population_covariance(L)
+        iu = np.triu_indices(L.shape[0])
+        samples = np.array([lm.sample_covariance(L, k, seed)[iu] for seed in range(draws)])
+        target_var = ((sigma**2 + np.outer(np.diag(sigma), np.diag(sigma))) / k)[iu]
+        # Monte-Carlo standard errors of the sample mean and the sample variance
+        z_mean = (samples.mean(axis=0) - sigma[iu]) / np.sqrt(target_var / draws)
+        dev2 = (samples - samples.mean(axis=0)) ** 2
+        z_var = (dev2.mean(axis=0) - target_var) / (dev2.std(axis=0) / np.sqrt(draws))
+        assert np.abs(z_mean).max() < 5.0
+        assert np.abs(z_var).max() < 5.0
+
+    @pytest.mark.parametrize("k", [8, 9])
+    def test_bartlett_boundary(self, k):
+        L = self.laplacian()
+        S = lm.sample_covariance(L, k, 3)
+        vals = np.linalg.eigvalsh(S)
+        assert np.all(np.isfinite(S))
+        assert vals[0] > -1e-12 * vals[-1]
+        assert np.linalg.matrix_rank(S) == 7
+        assert np.abs(S @ np.ones(8)).max() < 1e-12 * vals[-1]
+
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_fewer_draws_than_nodes(self, k):
+        L = self.laplacian()
+        S = lm.sample_covariance(L, k, 4, chunk=2)
+        vals = np.linalg.eigvalsh(S)
+        assert vals[0] > -1e-12 * vals[-1]
+        assert np.linalg.matrix_rank(S) == min(k, 7)
+        assert np.abs(S @ np.ones(8)).max() < 1e-12 * vals[-1]
+
+
 class TestTraceIdentity:
     def test_l1_norm_equals_trace(self):
         # off-diagonal l1 mass of a Laplacian equals its trace

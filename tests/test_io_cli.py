@@ -165,6 +165,31 @@ class TestCliGen:
         )
         assert rc == 1
 
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_samples_below_one_rejected_before_writing(self, tmp_path, capsys, samples):
+        out, cov = tmp_path / "g.json", tmp_path / "g.mtx"
+        rc = main(
+            [
+                "gen", "--ensemble", "er", "--nodes", "10", "--prob", "0.4",
+                "--out", str(out), "--cov", str(cov), "--samples", samples,
+            ]
+        )
+        assert rc == 1
+        assert "--samples" in capsys.readouterr().err
+        assert not out.exists() and not cov.exists()
+
+    def test_samples_write_a_sampled_covariance(self, tmp_path, capsys):
+        out, cov = tmp_path / "g.json", tmp_path / "g.mtx"
+        rc = main(
+            [
+                "gen", "--ensemble", "er", "--nodes", "10", "--prob", "0.4",
+                "--out", str(out), "--cov", str(cov), "--samples", "3",
+            ]
+        )
+        assert rc == 0
+        assert "sampled k=3" in capsys.readouterr().out
+        assert np.linalg.matrix_rank(lio.read_covariance(cov)) <= 3
+
 
 class TestCliSolveEval:
     @pytest.fixture()

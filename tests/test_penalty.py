@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import laplace_mcp as lm
 
-from util import make_problem
+from util import dc_smooth_value, make_problem, mcp_matrix_value
 
 P15 = lm.PenaltyParams(1.0, 1.5)
 
@@ -53,13 +53,13 @@ class TestSmoothPart:
     def test_dc_identity_exact(self, x):
         # MCP + smooth part recovers lam|x| exactly on both branches
         p = lm.PenaltyParams(1.25, 1.75)
-        total = float(lm.mcp_value(x, p)) + float(lm.dc_smooth_value(x, p))
+        total = float(lm.mcp_value(x, p)) + float(dc_smooth_value(x, p))
         assert total == pytest.approx(p.lam * abs(x), abs=1e-12, rel=1e-12)
 
     def test_grad_matches_finite_difference(self):
         for x in (-2.0, -0.5, 0.5, 2.0):
             t = 1e-7
-            fd = (lm.dc_smooth_value(x + t, P15) - lm.dc_smooth_value(x - t, P15)) / (
+            fd = (dc_smooth_value(x + t, P15) - dc_smooth_value(x - t, P15)) / (
                 2 * t
             )
             assert abs(fd - lm.dc_smooth_grad(x, P15)) < 1e-6
@@ -81,8 +81,8 @@ class TestSmoothPart:
     def test_smooth_part_midpoint_convex(self):
         rng = np.random.default_rng(1)
         x, y = rng.uniform(-4, 4, 100), rng.uniform(-4, 4, 100)
-        mid = lm.dc_smooth_value(0.5 * (x + y), P15)
-        avg = 0.5 * (lm.dc_smooth_value(x, P15) + lm.dc_smooth_value(y, P15))
+        mid = dc_smooth_value(0.5 * (x + y), P15)
+        avg = 0.5 * (dc_smooth_value(x, P15) + dc_smooth_value(y, P15))
         assert np.all(mid <= avg + 1e-12)
 
 
@@ -113,10 +113,10 @@ class TestMatrixGradient:
         theta = 0.5 * (A + A.T)
         off_l1 = np.abs(theta).sum() - np.abs(np.diag(theta)).sum()
         h_val = float(
-            lm.dc_smooth_value(theta, P15).sum()
-            - np.trace(lm.dc_smooth_value(theta, P15))
+            dc_smooth_value(theta, P15).sum()
+            - np.trace(dc_smooth_value(theta, P15))
         )
-        assert lm.mcp_matrix_value(theta, P15) + h_val == pytest.approx(
+        assert mcp_matrix_value(theta, P15) + h_val == pytest.approx(
             P15.lam * off_l1, rel=1e-12
         )
 
@@ -142,7 +142,7 @@ class TestObjective:
             direct = (
                 -logdet
                 + np.vdot(problem.S, theta)
-                + lm.mcp_matrix_value(theta, problem.params)
+                + mcp_matrix_value(theta, problem.params)
             )
             assert lm.objective_value(w, problem) == pytest.approx(direct, rel=1e-10)
 
@@ -161,7 +161,7 @@ class TestObjective:
         lam, gamma = problem.params.lam, problem.params.gamma
         for _ in range(10):
             w = rng.uniform(0, 3, problem.m)
-            pen = lm.mcp_matrix_value(problem.astar(w), problem.params)
+            pen = mcp_matrix_value(problem.astar(w), problem.params)
             assert 0.0 <= pen <= gamma * lam**2 * problem.m + 1e-12
 
     def test_infeasible_gives_inf(self):

@@ -16,10 +16,9 @@ from laplace_mcp.ssn import (
     recover_primal,
     ssn_solve,
     subproblem_error_vector,
-    subproblem_primal_value,
 )
 
-from util import golden_min, random_context, random_symmetric
+from util import golden_min, random_context, random_symmetric, subproblem_primal_value
 
 
 def one_edge_context(sigma=0.8, w_ref=0.6, lam=0.1):

@@ -1,10 +1,52 @@
-"""Shared fixtures-in-plain-functions for the test suite."""
+"""Shared fixtures-in-plain-functions for the test suite, and value oracles
+that only the tests evaluate (the solvers never need these values)."""
 
 import numpy as np
 
 import laplace_mcp as lm
 from laplace_mcp.dca import subproblem_cost_matrix
 from laplace_mcp.ssn import SubproblemContext
+
+
+def moreau_logdet_value(X, sigma):
+    """Moreau envelope of -log det: -log det(P) + (sigma/2) ||P - X||^2 at P = prox."""
+    P, cache = lm.prox_logdet(X, sigma)
+    return float(-np.log(cache.d).sum() + 0.5 * sigma * np.linalg.norm(P - X) ** 2)
+
+
+def dc_smooth_value(x, params):
+    """Smooth convex part h of the split MCP = lam|x| - h(x)."""
+    x = np.asarray(x, dtype=float)
+    lam, gamma = params.lam, params.gamma
+    ax = np.abs(x)
+    return np.where(
+        ax <= gamma * lam,
+        x * x / (2.0 * gamma),
+        lam * ax - 0.5 * gamma * lam * lam,
+    )
+
+
+def mcp_matrix_value(theta, params):
+    """Penalty of a symmetric matrix: sum of MCP over off-diagonal entries."""
+    p = lm.mcp_value(np.asarray(theta, dtype=float), params)
+    return float(p.sum() - np.trace(p))
+
+
+def subproblem_primal_value(w, ctx):
+    """Subproblem objective at the feasible point (A* w, w); +inf off the domain."""
+    w = np.asarray(w, dtype=float).reshape(-1)
+    if np.any(w < 0):
+        return float("inf")
+    theta = ctx.problem.astar(w)
+    vals = np.linalg.eigvalsh(theta + ctx.problem.J)
+    if vals[0] <= 0:
+        return float("inf")
+    return float(
+        -np.log(vals).sum()
+        + np.vdot(ctx.cost_matrix, theta)
+        + 0.5 * ctx.sigma * np.linalg.norm(theta - ctx.theta_ref) ** 2
+        + 0.5 * ctx.sigma * np.linalg.norm(w - ctx.w_ref) ** 2
+    )
 
 
 def random_connected_graph(n, p, seed):
