@@ -149,19 +149,25 @@ def incidence_matrix(graph):
     return sp.csc_matrix((data, (rows, cols)), shape=(graph.n, m))
 
 
+def _float_array(x):
+    """``x`` as a float64 array, or as given if it is float32 already."""
+    x = np.asarray(x)
+    return x if x.dtype == np.float32 else x.astype(float, copy=False)
+
+
 def weights_to_laplacian(w, graph):
     """Map an edge-weight vector to the symmetric matrix B Diag(w) B^T.
 
     Off-diagonal (i, j) is -w_(ij) on edges and 0 elsewhere; the diagonal
     holds weighted degrees, so every row sums to zero. For w >= 0 the result
-    is a combinatorial graph Laplacian.
+    is a combinatorial graph Laplacian. float32 input gives a float32 result.
     """
-    w = np.asarray(w, dtype=float).reshape(-1)
+    w = _float_array(w).reshape(-1)
     if w.shape[0] != graph.m:
         raise ValueError(f"expected {graph.m} weights, got {w.shape[0]}")
     n = graph.n
     ei, ej = graph.edges[:, 0], graph.edges[:, 1]
-    theta = np.zeros(n * n)
+    theta = np.zeros(n * n, dtype=w.dtype)
     theta[graph._flat_ij] = -w
     theta[graph._flat_ji] = -w
     theta[:: n + 1] = np.bincount(ei, w, n) + np.bincount(ej, w, n)
@@ -171,9 +177,10 @@ def weights_to_laplacian(w, graph):
 def laplacian_adjoint(X, graph):
     """Adjoint of ``weights_to_laplacian``: the vector diag(B^T X B).
 
-    Component (i, j) equals X_ii + X_jj - 2 X_ij for symmetric X.
+    Component (i, j) equals X_ii + X_jj - 2 X_ij for symmetric X. float32
+    input gives a float32 result.
     """
-    X = np.asarray(X, dtype=float)
+    X = _float_array(X)
     if X.shape != (graph.n, graph.n):
         raise ValueError(f"expected a {graph.n}x{graph.n} matrix, got {X.shape}")
     ei, ej = graph.edges[:, 0], graph.edges[:, 1]
@@ -351,7 +358,8 @@ def sample_covariance(L_true, k, seed, chunk=65536):
     1933; Odell and Feiveson 1966): T is lower triangular with standard normals
     below the diagonal and T_ii = sqrt(chi2(k - i)), i = 0..n-1. The cost is
     one n x n draw and two GEMMs, whatever k is. For k < n, where Bartlett does
-    not apply, the k draws are made directly, ``chunk`` rows at a time;
+    not apply, the k raw draws are made directly, ``chunk`` rows at a time,
+    and W is their scatter matrix (no centering: A P = A makes it a no-op);
     ``chunk`` bounds memory on that path only.
     """
     k = int(k)
@@ -374,7 +382,6 @@ def sample_covariance(L_true, k, seed, chunk=65536):
     while done < k:
         c = min(chunk, k - done)
         Z = rng.standard_normal((c, n))
-        Z -= Z.mean(axis=1, keepdims=True)
         M += Z.T @ Z
         done += c
     S = A @ (M / k) @ A

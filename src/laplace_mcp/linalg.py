@@ -11,7 +11,7 @@ pool active.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -57,6 +57,11 @@ class EigCache:
     gamma: np.ndarray
     base: np.ndarray
 
+    def astype(self, dtype):
+        """The same decomposition with ``U`` and ``gamma`` in ``dtype``;
+        :func:`prox_logdet_dderiv` computes in that precision."""
+        return replace(self, U=self.U.astype(dtype), gamma=self.gamma.astype(dtype))
+
     def matches(self, X, rtol=1e-12):
         X = np.asarray(X, dtype=float)
         if X.shape != self.base.shape:
@@ -85,8 +90,9 @@ def prox_logdet(X, sigma):
 
 def prox_logdet_dderiv(cache, H):
     """Directional derivative of the log-det prox at the cached base point:
-    U [gamma o (U^T H U)] U^T. Linear and symmetric in H."""
-    H = np.asarray(H, dtype=float)
+    U [gamma o (U^T H U)] U^T. Linear and symmetric in H; computed and
+    returned in the dtype of ``cache.U``."""
+    H = np.asarray(H, dtype=cache.U.dtype)
     if H.shape != cache.base.shape:
         raise ValueError("dimension mismatch with the cached base point")
     M = cache.U.T @ H @ cache.U

@@ -157,55 +157,53 @@ def dual_jacobian_apply(Y, H, ctx, mask, cache=None):
         _, cache = prox_logdet(base, ctx.sigma)
     elif not cache.matches(base):
         raise ValueError("stale eigendecomposition cache for this multiplier")
-    return _jacobian_apply(H, ctx, ctx.problem.prior.support(mask), cache)
+    return -_newton_operator(cache, ctx.problem.prior.support(mask), ctx.sigma, 0.0)(H)
 
 
-def _jacobian_apply(H, ctx, active, cache):
-    """-(prox'(H) + A*(mask o A(H)))/sigma with ``active`` the support of the
-    mask in the prior, weighted by the mask."""
-    d = prox_logdet_dderiv(cache, H)
-    p = weights_to_laplacian(active.weights * laplacian_adjoint(H, active), active)
-    return -(d + p) / ctx.sigma
+def _newton_operator(cache, active, sigma, ridge):
+    """The map H -> (prox'(H) + A*(mask o A(H)))/sigma + ridge H, the negated
+    Jacobian plus a ridge, in the dtype of ``cache``; ``active`` is the support
+    of the mask in the prior, weighted by the mask."""
+    dtype = cache.U.dtype
+    weights = active.weights.astype(dtype)
+
+    def apply(H):
+        H = np.asarray(H, dtype=dtype)
+        d = prox_logdet_dderiv(cache, H)
+        p = weights_to_laplacian(weights * laplacian_adjoint(H, active), active)
+        return (d + p) / sigma + ridge * H
+
+    return apply
 
 
 def _jacobi_diagonal(cache, active, sigma, ridge):
-    """Positive diagonal of the Newton operator -Jacobian + ridge I.
+    """Positive, exactly symmetric diagonal of the Newton operator
+    -Jacobian + ridge I.
 
     The log-det part ((U o U) Gamma (U o U)^T)/sigma is exact on the matrix
     diagonal and stands in for it off the diagonal; the projection part
     |A*(mask)|/sigma, the mask on edge positions and the weighted active
     degree on the diagonal, is the exact diagonal of A*(mask o A(.))/sigma.
+    Symmetry matters: the direction inherits it from r / diag.
     """
     V = cache.U * cache.U
-    return (V @ cache.gamma @ V.T + np.abs(active.laplacian())) / sigma + ridge
+    G = V @ cache.gamma @ V.T
+    G = 0.5 * (G + G.T)
+    return (G + np.abs(active.laplacian())) / sigma + ridge
 
 
-def _newton_direction(point, ctx, mask, params, gnorm):
-    """Inexact Newton direction and the number of CG steps it took.
-
-    Jacobi-preconditioned conjugate gradients on the negated Jacobian plus a
-    tiny ridge, with the projection part applied on the active edges only.
-    The stopping test reads the unpreconditioned residual: ||T D - g|| <=
-    min(eta_bar, gnorm^(1+tau)).
-    """
-    target = min(params.eta_bar, gnorm ** (1.0 + params.tau))
-    ridge = params.cg_ridge
-    active = ctx.problem.prior.support(mask)
-
-    def T(H):
-        return -_jacobian_apply(H, ctx, active, point.cache) + ridge * H
-
-    g = point.grad
-    if gnorm <= target:
-        return g.copy(), 0
-    diag = _jacobi_diagonal(point.cache, active, ctx.sigma, ridge)
-    x = np.zeros_like(g)
-    r = g.copy()
+def _pcg(T, b, diag, target, max_steps):
+    """Jacobi-preconditioned conjugate gradients for T x = b from x = 0, in
+    the dtype of ``b``. Stops once the recursive residual norm reaches
+    ``target``, after ``max_steps`` steps, or on a non-positive curvature.
+    Returns x and the number of steps."""
+    x = np.zeros_like(b)
+    r = b.copy()
     z = r / diag
     rz = float(np.vdot(r, z))
     p = z.copy()
     steps = 0
-    while steps < params.cg_max_iter:
+    while steps < max_steps:
         steps += 1
         Tp = T(p)
         pTp = float(np.vdot(p, Tp))
@@ -223,12 +221,56 @@ def _newton_direction(point, ctx, mask, params, gnorm):
     return x, steps
 
 
+def _newton_direction(point, ctx, mask, params, gnorm):
+    """Inexact Newton direction and the number of CG steps it took.
+
+    Solves T D = g, T the negated Jacobian plus a tiny ridge with the
+    projection part applied on the active edges only, to the float64 contract
+    ||T D - g|| <= min(eta_bar, gnorm^(1+tau)). Jacobi-preconditioned CG runs
+    in float32 (operator, preconditioner and iterates) on the float64
+    residual, and its correction is added to a float64 D; one float64 apply
+    then recomputes the true residual r = g - T D. If r misses the target,
+    another float32 round solves for the rest (mixed-precision iterative
+    refinement); a round that fails to halve ||r|| hands the rest of the
+    direction to CG with the float64 operator. The step count covers the CG
+    steps of both precisions, not the residual checks, and all rounds share
+    the ``cg_max_iter`` cap.
+    """
+    target = min(params.eta_bar, gnorm ** (1.0 + params.tau))
+    g = point.grad
+    if gnorm <= target:
+        return g.copy(), 0
+    ridge = params.cg_ridge
+    active = ctx.problem.prior.support(mask)
+    T64 = _newton_operator(point.cache, active, ctx.sigma, ridge)
+    T = _newton_operator(point.cache.astype(np.float32), active, ctx.sigma, ridge)
+    diag64 = _jacobi_diagonal(point.cache, active, ctx.sigma, ridge)
+    diag = diag64.astype(np.float32)
+    D = np.zeros_like(g)
+    r, rnorm = g, gnorm
+    steps = 0
+    while steps < params.cg_max_iter:
+        dD, k = _pcg(T, r.astype(diag.dtype), diag, target, params.cg_max_iter - steps)
+        steps += k
+        D += dD
+        if T is T64:
+            break
+        r = g - T64(D)
+        last, rnorm = rnorm, float(np.linalg.norm(r))
+        if rnorm <= target:
+            break
+        if rnorm > 0.5 * last:
+            T, diag = T64, diag64
+    return D, steps
+
+
 @dataclass
 class SsnResult:
     """Final multiplier Y, residual matrix E = -grad, the recovered weights
     ``w_hat`` = project_nonneg(w_ref + A(Y)/sigma) (the ``w`` of
     :func:`recover_primal` at Y), and run diagnostics; ``cg_steps`` totals
-    the CG steps of every Newton direction of the run."""
+    the CG steps of every Newton direction of the run, float32 and float64
+    alike (the float64 residual checks are not CG steps)."""
 
     Y: np.ndarray
     E: np.ndarray
@@ -242,11 +284,19 @@ class SsnResult:
     values: list = field(default_factory=list)
 
 
+# relative rounding level of the computed dual value: about 3e-15 was seen
+# on values near 1, a few dozen ulps from summing its five terms
+_VALUE_RTOL = 1e-13
+
+
 def ssn_solve(ctx, Y0=None, params=None):
     """Maximize the dual by a globalized semismooth Newton method.
 
     Each step solves the Newton system inexactly and backtracks with an Armijo
-    rule on the dual value; accepted steps never decrease the dual. Returns
+    rule on the dual value; accepted steps never decrease the dual beyond
+    rounding. Where the Armijo increase mu t <g, D> is too small for the dual
+    value to resolve (below ``_VALUE_RTOL`` max(1, |value|)), a step is taken
+    instead when it lowers the gradient norm. Returns
     once the gradient norm falls below ``grad_tol``, on the iteration cap, or
     with a flag when the line search stalls.
     """
@@ -278,9 +328,13 @@ def ssn_solve(ctx, Y0=None, params=None):
             gD = gnorm * gnorm
         step = 1.0
         nxt = None
+        resolution = _VALUE_RTOL * max(1.0, abs(cur.value))
         for _ in range(params.max_linesearch + 1):
             cand = _dual_eval(Y + step * D, ctx)
-            if cand.value >= cur.value + params.mu * step * gD:
+            gain = params.mu * step * gD
+            if cand.value >= cur.value + gain or (
+                gain <= resolution and np.linalg.norm(cand.grad) < gnorm
+            ):
                 nxt = cand
                 break
             step *= params.rho
