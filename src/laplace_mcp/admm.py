@@ -4,6 +4,7 @@ standalone l1 baseline and as the warm start for the non-convex solver."""
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from dataclasses import dataclass
 
@@ -27,11 +28,19 @@ _GOLDEN = 0.5 * (1.0 + np.sqrt(5.0))
 
 @dataclass
 class AdmmParams:
+    """ADMM parameters.
+
+    Every ``adapt_every`` iterations the penalty sigma is rebalanced when the
+    residual ratio eta_p/eta_d leaves ``[adapt_lo, adapt_hi]``; the same two
+    numbers also bound the factor applied to sigma in one step.
+    ``history_every`` sets how often the KKT residuals are recorded.
+    """
+
     eps: float = 1e-5
     max_iter: int = 20000
     tau: float = 1.618
     sigma0: float = 1.0
-    adapt_every: int = 50
+    adapt_every: int = 10
     adapt_lo: float = 0.1
     adapt_hi: float = 10.0
     history_every: int = 50
@@ -43,6 +52,10 @@ class AdmmParams:
             raise ValueError("sigma0 must be positive")
         if self.eps <= 0:
             raise ValueError("eps must be positive")
+        if self.adapt_every < 1:
+            raise ValueError("adapt_every must be at least 1")
+        if not 0 < self.adapt_lo < 1 < self.adapt_hi:
+            raise ValueError("the sigma band needs 0 < adapt_lo < 1 < adapt_hi")
 
 
 @dataclass
@@ -189,9 +202,11 @@ def solve_l1(problem, params=None, start=None):
     iterations; the last iterate is returned either way and kept as the
     report's ``admm_state``. The duality gap costs two Cholesky
     factorizations, so it is evaluated only when the feasibility residuals are
-    already below eps and on recorded iterations. The penalty sigma rescales
-    by 2 whenever eta_p/eta_d leaves the configured band, checked every
-    ``adapt_every`` iterations.
+    already below eps and on recorded iterations. Every ``adapt_every``
+    iterations, when ratio = eta_p/eta_d leaves ``[adapt_lo, adapt_hi]``,
+    sigma is multiplied by sqrt(ratio) clipped to that band. This is residual
+    balancing: eta_p scales roughly as 1/sigma and eta_d as sigma, so the
+    square root levels the two in one step.
     """
     params = params or AdmmParams()
     t0 = time.perf_counter()
@@ -227,10 +242,8 @@ def solve_l1(problem, params=None, start=None):
                 break
         if it % params.adapt_every == 0:
             ratio = eta_p / max(eta_d, 1e-30)
-            if ratio > params.adapt_hi:
-                state.sigma *= 2.0
-            elif ratio < params.adapt_lo:
-                state.sigma /= 2.0
+            if not params.adapt_lo <= ratio <= params.adapt_hi:
+                state.sigma *= min(max(math.sqrt(ratio), params.adapt_lo), params.adapt_hi)
     config = {
         "model": "cgl-l1",
         "lam": problem.params.lam,
@@ -238,6 +251,9 @@ def solve_l1(problem, params=None, start=None):
         "max_iter": params.max_iter,
         "tau": params.tau,
         "sigma0": params.sigma0,
+        "adapt_every": params.adapt_every,
+        "adapt_lo": params.adapt_lo,
+        "adapt_hi": params.adapt_hi,
         "initial_point": "zeros" if start is None else "given",
         "prior_tag": problem.prior_tag,
     }

@@ -93,7 +93,13 @@ def _build_parser():
     solve.add_argument("--eps", type=float, default=1e-6)
     solve.add_argument("--sigma0", type=float, default=1.0)
     solve.add_argument("--max-outer", type=int, default=500)
-    solve.add_argument("--max-iter", type=int, default=20000, help="ADMM iteration cap")
+    solve.add_argument(
+        "--max-iter",
+        type=int,
+        default=20000,
+        help="ADMM iteration cap: the whole cgl-l1 solve, and the l1 warm start "
+        "of cgl-mcp",
+    )
     solve.add_argument("--out", help="report JSON output path")
 
     sweep = sub.add_parser("sweep", help="lambda/seed benchmark sweep on synthetic graphs")
@@ -186,7 +192,12 @@ def _cmd_solve(args):
     if args.model == "cgl-mcp":
         report = solve_mcp(
             problem,
-            DcaParams(eps=args.eps, sigma0=args.sigma0, max_outer=args.max_outer),
+            DcaParams(
+                eps=args.eps,
+                sigma0=args.sigma0,
+                max_outer=args.max_outer,
+                admm_max_iter=args.max_iter,
+            ),
         )
     else:
         report = solve_l1(problem, AdmmParams(eps=args.eps, max_iter=args.max_iter))

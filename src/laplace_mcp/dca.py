@@ -236,6 +236,7 @@ def solve_mcp(problem, params=None, keep_trace=False, start=None):
         "max_outer": params.max_outer,
         "max_cert_retries": params.max_cert_retries,
         "admm_eps": admm_params.eps,
+        "admm_max_iter": admm_params.max_iter,
         "ssn": dataclasses.asdict(params.ssn),
         "prior_tag": problem.prior_tag,
         "warm_start_initial_point": warm.config["initial_point"],

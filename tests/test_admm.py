@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -201,6 +202,11 @@ class TestSolveL1:
             lm.AdmmParams(tau=2.0)
         with pytest.raises(ValueError):
             lm.AdmmParams(sigma0=0.0)
+        with pytest.raises(ValueError):
+            lm.AdmmParams(adapt_every=0)
+        for lo, hi in ((0.0, 10.0), (1.0, 10.0), (0.1, 1.0)):
+            with pytest.raises(ValueError):
+                lm.AdmmParams(adapt_lo=lo, adapt_hi=hi)
 
     @pytest.mark.parametrize("c", [0.1, 10.0])
     def test_scale_equivariance(self, c):
@@ -232,6 +238,38 @@ class TestSolveL1:
         np.testing.assert_allclose(mapped, report.w, rtol=0, atol=1e-6 * np.abs(report.w).max())
 
 
+class TestPenaltyRule:
+    def test_sigma_moves_on_schedule_within_band(self):
+        problem, _, _ = make_problem(n=10, p=0.4, seed=9, lam=0.05, k=5000 * 10)
+        params = lm.AdmmParams(eps=1e-8, history_every=1)
+        rep = lm.solve_l1(problem, params)
+        assert rep.converged
+        # one entry per iteration, holding the residuals and the sigma of that
+        # iteration's step; a change made at its end shows in the next entry
+        lo, hi = params.adapt_lo, params.adapt_hi
+        changes = 0
+        for h, nxt in zip(rep.history, rep.history[1:]):
+            factor = nxt["sigma"] / h["sigma"]
+            if factor != 1.0:
+                changes += 1
+                assert h["iteration"] % params.adapt_every == 0
+                assert lo <= factor <= hi
+            if h["iteration"] % params.adapt_every == 0:
+                ratio = h["eta_p"] / h["eta_d"]
+                step = 1.0 if lo <= ratio <= hi else min(max(math.sqrt(ratio), lo), hi)
+                assert factor == pytest.approx(step, rel=1e-12)
+        assert changes
+
+    def test_iterations_insensitive_to_sigma0(self):
+        problem, _, _ = make_problem(n=30, p=0.2, seed=3, lam=0.05, k=5000 * 30)
+        counts = []
+        for sigma0 in (1e-3, 1.0, 1e3):
+            rep = lm.solve_l1(problem, lm.AdmmParams(eps=1e-8, sigma0=sigma0))
+            assert rep.converged
+            counts.append(rep.history[-1]["iteration"])
+        assert max(counts) <= 2 * min(counts), counts
+
+
 def reference_solve_l1(problem, params):
     """The ADMM loop with all three KKT residuals at every iteration: returns
     the final state, the history and the iteration count."""
@@ -252,10 +290,8 @@ def reference_solve_l1(problem, params):
             break
         if it % params.adapt_every == 0:
             ratio = res.eta_p / max(res.eta_d, 1e-30)
-            if ratio > params.adapt_hi:
-                state.sigma *= 2.0
-            elif ratio < params.adapt_lo:
-                state.sigma /= 2.0
+            if not params.adapt_lo <= ratio <= params.adapt_hi:
+                state.sigma *= min(max(math.sqrt(ratio), params.adapt_lo), params.adapt_hi)
     if history[-1]["iteration"] != iterations:
         history.append(dict(entry, sigma=state.sigma))
     return state, history, iterations

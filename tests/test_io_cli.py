@@ -117,6 +117,12 @@ class TestReportJson:
         assert back.termination == report.termination
         np.testing.assert_allclose(back.w, report.w, rtol=1e-15)
         assert back.config == report.config
+        assert back.config["admm_max_iter"] == 20000
+        l1 = lm.solve_l1(problem)
+        lio.save_report(path, l1)
+        config = lio.load_report(path).config
+        assert config == l1.config
+        assert (config["adapt_every"], config["adapt_lo"], config["adapt_hi"]) == (10, 0.1, 10.0)
 
 
 class TestCliGen:
@@ -299,6 +305,21 @@ class TestCliSolveEval:
             ]
         )
         assert rc == 2
+
+    def test_max_iter_caps_the_mcp_warm_start(self, tmp_path, instance):
+        graph, cov = instance
+        report = tmp_path / "r.json"
+        main(
+            [
+                "solve", "--model", "cgl-mcp", "--cov", str(cov),
+                "--connectivity", str(graph), "--lambda", "0.05",
+                "--max-iter", "3", "--out", str(report),
+            ]
+        )
+        rep = lio.load_report(report)
+        assert rep.warm_start["termination"] == "max_iter"
+        assert rep.warm_start["iterations"] == 3
+        assert rep.config["admm_max_iter"] == 3
 
     def test_degenerate_data_rejected(self, tmp_path, capsys):
         X = np.random.default_rng(0).standard_normal((400, 6))
