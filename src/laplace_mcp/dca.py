@@ -16,6 +16,7 @@ from .ssn import (
     CertificateError,
     SsnParams,
     SubproblemContext,
+    _error_terms,
     check_stop_condition,
     recover_primal,  # noqa: F401
     ssn_solve,
@@ -67,6 +68,8 @@ class DcaParams:
             raise ValueError("rho must lie in (0, 1]")
         if self.eps <= 0:
             raise ValueError("eps must be positive")
+        if self.max_cert_retries < 0:
+            raise ValueError("max_cert_retries must be non-negative")
 
 
 def subproblem_cost_matrix(w_k, problem):
@@ -86,6 +89,39 @@ def descent_check(f_prev, f_next, sigma, dw_norm):
     return f_next <= f_prev - 0.25 * sigma * dw_norm * dw_norm + slack
 
 
+class _StepTest:
+    """Acceptance test of one outer step, run by :func:`ssn_solve` at each
+    Newton point (E = -grad, candidate w_hat), cheapest part first: the error
+    vector delta and the inexactness rule against the step from w_ref; then,
+    for a point that passes, the certificate (r < 1 and the operator-norm
+    bound); then a finite objective, kept as ``f``. Returns the certificate
+    or None; ``checks`` counts the rule evaluations."""
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+        self.checks = 0
+        self.f = None
+
+    def __call__(self, point):
+        ctx = self.ctx
+        self.checks += 1
+        E = -point.grad
+        try:
+            terms = _error_terms(point.w_hat, E, ctx)
+        except np.linalg.LinAlgError:
+            # A* w_hat + J is singular when w_hat vanishes or its support is
+            # disconnected, so the objective is infinite there too
+            return None
+        if not check_stop_condition(terms[0], point.w_hat, ctx.w_ref, ctx.sigma, ctx):
+            return None
+        try:
+            cert = subproblem_error_vector(point.w_hat, E, ctx, terms)
+        except CertificateError:
+            return None
+        self.f = objective_value(point.w_hat, ctx.problem)
+        return cert if np.isfinite(self.f) else None
+
+
 @dataclass
 class _TraceStep:
     """Per-iteration arrays kept for certificate auditing (never serialized)."""
@@ -102,18 +138,23 @@ def solve_mcp(problem, params=None, keep_trace=False, start=None):
     Step 0 warm-starts from the l1 model via ADMM, itself started from zero or
     from the :class:`AdmmState` ``start`` (see :func:`solve_l1`); the final
     ADMM iterate is kept as the report's ``admm_state``. Each outer step
-    builds the subproblem at (sigma_k, A* w_k, w_k), maximizes its dual by
-    semismooth Newton, takes the recovered weights of the final Newton point,
-    and accepts only when the recomputed error vector passes the inexactness
-    rule; on failure the Newton tolerance halves and the subproblem resumes
-    from the same multiplier. Accepted steps
-    must satisfy the quantified descent property (violations raise
+    builds the subproblem at (sigma_k, A* w_k, w_k) and maximizes its dual by
+    semismooth Newton, which stops at the first Newton point whose recovered
+    weights pass the acceptance test: the inexactness rule
+    ||delta|| <= (sigma/4)||dw|| + sigma ||A* dw||^2 / (2||dw||), then r < 1
+    and the certificate bound, then a finite objective. That point is the
+    step; no other way accepts one. A Newton run that ends without a
+    certificate (at its gradient tolerance, iteration cap or a stalled line
+    search) is retried from the same multiplier with the tolerance set to
+    half the smaller of itself and the run's final gradient norm. Accepted
+    steps must satisfy the quantified descent property (violations raise
     :class:`DescentError`). Terminates on the relative successive change of the
     weights or of the objective falling below eps. Each history entry records
     the Newton iterations and CG steps of that step, retries included
     (``ssn_iterations``, ``ssn_cg_steps``), the status of the accepted Newton
-    run (``ssn_status``) and how many Newton runs of that step ended without
-    converging (``ssn_unconverged``: iteration cap or stalled line search).
+    run (``ssn_status``, always ``"certified"``), how many Newton runs of that step
+    ended without converging (``ssn_unconverged``: iteration cap or stalled
+    line search) and how many rule evaluations it took (``cert_checks``).
     """
     params = params or DcaParams()
     if params.lam is not None or params.gamma is not None:
@@ -159,34 +200,26 @@ def solve_mcp(problem, params=None, keep_trace=False, start=None):
         ctx = SubproblemContext(problem, sigma, theta_k, w, cost)
         tol = 1e-4 * (1.0 + np.linalg.norm(cost))
         Y_attempt = np.zeros((n, n)) if Y_ws is None else Y_ws
-        accepted = None
+        test = _StepTest(ctx)
         ssn_iters = 0
         ssn_cg_steps = 0
         ssn_unconverged = 0
         for retry in range(params.max_cert_retries + 1):
-            res = ssn_solve(ctx, Y_attempt, dataclasses.replace(params.ssn, grad_tol=tol))
+            res = ssn_solve(
+                ctx, Y_attempt, dataclasses.replace(params.ssn, grad_tol=tol), accept=test
+            )
             Y_attempt = res.Y
             ssn_iters += res.iterations
             ssn_cg_steps += res.cg_steps
-            ssn_unconverged += res.status != "converged"
-            w_next = res.w_hat
-            f_next = objective_value(w_next, problem)
-            if not np.isfinite(f_next):
-                tol *= 0.5
-                continue
-            try:
-                cert = subproblem_error_vector(w_next, res.E, ctx)
-            except CertificateError:
-                tol *= 0.5
-                continue
-            if check_stop_condition(cert.delta, w_next, w, sigma, ctx):
-                accepted = (res, w_next, f_next, cert, retry)
+            ssn_unconverged += not res.converged
+            if res.certificate is not None:
                 break
-            tol *= 0.5
-        if accepted is None:
+            # below its tolerance a retry would stop before its first step
+            tol = 0.5 * min(tol, res.grad_norm)
+        if res.certificate is None:
             termination = "certificate_failed"
             break
-        res, w_next, f_next, cert, retries = accepted
+        w_next, f_next, cert = res.w_hat, test.f, res.certificate
         dw_norm = float(np.linalg.norm(w_next - w))
         if not descent_check(f_prev, f_next, sigma, dw_norm):
             raise DescentError(
@@ -208,7 +241,8 @@ def solve_mcp(problem, params=None, keep_trace=False, start=None):
                 "ssn_cg_steps": ssn_cg_steps,
                 "ssn_status": res.status,
                 "ssn_unconverged": ssn_unconverged,
-                "cert_retries": retries,
+                "cert_retries": retry,
+                "cert_checks": test.checks,
                 "delta_norm": cert.delta_norm,
                 "r": cert.r,
                 "bound": cert.bound,

@@ -270,7 +270,12 @@ class SsnResult:
     ``w_hat`` = project_nonneg(w_ref + A(Y)/sigma) (the ``w`` of
     :func:`recover_primal` at Y), and run diagnostics; ``cg_steps`` totals
     the CG steps of every Newton direction of the run, float32 and float64
-    alike (the float64 residual checks are not CG steps)."""
+    alike (the float64 residual checks are not CG steps).
+
+    ``status`` says why the run stopped: ``"certified"`` (the caller's
+    ``accept`` test passed at Y, whose result is ``certificate``),
+    ``"converged"`` (the gradient norm reached ``grad_tol``), ``"max_iter"``
+    or ``"linesearch_failed"``; ``converged`` is true for the first two."""
 
     Y: np.ndarray
     E: np.ndarray
@@ -282,6 +287,7 @@ class SsnResult:
     cg_steps: int = 0
     grad_norms: list = field(default_factory=list)
     values: list = field(default_factory=list)
+    certificate: Certificate | None = None
 
 
 # relative rounding level of the computed dual value: about 3e-15 was seen
@@ -289,16 +295,24 @@ class SsnResult:
 _VALUE_RTOL = 1e-13
 
 
-def ssn_solve(ctx, Y0=None, params=None):
+def ssn_solve(ctx, Y0=None, params=None, accept=None):
     """Maximize the dual by a globalized semismooth Newton method.
 
     Each step solves the Newton system inexactly and backtracks with an Armijo
     rule on the dual value; accepted steps never decrease the dual beyond
     rounding. Where the Armijo increase mu t <g, D> is too small for the dual
     value to resolve (below ``_VALUE_RTOL`` max(1, |value|)), a step is taken
-    instead when it lowers the gradient norm. Returns
-    once the gradient norm falls below ``grad_tol``, on the iteration cap, or
-    with a flag when the line search stalls.
+    instead when it lowers the gradient norm.
+
+    ``accept``, when given, is the caller's stopping test: it is called once
+    at every point where the run can stop (each iterate before its Newton
+    direction is formed, and the final point of a run that hits the
+    iteration cap) with the dual point, whose ``w_hat`` holds the recovered
+    weights and ``grad`` the dual gradient (E = -grad), and returns a
+    certificate or None. The first certificate ends the run with status
+    ``"certified"``. Otherwise the run returns once the gradient norm falls
+    below ``grad_tol``, on the iteration cap, or with a flag when the line
+    search stalls. Without ``accept`` only these three stops apply.
     """
     params = params or SsnParams()
     n = ctx.problem.n
@@ -308,15 +322,19 @@ def ssn_solve(ctx, Y0=None, params=None):
     values = [cur.value]
     cg_steps = 0
 
-    def result(iterations, converged, gnorm, status):
+    def result(iterations, converged, gnorm, status, certificate=None):
         return SsnResult(
             Y, -cur.grad, cur.w_hat, iterations, converged, gnorm, status, cg_steps,
-            grad_norms, values,
+            grad_norms, values, certificate,
         )
 
     for j in range(params.max_iter):
         gnorm = float(np.linalg.norm(cur.grad))
         grad_norms.append(gnorm)
+        if accept is not None:
+            cert = accept(cur)
+            if cert is not None:
+                return result(j, True, gnorm, "certified", cert)
         if gnorm <= params.grad_tol:
             return result(j, True, gnorm, "converged")
         mask = clarke_diag(cur.c)
@@ -345,6 +363,10 @@ def ssn_solve(ctx, Y0=None, params=None):
         values.append(cur.value)
     gnorm = float(np.linalg.norm(cur.grad))
     grad_norms.append(gnorm)
+    if accept is not None:
+        cert = accept(cur)
+        if cert is not None:
+            return result(params.max_iter, True, gnorm, "certified", cert)
     converged = gnorm <= params.grad_tol
     return result(params.max_iter, converged, gnorm, "converged" if converged else "max_iter")
 
@@ -378,26 +400,33 @@ def _sym_norm2(X):
     return float(np.abs(np.linalg.eigvalsh(X)).max())
 
 
-def subproblem_error_vector(w_next, E, ctx):
+def _error_terms(w_next, E, ctx):
+    """delta = -A[sigma E + X1^{-1} - X2^{-1}] with X2 = A* w_next + J and
+    X1 = X2 - E, returned with X1^{-1}; see :func:`subproblem_error_vector`."""
+    w_next = np.asarray(w_next, dtype=float).reshape(-1)
+    E = np.asarray(E, dtype=float)
+    X2 = ctx.problem.astar(w_next) + ctx.problem.J
+    X1_inv = np.linalg.inv(X2 - E)
+    delta = -ctx.problem.a(ctx.sigma * E + X1_inv - np.linalg.inv(X2))
+    return delta, X1_inv
+
+
+def subproblem_error_vector(w_next, E, ctx, terms=None):
     """Error vector of the inexact subproblem solution and its certificate.
 
     With E the negated dual gradient at the returned multiplier, w_next solves
     the subproblem perturbed by delta = -A[sigma E + X1^{-1} - X2^{-1}] where
     X1 = A* w_next + J - E and X2 = A* w_next + J. Requires the contraction
     factor r = ||X1^{-1} E||_2 < 1, else raises :class:`CertificateError`.
-    ||delta|| -> 0 as ||E|| -> 0.
+    ||delta|| -> 0 as ||E|| -> 0. ``terms``, the pair (delta, X1^{-1}) that
+    :func:`_error_terms` gives for the same arguments, saves recomputing it.
     """
-    w_next = np.asarray(w_next, dtype=float).reshape(-1)
     E = np.asarray(E, dtype=float)
-    X2 = ctx.problem.astar(w_next) + ctx.problem.J
-    X1 = X2 - E
-    X1_inv = np.linalg.inv(X1)
+    delta, X1_inv = _error_terms(w_next, E, ctx) if terms is None else terms
     M = X1_inv @ E
     r = float(np.linalg.norm(M, 2))
     if not np.isfinite(r) or r >= 1:
         raise CertificateError(r)
-    X2_inv = np.linalg.inv(X2)
-    delta = -ctx.problem.a(ctx.sigma * E + X1_inv - X2_inv)
     # operator norm of the adjoint map over the spectral-norm unit ball:
     # each component is bounded by 2||M||_2 and the value 2 sqrt(m) is
     # attained at the identity, so the bound below dominates ||delta||

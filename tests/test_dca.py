@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import laplace_mcp as lm
+from laplace_mcp import dca
 from laplace_mcp.dca import descent_check, solve_mcp, subproblem_cost_matrix
 from laplace_mcp.ssn import SubproblemContext, check_stop_condition, subproblem_error_vector
 
@@ -183,16 +184,64 @@ class TestSolveMcp:
         report = solve_mcp(problem, lm.DcaParams(eps=1e-6, ssn=lm.SsnParams(max_iter=1)))
         assert report.history
         statuses = [h["ssn_status"] for h in report.history]
-        assert "max_iter" in statuses
+        # only a certified Newton run gives a step; capped runs are retried
+        assert set(statuses) == {"certified"}
+        assert any(h["ssn_unconverged"] for h in report.history)
         for h in report.history:
-            assert h["ssn_unconverged"] >= (h["ssn_status"] != "converged")
-            assert h["ssn_unconverged"] <= h["cert_retries"] + 1
+            assert h["ssn_unconverged"] <= h["cert_retries"]
+            assert h["cert_checks"] >= h["cert_retries"] + 1
         for h in report.history:
             assert h["ssn_cg_steps"] >= h["ssn_iterations"]
         back = lm.SolveReport.from_dict(json.loads(json.dumps(report.to_dict())))
         assert [h["ssn_status"] for h in back.history] == statuses
-        for key in ("ssn_unconverged", "ssn_cg_steps"):
+        for key in ("ssn_unconverged", "ssn_cg_steps", "cert_checks"):
             assert [h[key] for h in back.history] == [h[key] for h in report.history]
+
+    def test_certified_steps_recomputed(self):
+        # every step's certificate, recomputed from the trace alone, matches
+        # the history and passes the rule with r < 1
+        problem, _, _ = make_problem(n=10, p=0.4, seed=6, lam=0.05, k=5000 * 10)
+        report = solve_mcp(problem, lm.DcaParams(eps=1e-6), keep_trace=True)
+        assert len(report.trace) == len(report.history) > 0
+        for h, step in zip(report.history, report.trace):
+            assert h["ssn_status"] == "certified"
+            ctx = SubproblemContext(
+                problem,
+                step.sigma,
+                problem.astar(step.w_prev),
+                step.w_prev,
+                subproblem_cost_matrix(step.w_prev, problem),
+            )
+            cert = subproblem_error_vector(step.w_next, step.E, ctx)
+            assert cert.r < 1.0
+            assert check_stop_condition(
+                cert.delta, step.w_next, step.w_prev, step.sigma, ctx
+            )
+            assert cert.delta_norm == pytest.approx(h["delta_norm"], rel=1e-12)
+            assert cert.r == pytest.approx(h["r"], rel=1e-12)
+            assert h["f"] == lm.objective_value(step.w_next, problem)
+
+    def test_retried_runs_take_a_newton_step(self, monkeypatch):
+        # a retry starts where the failed run ended, below its old tolerance
+        iterations = []
+        real = dca.ssn_solve
+
+        def spy(*args, **kwargs):
+            res = real(*args, **kwargs)
+            iterations.append(res.iterations)
+            return res
+
+        monkeypatch.setattr(dca, "ssn_solve", spy)
+        problem, _, _ = make_problem(n=10, p=0.3, seed=0, lam=0.1, k=5000 * 10)
+        report = solve_mcp(problem, lm.DcaParams(eps=1e-6))
+        assert report.termination == "converged"
+        retries = [h["cert_retries"] for h in report.history]
+        assert sum(retries) > 0
+        assert len(iterations) == len(retries) + sum(retries)
+        first = 0
+        for r in retries:
+            assert min(iterations[first + 1 : first + 1 + r], default=1) >= 1
+            first += 1 + r
 
     def test_node_permutation_equivariance(self):
         # a coarse prior leaves half the candidate edges at zero weight, so the
@@ -248,3 +297,8 @@ class TestDcaParams:
             lm.DcaParams(rho=1.5)
         with pytest.raises(ValueError):
             lm.DcaParams(eps=0.0)
+
+    def test_rejects_negative_retries(self):
+        # every outer step runs Newton at least once
+        with pytest.raises(ValueError):
+            lm.DcaParams(max_cert_retries=-1)

@@ -3,8 +3,9 @@ import pytest
 
 import laplace_mcp as lm
 from laplace_mcp import ssn
-from laplace_mcp.dca import subproblem_cost_matrix
+from laplace_mcp.dca import _StepTest, subproblem_cost_matrix
 from laplace_mcp.ssn import (
+    Certificate,
     CertificateError,
     SubproblemContext,
     check_stop_condition,
@@ -396,6 +397,65 @@ class TestSsnSolve:
         res = ssn_solve(ctx, None, lm.SsnParams(grad_tol=1e-9, max_iter=max_iter))
         _, w_bar = recover_primal(res.Y, ctx)
         assert res.w_hat.tobytes() == w_bar.tobytes()
+
+
+def run_fields(res):
+    return (
+        res.Y.tobytes(), res.E.tobytes(), res.w_hat.tobytes(), res.iterations,
+        res.converged, res.grad_norm, res.status, res.cg_steps, res.grad_norms,
+        res.values,
+    )
+
+
+class TestAcceptStop:
+    @pytest.mark.parametrize("max_iter", [0, 2, 100])
+    def test_failing_test_changes_nothing(self, max_iter):
+        ctx, _ = random_context(n=8, seed=40)
+        params = lm.SsnParams(grad_tol=1e-9, max_iter=max_iter)
+        seen = []
+
+        def never(point):
+            seen.append(float(np.linalg.norm(point.grad)))
+
+        res = ssn_solve(ctx, None, params, accept=never)
+        ref = ssn_solve(ctx, None, params)
+        assert run_fields(res) == run_fields(ref)
+        assert res.certificate is ref.certificate is None
+        # tested once at every point where the run could stop
+        assert seen == ref.grad_norms
+
+    def test_passing_test_stops_there(self):
+        ctx, _ = random_context(n=8, seed=41)
+        cert = Certificate(np.zeros(ctx.problem.m), 0.0, 0.0)
+        seen = []
+
+        def third(point):
+            seen.append(point)
+            return cert if len(seen) == 3 else None
+
+        res = ssn_solve(ctx, None, lm.SsnParams(grad_tol=1e-12), accept=third)
+        ref = ssn_solve(ctx, None, lm.SsnParams(grad_tol=1e-12, max_iter=2))
+        assert ref.status == "max_iter"
+        assert (res.status, res.converged, res.iterations) == ("certified", True, 2)
+        assert res.certificate is cert
+        assert res.Y.tobytes() == ref.Y.tobytes()
+        assert res.w_hat.tobytes() == seen[-1].w_hat.tobytes() == ref.w_hat.tobytes()
+        assert (res.grad_norm, res.cg_steps) == (ref.grad_norm, ref.cg_steps)
+
+    @pytest.mark.parametrize("seed", [42, 43, 44])
+    def test_certified_run_is_no_longer(self, seed):
+        # the outer loop's test against its first Newton tolerance
+        ctx, _ = random_context(n=10, seed=seed, sigma=0.5)
+        tol = 1e-4 * (1.0 + np.linalg.norm(ctx.cost_matrix))
+        params = lm.SsnParams(grad_tol=tol)
+        test = _StepTest(ctx)
+        res = ssn_solve(ctx, None, params, accept=test)
+        ref = ssn_solve(ctx, None, params)
+        assert res.status == "certified"
+        assert ref.status == "converged"
+        assert res.iterations <= ref.iterations
+        assert test.checks == res.iterations + 1
+        assert check_stop_condition(res.certificate.delta, res.w_hat, ctx.w_ref, 0.5, ctx)
 
 
 class TestRecoverPrimal:
