@@ -35,7 +35,7 @@ from .linalg import (
     prox_logdet_dderiv,
     sym_eig,
 )
-from .metrics import EdgeDecision, detected_edges, edge_decision, f1_score, recovery_error
+from .metrics import detected_edges, f1_score, recovery_error
 from .penalty import (
     PenaltyParams,
     dc_smooth_grad,

@@ -212,9 +212,15 @@ def _cmd_solve(args):
     )
     if args.out:
         io.save_report(args.out, report)
+    warm = report.warm_start
+    warm_note = (
+        f", warm start {warm['iterations']} ADMM iterations in {warm['wall_time_s']:.2f}s"
+        if warm
+        else ""
+    )
     print(
         f"{args.model}: termination={report.termination}, "
-        f"objective={report.objective:.6e}, time={report.wall_time_s:.2f}s"
+        f"objective={report.objective:.6e}, time={report.wall_time_s:.2f}s{warm_note}"
     )
     return 0 if report.converged else 2
 

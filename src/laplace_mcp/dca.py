@@ -45,8 +45,10 @@ class DcaParams:
 
     ``lam``/``gamma`` override the problem's penalty parameters when set.
     sigma shrinks by ``rho`` each iteration until it reaches ``sigma_min``,
-    then stays constant, keeping the certificate usable. The warm start runs
-    to tolerance max(eps, admm_eps_floor).
+    then stays constant, keeping the certificate usable. The l1 warm start
+    runs to tolerance max(eps, admm_eps_floor), by default max(eps, 1e-4): the
+    d.c. loop only starts from its result, and its descent argument does not
+    depend on how accurate that start is.
     """
 
     lam: float | None = None
@@ -57,7 +59,7 @@ class DcaParams:
     eps: float = 1e-6
     max_outer: int = 500
     max_cert_retries: int = 20
-    admm_eps_floor: float = 1e-5
+    admm_eps_floor: float = 1e-4
     admm_max_iter: int = 20000
     ssn: SsnParams = field(default_factory=SsnParams)
 
@@ -94,20 +96,30 @@ class _StepTest:
     Newton point (E = -grad, candidate w_hat), cheapest part first: the error
     vector delta and the inexactness rule against the step from w_ref; then,
     for a point that passes, the certificate (r < 1 and the operator-norm
-    bound); then a finite objective, kept as ``f``. Returns the certificate
-    or None; ``checks`` counts the rule evaluations."""
+    bound); then a finite objective, kept as ``f``. X1^{-1} comes from the
+    point's cached eigendecomposition. Returns the certificate or None;
+    ``checks`` counts the rule evaluations. After :meth:`skip_next` the next
+    call returns None without a check: a retried Newton run starts at the
+    point where the failed run ended, which this test has already rejected."""
 
     def __init__(self, ctx):
         self.ctx = ctx
         self.checks = 0
         self.f = None
+        self._skip = False
+
+    def skip_next(self):
+        self._skip = True
 
     def __call__(self, point):
+        if self._skip:
+            self._skip = False
+            return None
         ctx = self.ctx
         self.checks += 1
         E = -point.grad
         try:
-            terms = _error_terms(point.w_hat, E, ctx)
+            terms = _error_terms(point.w_hat, E, ctx, point.cache)
         except np.linalg.LinAlgError:
             # A* w_hat + J is singular when w_hat vanishes or its support is
             # disconnected, so the objective is infinite there too
@@ -155,6 +167,8 @@ def solve_mcp(problem, params=None, keep_trace=False, start=None):
     run (``ssn_status``, always ``"certified"``), how many Newton runs of that step
     ended without converging (``ssn_unconverged``: iteration cap or stalled
     line search) and how many rule evaluations it took (``cert_checks``).
+    ``warm_start`` summarizes the ADMM stage: its termination, iterations,
+    final KKT residual, tolerance ``eps``, ``wall_time_s`` and final ``sigma``.
     """
     params = params or DcaParams()
     if params.lam is not None or params.gamma is not None:
@@ -216,6 +230,7 @@ def solve_mcp(problem, params=None, keep_trace=False, start=None):
                 break
             # below its tolerance a retry would stop before its first step
             tol = 0.5 * min(tol, res.grad_norm)
+            test.skip_next()
         if res.certificate is None:
             termination = "certificate_failed"
             break
@@ -294,6 +309,8 @@ def solve_mcp(problem, params=None, keep_trace=False, start=None):
             if warm.history
             else None,
             "eps": admm_params.eps,
+            "wall_time_s": warm.wall_time_s,
+            "sigma": warm.admm_state.sigma,
         },
         trace=trace,
         admm_state=warm.admm_state,

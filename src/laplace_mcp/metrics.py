@@ -6,15 +6,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["EdgeDecision", "detected_edges", "edge_decision", "f1_score", "recovery_error"]
+__all__ = ["detected_edges", "f1_score", "recovery_error"]
 
 
 @dataclass(frozen=True)
-class EdgeDecision:
-    """Detected edge set with the threshold used and confusion counts."""
+class _EdgeDecision:
+    """Confusion counts of an estimated edge set against the true one."""
 
-    edges: np.ndarray
-    threshold: float
     tp: int
     fp: int
     fn: int
@@ -44,23 +42,16 @@ def _as_edge_set(edges):
     return {(int(i), int(j)) for i, j in edges}
 
 
-def edge_decision(est, truth, threshold=float("nan")):
+def _edge_decision(est, truth):
     est_set = _as_edge_set(est)
     true_set = _as_edge_set(truth)
     tp = len(est_set & true_set)
-    est_arr = np.asarray(sorted(est_set), dtype=np.int64).reshape(-1, 2)
-    return EdgeDecision(
-        edges=est_arr,
-        threshold=threshold,
-        tp=tp,
-        fp=len(est_set) - tp,
-        fn=len(true_set) - tp,
-    )
+    return _EdgeDecision(tp=tp, fp=len(est_set) - tp, fn=len(true_set) - tp)
 
 
 def f1_score(est, truth):
     """2 tp / (2 tp + fp + fn); defined as 1 when both edge sets are empty."""
-    d = edge_decision(est, truth)
+    d = _edge_decision(est, truth)
     denom = 2 * d.tp + d.fp + d.fn
     if denom == 0:
         return 1.0

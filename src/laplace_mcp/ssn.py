@@ -400,15 +400,32 @@ def _sym_norm2(X):
     return float(np.abs(np.linalg.eigvalsh(X)).max())
 
 
-def _error_terms(w_next, E, ctx):
+def _error_terms(w_next, E, ctx, cache=None):
     """delta = -A[sigma E + X1^{-1} - X2^{-1}] with X2 = A* w_next + J and
-    X1 = X2 - E, returned with X1^{-1}; see :func:`subproblem_error_vector`."""
+    X1 = X2 - E, returned with X1^{-1} and ||X1^{-1}||_2; see
+    :func:`subproblem_error_vector`.
+
+    ``cache`` is the prox eigendecomposition of the Newton point whose
+    recovered weights are w_next and whose negated gradient is E. There X1
+    equals the prox output theta_hat + J = U diag(d) U^T, so X1^{-1} is
+    (U/d) U^T and ||X1^{-1}||_2 is 1/min d; without it X1 is inverted.
+    """
     w_next = np.asarray(w_next, dtype=float).reshape(-1)
     E = np.asarray(E, dtype=float)
     X2 = ctx.problem.astar(w_next) + ctx.problem.J
-    X1_inv = np.linalg.inv(X2 - E)
+    if cache is None:
+        X1_inv = np.linalg.inv(X2 - E)
+        X1_inv_norm = _sym_norm2(X1_inv)
+    else:
+        d_min = float(cache.d.min())
+        if not d_min > 0:
+            # prox eigenvalues are positive; one that cancels to zero leaves
+            # X1 singular in floating point
+            raise np.linalg.LinAlgError("X1 is singular")
+        X1_inv = (cache.U / cache.d) @ cache.U.T
+        X1_inv_norm = 1.0 / d_min
     delta = -ctx.problem.a(ctx.sigma * E + X1_inv - np.linalg.inv(X2))
-    return delta, X1_inv
+    return delta, X1_inv, X1_inv_norm
 
 
 def subproblem_error_vector(w_next, E, ctx, terms=None):
@@ -418,24 +435,22 @@ def subproblem_error_vector(w_next, E, ctx, terms=None):
     the subproblem perturbed by delta = -A[sigma E + X1^{-1} - X2^{-1}] where
     X1 = A* w_next + J - E and X2 = A* w_next + J. Requires the contraction
     factor r = ||X1^{-1} E||_2 < 1, else raises :class:`CertificateError`.
-    ||delta|| -> 0 as ||E|| -> 0. ``terms``, the pair (delta, X1^{-1}) that
-    :func:`_error_terms` gives for the same arguments, saves recomputing it.
+    ||delta|| -> 0 as ||E|| -> 0. ``terms``, the triple that
+    :func:`_error_terms` gives for the same arguments, saves recomputing it;
+    without it X1 and X2 are inverted from (w_next, E) alone.
     """
     E = np.asarray(E, dtype=float)
-    delta, X1_inv = _error_terms(w_next, E, ctx) if terms is None else terms
+    delta, X1_inv, X1_inv_norm = _error_terms(w_next, E, ctx) if terms is None else terms
     M = X1_inv @ E
-    r = float(np.linalg.norm(M, 2))
+    # ||M||_2^2 is the top eigenvalue of the symmetric M^T M
+    r = float(np.sqrt(max(np.linalg.eigvalsh(M.T @ M)[-1], 0.0)))
     if not np.isfinite(r) or r >= 1:
         raise CertificateError(r)
     # operator norm of the adjoint map over the spectral-norm unit ball:
     # each component is bounded by 2||M||_2 and the value 2 sqrt(m) is
     # attained at the identity, so the bound below dominates ||delta||
     opnorm_spectral = 2.0 * np.sqrt(ctx.problem.m)
-    bound = (
-        opnorm_spectral
-        * _sym_norm2(E)
-        * (ctx.sigma + _sym_norm2(X1_inv) ** 2 / (1.0 - r))
-    )
+    bound = opnorm_spectral * _sym_norm2(E) * (ctx.sigma + X1_inv_norm**2 / (1.0 - r))
     return Certificate(delta, r, float(bound))
 
 

@@ -242,6 +242,19 @@ class TestSolveMcp:
         for r in retries:
             assert min(iterations[first + 1 : first + 1 + r], default=1) >= 1
             first += 1 + r
+        # nor does it test its start point again: the failed run's end point
+
+        class Recheck(dca._StepTest):
+            def skip_next(self):
+                pass
+
+        monkeypatch.setattr(dca, "_StepTest", Recheck)
+        rechecked = solve_mcp(problem, lm.DcaParams(eps=1e-6))
+        assert rechecked.w.tobytes() == report.w.tobytes()
+        checks = [h["cert_checks"] for h in report.history]
+        assert [h["cert_checks"] for h in rechecked.history] == [
+            c + r for c, r in zip(checks, retries)
+        ]
 
     def test_node_permutation_equivariance(self):
         # a coarse prior leaves half the candidate edges at zero weight, so the
@@ -287,6 +300,13 @@ class TestSolveMcp:
         assert all(isinstance(h["ssn_cg_steps"], int) for h in back.history)
         assert report.config["eps"] == 1e-6
         assert np.isfinite(report.objective)
+
+    def test_warm_start_tolerance_floor(self):
+        problem, _, _ = make_problem(n=8, p=0.5, seed=12, lam=0.05, k=5000 * 8)
+        report = solve_mcp(problem, lm.DcaParams(eps=1e-6))
+        assert report.warm_start["eps"] == report.config["admm_eps"] == 1e-4
+        assert report.warm_start["wall_time_s"] <= report.wall_time_s
+        assert report.warm_start["sigma"] > 0
 
 
 class TestDcaParams:

@@ -118,6 +118,9 @@ class TestReportJson:
         np.testing.assert_allclose(back.w, report.w, rtol=1e-15)
         assert back.config == report.config
         assert back.config["admm_max_iter"] == 20000
+        assert back.warm_start == report.warm_start
+        assert back.warm_start["wall_time_s"] > 0
+        assert back.warm_start["sigma"] == report.admm_state.sigma
         l1 = lm.solve_l1(problem)
         lio.save_report(path, l1)
         config = lio.load_report(path).config

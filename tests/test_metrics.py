@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import laplace_mcp as lm
+from laplace_mcp.metrics import _edge_decision
 
 
 class TestDetectedEdges:
@@ -51,7 +52,7 @@ class TestF1:
         assert lm.f1_score(est, truth) == lm.f1_score(truth, est)
 
     def test_counts(self):
-        d = lm.edge_decision([(0, 1), (1, 2)], [(0, 1), (2, 3), (3, 4)])
+        d = _edge_decision([(0, 1), (1, 2)], [(0, 1), (2, 3), (3, 4)])
         assert (d.tp, d.fp, d.fn) == (1, 1, 2)
         assert d.tp + d.fn == 3
         assert d.tp + d.fp == 2

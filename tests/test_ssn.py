@@ -563,6 +563,39 @@ class TestErrorCertificate:
             )
             assert cert.bound == pytest.approx(svd, rel=1e-12)
 
+    @pytest.mark.parametrize("seed", [80, 81, 82])
+    def test_cached_terms_match_inverses(self, seed):
+        # at a Newton point X1 = A* w_hat + J - E is the prox output theta_hat + J
+        ctx, _ = random_context(n=8, seed=seed, sigma=0.5)
+        points = []
+        ssn_solve(ctx, None, lm.SsnParams(grad_tol=1e-8), accept=points.append)
+        certified = 0
+        for point in points:
+            E = -point.grad
+            cached = ssn._error_terms(point.w_hat, E, ctx, point.cache)
+            direct = ssn._error_terms(point.w_hat, E, ctx)
+            # delta subtracts two inverses of the size of X2^{-1}, which puts an
+            # absolute rounding floor under it once E is tiny
+            X2 = ctx.problem.astar(point.w_hat) + ctx.problem.J
+            floor = 1e-14 * np.linalg.norm(ctx.problem.a(np.linalg.inv(X2)))
+            assert np.linalg.norm(cached[0] - direct[0]) <= (
+                1e-10 * np.linalg.norm(direct[0]) + floor
+            )
+            for got, want in zip(cached[1:], direct[1:]):
+                assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+            try:
+                want = subproblem_error_vector(point.w_hat, E, ctx)
+            except CertificateError:
+                with pytest.raises(CertificateError):
+                    subproblem_error_vector(point.w_hat, E, ctx, cached)
+                continue
+            got = subproblem_error_vector(point.w_hat, E, ctx, cached)
+            certified += 1
+            assert np.linalg.norm(got.delta - want.delta) <= 1e-10 * want.delta_norm + floor
+            assert got.r == pytest.approx(want.r, rel=1e-10)
+            assert got.bound == pytest.approx(want.bound, rel=1e-10)
+        assert certified >= 2
+
     def test_large_error_rejected(self):
         ctx, w_k = random_context(n=5, seed=24)
         E = 100.0 * np.eye(5)
