@@ -28,7 +28,7 @@ __all__ = [
 
 class CertificateError(RuntimeError):
     """The certificate precondition r = ||(A*w + J - E)^{-1} E||_2 < 1 failed;
-    the caller must tighten the Newton tolerance and retry."""
+    the point it was computed at cannot be accepted."""
 
     def __init__(self, r):
         super().__init__(f"error certificate unusable: r = {r:.3e} >= 1")
@@ -38,7 +38,8 @@ class CertificateError(RuntimeError):
 @dataclass(frozen=True)
 class SsnParams:
     """Newton parameters: forcing bounds (eta_bar, tau), Armijo constants
-    (mu, rho), iteration caps, and the gradient tolerance."""
+    (mu, rho), iteration caps, and the gradient tolerance, which ends only
+    runs without an ``accept`` test (see :func:`ssn_solve`)."""
 
     eta_bar: float = 0.1
     tau: float = 0.5
@@ -272,10 +273,12 @@ class SsnResult:
     the CG steps of every Newton direction of the run, float32 and float64
     alike (the float64 residual checks are not CG steps).
 
-    ``status`` says why the run stopped: ``"certified"`` (the caller's
-    ``accept`` test passed at Y, whose result is ``certificate``),
+    ``status`` says why the run stopped. With an ``accept`` test it is
+    ``"certified"`` (the test passed at Y, whose result is ``certificate``),
+    ``"max_iter"`` or ``"linesearch_failed"``; without one it is
     ``"converged"`` (the gradient norm reached ``grad_tol``), ``"max_iter"``
-    or ``"linesearch_failed"``; ``converged`` is true for the first two."""
+    or ``"linesearch_failed"``. ``converged`` is true for ``"certified"``
+    and ``"converged"``."""
 
     Y: np.ndarray
     E: np.ndarray
@@ -304,15 +307,16 @@ def ssn_solve(ctx, Y0=None, params=None, accept=None):
     value to resolve (below ``_VALUE_RTOL`` max(1, |value|)), a step is taken
     instead when it lowers the gradient norm.
 
-    ``accept``, when given, is the caller's stopping test: it is called once
-    at every point where the run can stop (each iterate before its Newton
-    direction is formed, and the final point of a run that hits the
-    iteration cap) with the dual point, whose ``w_hat`` holds the recovered
-    weights and ``grad`` the dual gradient (E = -grad), and returns a
-    certificate or None. The first certificate ends the run with status
-    ``"certified"``. Otherwise the run returns once the gradient norm falls
-    below ``grad_tol``, on the iteration cap, or with a flag when the line
-    search stalls. Without ``accept`` only these three stops apply.
+    Every iterate, the start point and the point at the iteration cap
+    included, is checked once before its Newton direction is formed.
+    ``accept``, when given, is the caller's stopping test and the only stop
+    short of the caps: it is called with the dual point, whose ``w_hat``
+    holds the recovered weights and ``grad`` the dual gradient (E = -grad),
+    and returns a certificate or None. The first certificate ends the run
+    with status ``"certified"``; ``grad_tol`` does not apply. Without
+    ``accept`` the run ends once the gradient norm falls to ``grad_tol``.
+    Either way a run also ends after ``max_iter`` Newton steps, or with a
+    flag when the line search stalls.
     """
     params = params or SsnParams()
     n = ctx.problem.n
@@ -328,15 +332,17 @@ def ssn_solve(ctx, Y0=None, params=None, accept=None):
             grad_norms, values, certificate,
         )
 
-    for j in range(params.max_iter):
+    for j in range(params.max_iter + 1):
         gnorm = float(np.linalg.norm(cur.grad))
         grad_norms.append(gnorm)
         if accept is not None:
             cert = accept(cur)
             if cert is not None:
                 return result(j, True, gnorm, "certified", cert)
-        if gnorm <= params.grad_tol:
+        elif gnorm <= params.grad_tol:
             return result(j, True, gnorm, "converged")
+        if j == params.max_iter:
+            return result(j, False, gnorm, "max_iter")
         mask = clarke_diag(cur.c)
         D, steps = _newton_direction(cur, ctx, mask, params, gnorm)
         cg_steps += steps
@@ -361,14 +367,6 @@ def ssn_solve(ctx, Y0=None, params=None, accept=None):
         Y = Y + step * D
         cur = nxt
         values.append(cur.value)
-    gnorm = float(np.linalg.norm(cur.grad))
-    grad_norms.append(gnorm)
-    if accept is not None:
-        cert = accept(cur)
-        if cert is not None:
-            return result(params.max_iter, True, gnorm, "certified", cert)
-    converged = gnorm <= params.grad_tol
-    return result(params.max_iter, converged, gnorm, "converged" if converged else "max_iter")
 
 
 def recover_primal(Y, ctx):

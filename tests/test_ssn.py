@@ -419,10 +419,18 @@ class TestAcceptStop:
 
         res = ssn_solve(ctx, None, params, accept=never)
         ref = ssn_solve(ctx, None, params)
-        assert run_fields(res) == run_fields(ref)
         assert res.certificate is ref.certificate is None
-        # tested once at every point where the run could stop
-        assert seen == ref.grad_norms
+        # tested once at every iterate
+        assert seen == res.grad_norms
+        if max_iter < 100:
+            assert ref.status == "max_iter"
+            assert run_fields(res) == run_fields(ref)
+        else:
+            # grad_tol ends only the run without a test; the other goes on
+            # from the same iterates until a cap or a stalled line search
+            assert ref.status == "converged"
+            assert res.grad_norms[: len(ref.grad_norms)] == ref.grad_norms
+            assert res.status in ("max_iter", "linesearch_failed")
 
     def test_passing_test_stops_there(self):
         ctx, _ = random_context(n=8, seed=41)
