@@ -28,15 +28,15 @@ __all__ = [
 ]
 
 
-def sym_eig(X, check=True):
-    """Eigendecomposition X = U Diag(lam) U^T with ascending eigenvalues."""
+def sym_eig(X):
+    """Eigendecomposition X = U Diag(lam) U^T with ascending eigenvalues;
+    raises if X is not symmetric to 1e-12 relative."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] != X.shape[1]:
         raise ValueError("a square matrix is required")
-    if check:
-        scale = np.linalg.norm(X)
-        if np.linalg.norm(X - X.T) > 1e-12 * max(1.0, scale):
-            raise ValueError("matrix is not symmetric")
+    scale = np.linalg.norm(X)
+    if np.linalg.norm(X - X.T) > 1e-12 * max(1.0, scale):
+        raise ValueError("matrix is not symmetric")
     lam, U = np.linalg.eigh(X)
     return U, lam
 
@@ -45,8 +45,8 @@ def sym_eig(X, check=True):
 class EigCache:
     """Eigendecomposition of a prox base point plus derived quantities.
 
-    ``d`` holds the prox eigenvalues (sqrt(lam^2 + 4/sigma) + lam)/2 and
-    ``gamma`` the Hadamard weights of the prox directional derivative.
+    ``d`` holds the prox eigenvalues, the positive roots of sigma d (d - lam)
+    = 1, and ``gamma`` the Hadamard weights of the prox directional derivative.
     Immutable; safe to share across threads.
     """
 
@@ -80,7 +80,9 @@ def prox_logdet(X, sigma):
         raise ValueError("sigma must be positive")
     U, lam = sym_eig(X)
     s = np.sqrt(lam * lam + 4.0 / sigma)
-    d = 0.5 * (s + lam)
+    # (s + lam)/2 cancels for lam far below -2/sqrt(sigma); the equal form
+    # (2/sigma)/(s - lam) does not
+    d = np.where(lam < 0, (2.0 / sigma) / (s - lam), 0.5 * (s + lam))
     gamma = 0.5 * (1.0 + np.add.outer(lam, lam) / np.add.outer(s, s))
     P = (U * d) @ U.T
     P = 0.5 * (P + P.T)

@@ -62,6 +62,8 @@ class SsnParams:
             raise ValueError("rho must lie in (0, 1)")
         if self.grad_tol <= 0:
             raise ValueError("grad_tol must be positive")
+        if self.max_iter < 0:
+            raise ValueError("max_iter must be non-negative")
 
 
 class SubproblemContext:
@@ -307,8 +309,8 @@ def ssn_solve(ctx, Y0=None, params=None, accept=None):
     value to resolve (below ``_VALUE_RTOL`` max(1, |value|)), a step is taken
     instead when it lowers the gradient norm.
 
-    Every iterate, the start point and the point at the iteration cap
-    included, is checked once before its Newton direction is formed.
+    Every iterate is checked once, the start point and the point at the
+    iteration cap included.
     ``accept``, when given, is the caller's stopping test and the only stop
     short of the caps: it is called with the dual point, whose ``w_hat``
     holds the recovered weights and ``grad`` the dual gradient (E = -grad),

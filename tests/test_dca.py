@@ -164,7 +164,7 @@ class TestSolveMcp:
     def test_huge_lambda_ends_with_named_status(self, monkeypatch):
         # near the dual optimum (K + Y)/sigma cancels, so an asymmetric Newton
         # direction used to fail the symmetry check of the eigensolver; the
-        # caps only shorten the run (the defaults end the same way in ~8 s,
+        # caps only shorten the run (the defaults end the same way in ~7 s,
         # most of it in the ADMM warm start)
         runs = []
         real = dca.ssn_solve

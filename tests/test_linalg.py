@@ -54,6 +54,14 @@ class TestProxLogdet:
             res = np.linalg.norm(-np.linalg.inv(P) + sigma * (P - X))
             assert res <= 1e-8 * sigma * max(1.0, np.linalg.norm(X))
 
+    @pytest.mark.parametrize("lam", [-1e8, -3e5])
+    def test_eigenvalues_far_below_zero(self, lam):
+        # d sigma (d - lam) = 1 is -1/d + sigma (d - lam) = 0 on one eigenvalue;
+        # (sqrt(lam^2 + 4) + lam)/2 cancels here
+        _, cache = lm.prox_logdet(np.diag([lam, 1.0]), 1.0)
+        d = cache.d[0]
+        assert d * (d - lam) == pytest.approx(1.0, rel=1e-12)
+
     def test_large_sigma_limit(self):
         rng = np.random.default_rng(2)
         A = rng.standard_normal((5, 5))

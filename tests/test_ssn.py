@@ -666,6 +666,11 @@ class TestStopCondition:
 
 
 class TestContextValidation:
+    def test_rejects_negative_newton_cap(self):
+        # the run checks the point at the cap, so the cap must be reachable
+        with pytest.raises(ValueError):
+            lm.SsnParams(max_iter=-1)
+
     def test_rejects_bad_sigma(self):
         ctx, w_k = random_context(n=4, seed=31)
         with pytest.raises(ValueError):
