@@ -452,7 +452,7 @@ class TestAcceptStop:
 
     @pytest.mark.parametrize("seed", [42, 43, 44])
     def test_certified_run_is_no_longer(self, seed):
-        # the outer loop's test against its first Newton tolerance
+        # the acceptance test against a gradient tolerance of 1e-4 (1 + ||K||)
         ctx, _ = random_context(n=10, seed=seed, sigma=0.5)
         tol = 1e-4 * (1.0 + np.linalg.norm(ctx.cost_matrix))
         params = lm.SsnParams(grad_tol=tol)
