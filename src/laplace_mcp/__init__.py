@@ -17,7 +17,6 @@ from .graphs import (
     gen_modular,
     generate_connected,
     incidence_matrix,
-    is_connected,
     laplacian_adjoint,
     perturb_connectivity,
     population_covariance,
@@ -30,23 +29,14 @@ from .linalg import (
     GramSolver,
     clarke_diag,
     edge_gram_matrix,
-    project_nonneg,
     prox_logdet,
     prox_logdet_dderiv,
-    sym_eig,
 )
 from .metrics import detected_edges, f1_score, recovery_error
-from .penalty import (
-    PenaltyParams,
-    dc_smooth_grad,
-    dc_smooth_grad_matrix,
-    mcp_value,
-    objective_value,
-)
+from .penalty import PenaltyParams, objective_value
 from .problem import ProblemData
 from .report import SolveReport
 from .ssn import (
-    Certificate,
     CertificateError,
     SsnParams,
     SubproblemContext,

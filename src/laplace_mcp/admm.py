@@ -23,45 +23,39 @@ __all__ = [
     "solve_l1",
 ]
 
-_GOLDEN = 0.5 * (1.0 + np.sqrt(5.0))
+# dual step length, inside (0, (1 + sqrt(5))/2)
+_TAU = 1.618
+# penalty of a cold start
+_SIGMA0 = 1.0
+# every _ADAPT_EVERY iterations sigma is multiplied by sqrt(eta_p/eta_d)
+# clipped to [_ADAPT_LO, _ADAPT_HI]
+_ADAPT_EVERY = 10
+_ADAPT_LO = 0.1
+_ADAPT_HI = 10.0
 
 
 @dataclass
 class AdmmParams:
-    """ADMM parameters.
-
-    Every ``adapt_every`` iterations the penalty sigma is multiplied by
-    sqrt(eta_p/eta_d) clipped to ``[adapt_lo, adapt_hi]``; the two numbers
-    only bound the factor of one step. ``history_every`` sets how often the
-    KKT residuals are recorded.
+    """ADMM parameters: the relative KKT tolerance ``eps``, the iteration cap
+    ``max_iter``, and ``history_every``, how often the KKT residuals are
+    recorded. The dual step length is ``_TAU`` (1.618), a cold start's
+    penalty ``_SIGMA0`` (1), and the penalty schedule ``_ADAPT_EVERY``,
+    ``_ADAPT_LO`` and ``_ADAPT_HI`` (see :func:`solve_l1`).
     """
 
     eps: float = 1e-5
     max_iter: int = 20000
-    tau: float = 1.618
-    sigma0: float = 1.0
-    adapt_every: int = 10
-    adapt_lo: float = 0.1
-    adapt_hi: float = 10.0
     history_every: int = 50
 
     def __post_init__(self):
-        if not 0 < self.tau < _GOLDEN:
-            raise ValueError("dual step length tau must lie in (0, (1+sqrt(5))/2)")
-        if self.sigma0 <= 0:
-            raise ValueError("sigma0 must be positive")
         if self.eps <= 0:
             raise ValueError("eps must be positive")
-        if self.adapt_every < 1:
-            raise ValueError("adapt_every must be at least 1")
-        if not 0 < self.adapt_lo < 1 < self.adapt_hi:
-            raise ValueError("the sigma band needs 0 < adapt_lo < 1 < adapt_hi")
 
 
 @dataclass
 class AdmmState:
     """One four-block iterate: splitting variables (x, theta, w) and dual
-    multipliers (Y, zeta), plus the current penalty sigma and step tau."""
+    multipliers (Y, zeta), plus the current penalty sigma."""
 
     x: np.ndarray
     theta: np.ndarray
@@ -69,11 +63,9 @@ class AdmmState:
     Y: np.ndarray
     zeta: np.ndarray
     sigma: float
-    tau: float
 
 
-def initial_state(problem, params=None):
-    params = params or AdmmParams()
+def initial_state(problem):
     n, m = problem.n, problem.m
     return AdmmState(
         x=np.zeros(m),
@@ -81,8 +73,7 @@ def initial_state(problem, params=None):
         w=np.zeros(m),
         Y=np.zeros((n, n)),
         zeta=np.zeros(m),
-        sigma=params.sigma0,
-        tau=params.tau,
+        sigma=_SIGMA0,
     )
 
 
@@ -91,7 +82,7 @@ def admm_step(state, problem, gram):
 
     x solves (I + A A*) x = rhs through the shifted Gram system, theta is a
     log-det prox, w is a non-negative projection, and both multipliers move
-    with step tau * sigma.
+    with step _TAU * sigma.
     """
     sig = state.sigma
     inv = 1.0 / sig
@@ -102,9 +93,9 @@ def admm_step(state, problem, gram):
     P, _ = prox_logdet(problem.J + Ax - inv * state.Y - inv * K, sig)
     theta = P - problem.J
     w = project_nonneg(x - inv * state.zeta)
-    Y = state.Y + state.tau * sig * (theta - Ax)
-    zeta = state.zeta + state.tau * sig * (w - x)
-    return AdmmState(x=x, theta=theta, w=w, Y=Y, zeta=zeta, sigma=sig, tau=state.tau)
+    Y = state.Y + _TAU * sig * (theta - Ax)
+    zeta = state.zeta + _TAU * sig * (w - x)
+    return AdmmState(x=x, theta=theta, w=w, Y=Y, zeta=zeta, sigma=sig)
 
 
 def _neg_logdet_chol(M):
@@ -172,11 +163,10 @@ def kkt_residuals(state, problem):
     return KktResiduals(eta_p, eta_d, float(eta_g), pobj, dobj)
 
 
-def _start_state(problem, params, start):
-    """Zero iterate, or the iterate ``start`` (arrays shared, never written)
-    with this run's step tau."""
+def _start_state(problem, start):
+    """Zero iterate, or the iterate ``start`` (arrays shared, never written)."""
     if start is None:
-        return initial_state(problem, params)
+        return initial_state(problem)
     n, m = problem.n, problem.m
     shapes = {"x": (m,), "theta": (n, n), "w": (m,), "Y": (n, n), "zeta": (m,)}
     for name, shape in shapes.items():
@@ -187,7 +177,7 @@ def _start_state(problem, params, start):
             )
     if not start.sigma > 0:
         raise ValueError("start.sigma must be positive")
-    return dataclasses.replace(start, sigma=float(start.sigma), tau=params.tau)
+    return dataclasses.replace(start, sigma=float(start.sigma))
 
 
 def solve_l1(problem, params=None, start=None):
@@ -195,16 +185,17 @@ def solve_l1(problem, params=None, start=None):
 
     Starts from zero, or from ``start``, an :class:`AdmmState` such as the
     ``admm_state`` of an earlier report on the same candidate edges (its
-    sigma is kept, its tau replaced by ``params.tau``; it is not modified).
+    sigma is kept; it is not modified). A zero start with another penalty
+    ``s`` is ``dataclasses.replace(initial_state(problem), sigma=s)``.
     The config echo ``initial_point`` says ``"zeros"`` or ``"given"``; the
     start state itself is not recorded. Terminates when
     max(eta_p, eta_d, eta_g) < eps, or with a cap-hit flag after ``max_iter``
     iterations; the last iterate is returned either way and kept as the
     report's ``admm_state``. The duality gap costs two Cholesky
     factorizations, so it is evaluated only when the feasibility residuals are
-    already below eps and on recorded iterations. Every ``adapt_every``
+    already below eps and on recorded iterations. Every ``_ADAPT_EVERY`` (10)
     iterations sigma is multiplied by sqrt(eta_p/eta_d) clipped to
-    ``[adapt_lo, adapt_hi]``. This is residual balancing: eta_p scales roughly
+    ``[_ADAPT_LO, _ADAPT_HI]`` ([0.1, 10]). This is residual balancing: eta_p scales roughly
     as 1/sigma and eta_d as sigma, so the square root levels the two in one
     step. There is no dead band: with one, a ratio that stays inside it (3 to
     10, say) leaves sigma alone while eta_p lags, for about 160 iterations of
@@ -213,7 +204,7 @@ def solve_l1(problem, params=None, start=None):
     params = params or AdmmParams()
     t0 = time.perf_counter()
     gram = problem.gram_solver
-    state = _start_state(problem, params, start)
+    state = _start_state(problem, start)
     history = []
     termination = "max_iter"
     iterations = params.max_iter
@@ -242,19 +233,15 @@ def solve_l1(problem, params=None, start=None):
                 termination = "converged"
                 iterations = it
                 break
-        if it % params.adapt_every == 0:
+        if it % _ADAPT_EVERY == 0:
             ratio = eta_p / max(eta_d, 1e-30)
-            state.sigma *= min(max(math.sqrt(ratio), params.adapt_lo), params.adapt_hi)
+            state.sigma *= min(max(math.sqrt(ratio), _ADAPT_LO), _ADAPT_HI)
     config = {
         "model": "cgl-l1",
         "lam": problem.params.lam,
         "eps": params.eps,
         "max_iter": params.max_iter,
-        "tau": params.tau,
-        "sigma0": params.sigma0,
-        "adapt_every": params.adapt_every,
-        "adapt_lo": params.adapt_lo,
-        "adapt_hi": params.adapt_hi,
+        "history_every": params.history_every,
         "initial_point": "zeros" if start is None else "given",
         "prior_tag": problem.prior_tag,
     }

@@ -39,31 +39,34 @@ class DescentError(RuntimeError):
     indicates an implementation bug rather than a data issue."""
 
 
+# sigma shrinks by this factor each outer step until it reaches _SIGMA_MIN,
+# then stays constant, keeping the certificate usable
+_RHO = 0.8
+_SIGMA_MIN = 1e-4
+# the d.c. loop only starts from the l1 warm start, and its descent argument
+# does not depend on how accurate that start is
+_ADMM_EPS_FLOOR = 1e-4
+
+
 @dataclass
 class DcaParams:
     """Outer-loop parameters; the penalty comes from ``ProblemData.params``.
 
-    sigma shrinks by ``rho`` each iteration until it reaches ``sigma_min``,
-    then stays constant, keeping the certificate usable. The l1 warm start
-    runs to tolerance max(eps, admm_eps_floor), by default max(eps, 1e-4): the
-    d.c. loop only starts from its result, and its descent argument does not
-    depend on how accurate that start is.
+    sigma starts at ``sigma0`` and shrinks by ``_RHO`` (0.8) each iteration
+    until it reaches ``_SIGMA_MIN`` (1e-4). The l1 warm start runs to
+    tolerance max(eps, ``_ADMM_EPS_FLOOR``), that is max(eps, 1e-4), for at
+    most ``admm_max_iter`` iterations. ``ssn`` holds the Newton caps.
     """
 
     sigma0: float = 1.0
-    rho: float = 0.8
-    sigma_min: float = 1e-4
     eps: float = 1e-6
     max_outer: int = 500
-    admm_eps_floor: float = 1e-4
     admm_max_iter: int = 20000
     ssn: SsnParams = field(default_factory=SsnParams)
 
     def __post_init__(self):
         if self.sigma0 <= 0:
             raise ValueError("sigma0 must be positive")
-        if not 0 < self.rho <= 1:
-            raise ValueError("rho must lie in (0, 1]")
         if self.eps <= 0:
             raise ValueError("eps must be positive")
 
@@ -174,7 +177,7 @@ def solve_mcp(problem, params=None, keep_trace=False, start=None):
         )
     t0 = time.perf_counter()
     admm_params = AdmmParams(
-        eps=max(params.eps, params.admm_eps_floor), max_iter=params.admm_max_iter
+        eps=max(params.eps, _ADMM_EPS_FLOOR), max_iter=params.admm_max_iter
     )
     warm = solve_l1(problem, admm_params, start=start)
     w = np.asarray(warm.w, dtype=float)
@@ -232,18 +235,15 @@ def solve_mcp(problem, params=None, keep_trace=False, start=None):
         if rel_w < params.eps or rel_f < params.eps:
             termination = "converged"
             break
-        sigma = max(sigma * params.rho, params.sigma_min)
+        sigma = max(sigma * _RHO, _SIGMA_MIN)
     config = {
         "model": "cgl-mcp",
         "lam": problem.params.lam,
         "gamma": problem.params.gamma,
         "sigma0": params.sigma0,
-        "rho": params.rho,
-        "sigma_min": params.sigma_min,
         "eps": params.eps,
         "max_outer": params.max_outer,
-        "admm_eps": admm_params.eps,
-        "admm_max_iter": admm_params.max_iter,
+        "admm_max_iter": params.admm_max_iter,
         "ssn": dataclasses.asdict(params.ssn),
         "prior_tag": problem.prior_tag,
         "warm_start_initial_point": warm.config["initial_point"],

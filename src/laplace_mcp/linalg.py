@@ -81,8 +81,10 @@ def prox_logdet(X, sigma):
     U, lam = sym_eig(X)
     s = np.sqrt(lam * lam + 4.0 / sigma)
     # (s + lam)/2 cancels for lam far below -2/sqrt(sigma); the equal form
-    # (2/sigma)/(s - lam) does not
-    d = np.where(lam < 0, (2.0 / sigma) / (s - lam), 0.5 * (s + lam))
+    # (2/sigma)/(s - lam) does not. np.where evaluates both branches, and
+    # s - lam rounds to zero for large positive lam, so the division takes
+    # s + |lam|, which equals s - lam where it is used
+    d = np.where(lam < 0, (2.0 / sigma) / (s + np.abs(lam)), 0.5 * (s + lam))
     gamma = 0.5 * (1.0 + np.add.outer(lam, lam) / np.add.outer(s, s))
     P = (U * d) @ U.T
     P = 0.5 * (P + P.T)

@@ -35,31 +35,33 @@ class CertificateError(RuntimeError):
         self.r = float(r)
 
 
+# forcing bounds of the inexact Newton direction: its residual target is
+# min(_ETA_BAR, ||g||^(1 + _FORCING_TAU))
+_ETA_BAR = 0.1
+_FORCING_TAU = 0.5
+# Armijo sufficient-increase constant and backtracking factor, and the cap on
+# backtracks per Newton step
+_ARMIJO_MU = 0.25
+_ARMIJO_RHO = 0.5
+_MAX_LINESEARCH = 50
+# ridge added to the negated Jacobian, which is only semidefinite
+_CG_RIDGE = 1e-12
+
+
 @dataclass(frozen=True)
 class SsnParams:
-    """Newton parameters: forcing bounds (eta_bar, tau), Armijo constants
-    (mu, rho), iteration caps, and the gradient tolerance, which ends only
-    runs without an ``accept`` test (see :func:`ssn_solve`)."""
+    """Newton caps: ``max_iter`` Newton steps per run and ``cg_max_iter`` CG
+    steps per direction, and the gradient tolerance ``grad_tol``, which ends
+    only runs without an ``accept`` test (see :func:`ssn_solve`). The forcing
+    bounds (``_ETA_BAR``, ``_FORCING_TAU``), the Armijo constants
+    (``_ARMIJO_MU``, ``_ARMIJO_RHO``, ``_MAX_LINESEARCH``) and the CG ridge
+    ``_CG_RIDGE`` are module constants."""
 
-    eta_bar: float = 0.1
-    tau: float = 0.5
-    mu: float = 0.25
-    rho: float = 0.5
     max_iter: int = 100
     grad_tol: float = 1e-6
     cg_max_iter: int = 500
-    cg_ridge: float = 1e-12
-    max_linesearch: int = 50
 
     def __post_init__(self):
-        if not 0 < self.eta_bar < 1:
-            raise ValueError("eta_bar must lie in (0, 1)")
-        if not 0 < self.tau <= 1:
-            raise ValueError("tau must lie in (0, 1]")
-        if not 0 < self.mu < 0.5:
-            raise ValueError("mu must lie in (0, 0.5)")
-        if not 0 < self.rho < 1:
-            raise ValueError("rho must lie in (0, 1)")
         if self.grad_tol <= 0:
             raise ValueError("grad_tol must be positive")
         if self.max_iter < 0:
@@ -229,8 +231,8 @@ def _newton_direction(point, ctx, mask, params, gnorm):
 
     Solves T D = g, T the negated Jacobian plus a tiny ridge with the
     projection part applied on the active edges only, to the float64 contract
-    ||T D - g|| <= min(eta_bar, gnorm^(1+tau)). Jacobi-preconditioned CG runs
-    in float32 (operator, preconditioner and iterates) on the float64
+    ||T D - g|| <= min(_ETA_BAR, gnorm^(1+_FORCING_TAU)). Jacobi-preconditioned
+    CG runs in float32 (operator, preconditioner and iterates) on the float64
     residual, and its correction is added to a float64 D; one float64 apply
     then recomputes the true residual r = g - T D. If r misses the target,
     another float32 round solves for the rest (mixed-precision iterative
@@ -239,11 +241,11 @@ def _newton_direction(point, ctx, mask, params, gnorm):
     steps of both precisions, not the residual checks, and all rounds share
     the ``cg_max_iter`` cap.
     """
-    target = min(params.eta_bar, gnorm ** (1.0 + params.tau))
+    target = min(_ETA_BAR, gnorm ** (1.0 + _FORCING_TAU))
     g = point.grad
     if gnorm <= target:
         return g.copy(), 0
-    ridge = params.cg_ridge
+    ridge = _CG_RIDGE
     active = ctx.problem.prior.support(mask)
     T64 = _newton_operator(point.cache, active, ctx.sigma, ridge)
     T = _newton_operator(point.cache.astype(np.float32), active, ctx.sigma, ridge)
@@ -305,8 +307,8 @@ def ssn_solve(ctx, Y0=None, params=None, accept=None):
 
     Each step solves the Newton system inexactly and backtracks with an Armijo
     rule on the dual value; accepted steps never decrease the dual beyond
-    rounding. Where the Armijo increase mu t <g, D> is too small for the dual
-    value to resolve (below ``_VALUE_RTOL`` max(1, |value|)), a step is taken
+    rounding. Where the Armijo increase _ARMIJO_MU t <g, D> is too small for the
+    dual value to resolve (below ``_VALUE_RTOL`` max(1, |value|)), a step is taken
     instead when it lowers the gradient norm.
 
     Every iterate is checked once, the start point and the point at the
@@ -355,15 +357,15 @@ def ssn_solve(ctx, Y0=None, params=None, accept=None):
         step = 1.0
         nxt = None
         resolution = _VALUE_RTOL * max(1.0, abs(cur.value))
-        for _ in range(params.max_linesearch + 1):
+        for _ in range(_MAX_LINESEARCH + 1):
             cand = _dual_eval(Y + step * D, ctx)
-            gain = params.mu * step * gD
+            gain = _ARMIJO_MU * step * gD
             if cand.value >= cur.value + gain or (
                 gain <= resolution and np.linalg.norm(cand.grad) < gnorm
             ):
                 nxt = cand
                 break
-            step *= params.rho
+            step *= _ARMIJO_RHO
         if nxt is None:
             return result(j, False, gnorm, "linesearch_failed")
         Y = Y + step * D

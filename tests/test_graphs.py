@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import laplace_mcp as lm
-from laplace_mcp.graphs import GraphError
+from laplace_mcp.graphs import GraphError, is_connected
 
 from util import bfs_connected, random_connected_graph
 
@@ -141,7 +141,7 @@ class TestGenerators:
     def test_er_dense_is_connected(self):
         g = lm.gen_erdos_renyi(30, 0.9, 7)
         assert bfs_connected(g.n, g.edges)
-        assert lm.is_connected(g)
+        assert is_connected(g)
 
     def test_er_deterministic(self):
         a = lm.gen_erdos_renyi(40, 0.2, 123)

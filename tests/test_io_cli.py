@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -7,7 +8,7 @@ import laplace_mcp as lm
 from laplace_mcp import io as lio
 from laplace_mcp.cli import main
 
-from util import random_connected_graph
+from util import make_problem, random_connected_graph
 
 
 class TestCovarianceIO:
@@ -125,7 +126,28 @@ class TestReportJson:
         lio.save_report(path, l1)
         config = lio.load_report(path).config
         assert config == l1.config
-        assert (config["adapt_every"], config["adapt_lo"], config["adapt_hi"]) == (10, 0.1, 10.0)
+
+    @pytest.mark.parametrize("model", ["cgl-l1", "cgl-mcp"])
+    def test_config_echo(self, model):
+        # the echo holds every settable value and nothing else: the problem's
+        # inputs and the fields of the parameter dataclasses
+        g = lm.EdgeGraph(2, [(0, 1)], weights=[1.0])
+        S = lm.population_covariance(g.laplacian())
+        problem = lm.ProblemData(S, lm.true_prior(g), lm.PenaltyParams(0.1, 1.5))
+        if model == "cgl-l1":
+            config = lm.solve_l1(problem).config
+            fields = {"eps", "max_iter", "history_every"}
+            other = {"model", "lam", "initial_point", "prior_tag"}
+            params = lm.AdmmParams
+        else:
+            config = lm.solve_mcp(problem).config
+            fields = {"sigma0", "eps", "max_outer", "admm_max_iter", "ssn"}
+            other = {"model", "lam", "gamma", "prior_tag", "warm_start_initial_point"}
+            params = lm.DcaParams
+            ssn_fields = {f.name for f in dataclasses.fields(lm.SsnParams)}
+            assert set(config["ssn"]) == ssn_fields == {"max_iter", "grad_tol", "cg_max_iter"}
+        assert set(config) == fields | other
+        assert {f.name for f in dataclasses.fields(params)} == fields
 
 
 class TestCliGen:
@@ -355,6 +377,64 @@ class TestCliSolveEval:
         )
         assert rc == 3
         assert "error: descent property violated" in capsys.readouterr().err
+
+
+class TestDegenerateInputs:
+    """Solves of the n=12 ER instance (p=0.3, seed 13) at lambda=0.05 from
+    degenerate data: a constant column and k < n samples solve, and one
+    sample on the full prior ends with a named status, not a traceback."""
+
+    @pytest.fixture()
+    def instance(self, tmp_path):
+        _, truth, L = make_problem(n=12, p=0.3, seed=13)
+        graph = tmp_path / "g.json"
+        lio.save_graph(graph, truth)
+        return graph, L
+
+    def solve(self, tmp_path, source, connectivity):
+        out = tmp_path / "r.json"
+        rc = main(
+            [
+                "solve", "--model", "cgl-mcp", *source, "--connectivity",
+                str(connectivity), "--lambda", "0.05", "--out", str(out),
+            ]
+        )
+        return rc, lio.load_report(out).termination
+
+    def sampled(self, tmp_path, L, k):
+        path = tmp_path / f"S{k}.mtx"
+        lio.write_covariance(path, lm.sample_covariance(L, k, 15))
+        return ["--cov", str(path)]
+
+    @pytest.mark.parametrize("prior", ["true", "full"])
+    def test_constant_column_converges(self, tmp_path, instance, prior):
+        graph, L = instance
+        X = np.random.default_rng(13).multivariate_normal(np.zeros(12), np.linalg.pinv(L), 500)
+        X[:, 0] = 3.0
+        data = tmp_path / "x.csv"
+        np.savetxt(data, X, delimiter=",")
+        connectivity = graph if prior == "true" else "full"
+        assert self.solve(tmp_path, ["--data", str(data)], connectivity) == (0, "converged")
+
+    @pytest.mark.parametrize("prior", ["true", "full"])
+    @pytest.mark.parametrize("k", [3, 6])
+    def test_fewer_samples_than_nodes_converge(self, tmp_path, instance, k, prior):
+        graph, L = instance
+        connectivity = graph if prior == "true" else "full"
+        source = self.sampled(tmp_path, L, k)
+        assert self.solve(tmp_path, source, connectivity) == (0, "converged")
+
+    def test_one_sample_true_prior_converges(self, tmp_path, instance):
+        graph, L = instance
+        assert self.solve(tmp_path, self.sampled(tmp_path, L, 1), graph) == (0, "converged")
+
+    def test_one_sample_full_prior_named_status(self, tmp_path, instance):
+        # the weights grow to about 1e3 and rel_w decays slowly; the outer cap
+        # ends this solve, and any other non-converged status is as valid
+        _, L = instance
+        rc, termination = self.solve(tmp_path, self.sampled(tmp_path, L, 1), "full")
+        assert rc == 2
+        assert termination in ("max_outer", "certificate_failed")
 
 
 class TestCliSweep:

@@ -7,18 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import laplace_mcp as lm
-from laplace_mcp.linalg import EigCache
+from laplace_mcp.linalg import EigCache, project_nonneg, sym_eig
 
 from util import moreau_logdet_value, random_connected_graph, random_symmetric
 
 
 class TestSymEig:
     def test_identity(self):
-        U, lam = lm.sym_eig(np.eye(4))
+        U, lam = sym_eig(np.eye(4))
         np.testing.assert_allclose(lam, 1.0)
 
     def test_diagonal(self):
-        U, lam = lm.sym_eig(np.diag([3.0, 1.0, 2.0]))
+        U, lam = sym_eig(np.diag([3.0, 1.0, 2.0]))
         np.testing.assert_allclose(lam, [1.0, 2.0, 3.0])
         # columns are signed unit vectors
         assert np.allclose(np.abs(U).max(axis=0), 1.0)
@@ -26,13 +26,13 @@ class TestSymEig:
     def test_reconstruction(self):
         rng = np.random.default_rng(0)
         X = random_symmetric(8, rng)
-        U, lam = lm.sym_eig(X)
+        U, lam = sym_eig(X)
         err = np.linalg.norm((U * lam) @ U.T - X)
         assert err < 1e-10 * max(1.0, np.linalg.norm(X))
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
-            lm.sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
+            sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 class TestProxLogdet:
@@ -61,6 +61,12 @@ class TestProxLogdet:
         _, cache = lm.prox_logdet(np.diag([lam, 1.0]), 1.0)
         d = cache.d[0]
         assert d * (d - lam) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_positive_eigenvalue_no_warning(self):
+        # both np.where branches are evaluated; s - lam rounds to zero at 3e8
+        _, cache = lm.prox_logdet(np.diag([3e8, 1.0, -1e8]), 1.0)
+        assert np.all(np.isfinite(cache.d))
 
     def test_large_sigma_limit(self):
         rng = np.random.default_rng(2)
@@ -166,23 +172,23 @@ class TestMoreauValue:
 class TestProjection:
     def test_basic(self):
         np.testing.assert_array_equal(
-            lm.project_nonneg([1.0, -2.0, 0.0]), [1.0, 0.0, 0.0]
+            project_nonneg([1.0, -2.0, 0.0]), [1.0, 0.0, 0.0]
         )
 
     def test_all_negative(self):
-        assert np.all(lm.project_nonneg([-1.0, -5.0]) == 0.0)
+        assert np.all(project_nonneg([-1.0, -5.0]) == 0.0)
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=20))
     @settings(deadline=None, max_examples=50)
     def test_idempotent(self, values):
         c = np.array(values)
-        once = lm.project_nonneg(c)
-        np.testing.assert_array_equal(lm.project_nonneg(once), once)
+        once = project_nonneg(c)
+        np.testing.assert_array_equal(project_nonneg(once), once)
 
     def test_projection_optimality(self):
         rng = np.random.default_rng(9)
         c = rng.standard_normal(15)
-        proj = lm.project_nonneg(c)
+        proj = project_nonneg(c)
         dist = np.linalg.norm(c - proj)
         for _ in range(100):
             v = np.abs(rng.standard_normal(15))
@@ -205,7 +211,7 @@ class TestClarkeMask:
         for i in range(c.size):
             e = np.zeros(c.size)
             e[i] = t * np.sign(c[i])
-            diff = lm.project_nonneg(c + e) - lm.project_nonneg(c)
+            diff = project_nonneg(c + e) - project_nonneg(c)
             np.testing.assert_allclose(diff[i], e[i] * mask[i], atol=1e-15)
 
 

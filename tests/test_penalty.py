@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import laplace_mcp as lm
+from laplace_mcp.penalty import dc_smooth_grad, dc_smooth_grad_matrix, mcp_value
 
 from util import dc_smooth_value, make_problem, mcp_matrix_value
 
@@ -12,48 +13,48 @@ P15 = lm.PenaltyParams(1.0, 1.5)
 
 class TestMcpScalar:
     def test_zero(self):
-        assert lm.mcp_value(0.0, P15) == 0.0
+        assert mcp_value(0.0, P15) == 0.0
 
     def test_plateau_branch(self):
         # |x| > gamma*lam: value is the plateau gamma*lam^2/2
-        assert lm.mcp_value(2.0, P15) == pytest.approx(0.75, abs=1e-15)
+        assert mcp_value(2.0, P15) == pytest.approx(0.75, abs=1e-15)
 
     def test_quadratic_branch(self):
-        assert lm.mcp_value(1.0, P15) == pytest.approx(2.0 / 3.0, abs=1e-15)
+        assert mcp_value(1.0, P15) == pytest.approx(2.0 / 3.0, abs=1e-15)
 
     @given(st.floats(-100, 100))
     @settings(deadline=None, max_examples=100)
     def test_even_and_bounded(self, x):
         p = lm.PenaltyParams(0.7, 2.5)
-        v = float(lm.mcp_value(x, p))
-        assert v == float(lm.mcp_value(-x, p))
+        v = float(mcp_value(x, p))
+        assert v == float(mcp_value(-x, p))
         assert 0.0 <= v <= 0.5 * p.gamma * p.lam**2 + 1e-15
 
     def test_nondecreasing_on_positives(self):
         xs = np.linspace(0, 5, 400)
-        vals = lm.mcp_value(xs, P15)
+        vals = mcp_value(xs, P15)
         assert np.all(np.diff(vals) >= -1e-15)
 
     def test_continuous_at_kink(self):
-        lo = lm.mcp_value(1.5 - 1e-12, P15)
-        hi = lm.mcp_value(1.5 + 1e-12, P15)
+        lo = mcp_value(1.5 - 1e-12, P15)
+        hi = mcp_value(1.5 + 1e-12, P15)
         assert abs(lo - hi) < 1e-10
 
 
 class TestSmoothPart:
     def test_grad_at_zero(self):
-        assert lm.dc_smooth_grad(0.0, P15) == 0.0
+        assert dc_smooth_grad(0.0, P15) == 0.0
 
     def test_grad_branches(self):
-        assert lm.dc_smooth_grad(1.0, P15) == pytest.approx(2.0 / 3.0, abs=1e-15)
-        assert lm.dc_smooth_grad(-5.0, P15) == pytest.approx(-1.0, abs=1e-15)
+        assert dc_smooth_grad(1.0, P15) == pytest.approx(2.0 / 3.0, abs=1e-15)
+        assert dc_smooth_grad(-5.0, P15) == pytest.approx(-1.0, abs=1e-15)
 
     @given(st.floats(-50, 50))
     @settings(deadline=None, max_examples=100)
     def test_dc_identity_exact(self, x):
         # MCP + smooth part recovers lam|x| exactly on both branches
         p = lm.PenaltyParams(1.25, 1.75)
-        total = float(lm.mcp_value(x, p)) + float(dc_smooth_value(x, p))
+        total = float(mcp_value(x, p)) + float(dc_smooth_value(x, p))
         assert total == pytest.approx(p.lam * abs(x), abs=1e-12, rel=1e-12)
 
     def test_grad_matches_finite_difference(self):
@@ -62,18 +63,18 @@ class TestSmoothPart:
             fd = (dc_smooth_value(x + t, P15) - dc_smooth_value(x - t, P15)) / (
                 2 * t
             )
-            assert abs(fd - lm.dc_smooth_grad(x, P15)) < 1e-6
+            assert abs(fd - dc_smooth_grad(x, P15)) < 1e-6
 
     def test_grad_bounded_by_lam(self):
         xs = np.linspace(-10, 10, 1001)
-        assert np.abs(lm.dc_smooth_grad(xs, P15)).max() <= P15.lam
+        assert np.abs(dc_smooth_grad(xs, P15)).max() <= P15.lam
 
     def test_grad_lipschitz(self):
         # difference quotients bounded by 1/gamma
         rng = np.random.default_rng(0)
         xs = rng.uniform(-5, 5, 200)
         ys = rng.uniform(-5, 5, 200)
-        quot = np.abs(lm.dc_smooth_grad(xs, P15) - lm.dc_smooth_grad(ys, P15)) / np.abs(
+        quot = np.abs(dc_smooth_grad(xs, P15) - dc_smooth_grad(ys, P15)) / np.abs(
             xs - ys
         )
         assert quot.max() <= 1.0 / P15.gamma + 1e-12
@@ -88,12 +89,12 @@ class TestSmoothPart:
 
 class TestMatrixGradient:
     def test_diagonal_input(self):
-        assert np.all(lm.dc_smooth_grad_matrix(np.diag([1.0, 2.0, 3.0]), P15) == 0.0)
+        assert np.all(dc_smooth_grad_matrix(np.diag([1.0, 2.0, 3.0]), P15) == 0.0)
 
     def test_path_example(self):
         g = lm.EdgeGraph(3, [(0, 1), (1, 2)])
         theta = lm.weights_to_laplacian([1.0, 1.0], g)
-        G = lm.dc_smooth_grad_matrix(theta, P15)
+        G = dc_smooth_grad_matrix(theta, P15)
         assert G[0, 1] == pytest.approx(-2.0 / 3.0, abs=1e-15)
         assert G[1, 2] == pytest.approx(-2.0 / 3.0, abs=1e-15)
         assert np.all(np.diag(G) == 0.0)
@@ -102,7 +103,7 @@ class TestMatrixGradient:
         rng = np.random.default_rng(2)
         A = rng.standard_normal((6, 6))
         theta = 0.5 * (A + A.T)
-        G = lm.dc_smooth_grad_matrix(theta, P15)
+        G = dc_smooth_grad_matrix(theta, P15)
         assert np.all(np.diag(G) == 0.0)
         assert np.allclose(G, G.T)
         assert np.abs(G).max() <= P15.lam
@@ -129,7 +130,7 @@ class TestObjective:
         w = np.array([1.0])
         theta = lm.weights_to_laplacian(w, g)
         # Theta + J = [[1.5, -0.5], [-0.5, 1.5]] has determinant 2
-        expected = -np.log(2.0) + np.vdot(S, theta) + 2 * float(lm.mcp_value(1.0, P15))
+        expected = -np.log(2.0) + np.vdot(S, theta) + 2 * float(mcp_value(1.0, P15))
         assert lm.objective_value(w, problem) == pytest.approx(expected, rel=1e-12)
 
     def test_matches_matrix_route(self):

@@ -220,6 +220,11 @@ class TestJacobiPreconditioner:
         np.testing.assert_allclose(mask_part, brute, rtol=0, atol=1e-12)
 
 
+def forcing_target(gnorm):
+    """Residual target of the Newton direction at gradient norm ``gnorm``."""
+    return min(ssn._ETA_BAR, gnorm ** (1.0 + ssn._FORCING_TAU))
+
+
 class TestNewtonDirection:
     def test_residual_meets_forcing_target(self):
         params = lm.SsnParams()
@@ -233,8 +238,8 @@ class TestNewtonDirection:
             D, steps = _newton_direction(point, ctx, mask, params, gnorm)
             assert 0 < steps < params.cg_max_iter
             assert np.array_equal(D, D.T)
-            T_D = -dual_jacobian_apply(Y, D, ctx, mask, point.cache) + params.cg_ridge * D
-            target = min(params.eta_bar, gnorm ** (1.0 + params.tau))
+            T_D = -dual_jacobian_apply(Y, D, ctx, mask, point.cache) + ssn._CG_RIDGE * D
+            target = forcing_target(gnorm)
             assert np.linalg.norm(T_D - point.grad) <= target * (1.0 + 1e-9)
 
     def test_step_cap_counts(self):
@@ -284,8 +289,8 @@ class TestMixedPrecisionDirection:
         point = _dual_eval(Y, ctx)
         return ctx, Y, point, lm.clarke_diag(point.c)
 
-    def true_residual(self, ctx, Y, point, mask, D, params):
-        T_D = -dual_jacobian_apply(Y, D, ctx, mask, point.cache) + params.cg_ridge * D
+    def true_residual(self, ctx, Y, point, mask, D):
+        T_D = -dual_jacobian_apply(Y, D, ctx, mask, point.cache) + ssn._CG_RIDGE * D
         return float(np.linalg.norm(T_D - point.grad))
 
     @pytest.mark.parametrize("mask_kind", MASK_KINDS)
@@ -311,8 +316,8 @@ class TestMixedPrecisionDirection:
         gnorm = float(np.linalg.norm(point.grad))
         D, _ = _newton_direction(point, ctx, mask, params, gnorm)
         assert rounds == [np.float32]
-        target = min(params.eta_bar, gnorm ** (1.0 + params.tau))
-        assert self.true_residual(ctx, Y, point, mask, D, params) <= target
+        target = forcing_target(gnorm)
+        assert self.true_residual(ctx, Y, point, mask, D) <= target
 
     def test_refinement_meets_float64_target(self, monkeypatch):
         # a 30% operator error leaves about 0.23 of the residual per round:
@@ -327,8 +332,8 @@ class TestMixedPrecisionDirection:
             assert len(rounds) >= 2
             assert set(rounds) == {np.dtype(np.float32)}
             assert steps < params.cg_max_iter
-            target = min(params.eta_bar, gnorm ** (1.0 + params.tau))
-            assert self.true_residual(ctx, Y, point, mask, D, params) <= target
+            target = forcing_target(gnorm)
+            assert self.true_residual(ctx, Y, point, mask, D) <= target
             assert np.array_equal(D, D.T)
 
     def test_float64_fallback_meets_target(self, monkeypatch):
@@ -341,8 +346,8 @@ class TestMixedPrecisionDirection:
         D, steps = _newton_direction(point, ctx, mask, params, gnorm)
         assert rounds == [np.float32, np.float64]
         assert steps < params.cg_max_iter
-        target = min(params.eta_bar, gnorm ** (1.0 + params.tau))
-        assert self.true_residual(ctx, Y, point, mask, D, params) <= target * (1.0 + 1e-9)
+        target = forcing_target(gnorm)
+        assert self.true_residual(ctx, Y, point, mask, D) <= target * (1.0 + 1e-9)
         assert D.dtype == np.float64
         assert np.array_equal(D, D.T)
 

@@ -5,6 +5,7 @@ import numpy as np
 
 import laplace_mcp as lm
 from laplace_mcp.dca import subproblem_cost_matrix
+from laplace_mcp.penalty import mcp_value
 from laplace_mcp.ssn import SubproblemContext
 
 
@@ -28,7 +29,7 @@ def dc_smooth_value(x, params):
 
 def mcp_matrix_value(theta, params):
     """Penalty of a symmetric matrix: sum of MCP over off-diagonal entries."""
-    p = lm.mcp_value(np.asarray(theta, dtype=float), params)
+    p = mcp_value(np.asarray(theta, dtype=float), params)
     return float(p.sum() - np.trace(p))
 
 
