@@ -18,20 +18,14 @@ from .dca import DcaParams, DescentError, solve_mcp
 from .graphs import (
     EdgeGraph,
     GraphError,
-    gen_erdos_renyi,
-    gen_grid,
-    gen_modular,
-    generate_connected,
-    perturb_connectivity,
     population_covariance,
     sample_covariance,
-    sample_weights,
     true_prior,
 )
 from .metrics import detected_edges, f1_score, recovery_error
 from .penalty import PenaltyParams
 from .problem import ProblemData
-from .sweep import SweepConfig, run_sweep
+from .sweep import SweepConfig, run_sweep, truth_graph
 
 __all__ = ["main"]
 
@@ -126,8 +120,9 @@ def _build_parser():
     sweep.add_argument(
         "--threads",
         type=int,
+        default=1,
         help="seed chains run at once (each chain solves its lambda grid in "
-        "descending order); default LAPLACE_MCP_THREADS, else min(4, cpus)",
+        "descending order); default 1, as more threads compete with BLAS's own",
     )
     sweep.add_argument("--out", required=True, help="CSV output path")
 
@@ -142,14 +137,17 @@ def _build_parser():
 def _cmd_gen(args):
     if args.samples is not None and args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
-    if args.ensemble == "er":
-        factory = lambda s: gen_erdos_renyi(args.nodes, args.prob, s)
-    elif args.ensemble == "grid":
-        factory = lambda s: gen_grid(args.nodes, s)
-    else:
-        factory = lambda s: gen_modular(args.nodes, args.p1, args.p2, s, args.modules)
-    g = generate_connected(factory, args.seed)
-    g = sample_weights(g, args.weights[0], args.weights[1], args.seed + 7919)
+    cfg = SweepConfig(
+        ensemble=args.ensemble,
+        n=args.nodes,
+        prob=args.prob,
+        p1=args.p1,
+        p2=args.p2,
+        modules=args.modules,
+        weight_lo=args.weights[0],
+        weight_hi=args.weights[1],
+    )
+    g = truth_graph(cfg, args.seed)
     io.save_graph(args.out, g)
     print(f"wrote {args.out}: n={g.n}, edges={g.m}")
     if args.cov:

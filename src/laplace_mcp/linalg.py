@@ -2,7 +2,8 @@
 cone projections, and the solver for the shifted edge Gram system.
 
 Every dense kernel of the solver (eigh, Cholesky, inverse, GEMM/GEMV) goes
-through numpy's LAPACK/BLAS; scipy is used only for sparse matrices. numpy and
+through numpy's LAPACK/BLAS; scipy is used only for the sparse edge Gram
+matrix, a test oracle that no solver path builds. numpy and
 scipy each bundle their own OpenBLAS with its own thread pool, whose workers
 busy-wait after each call, so alternating between the two libraries makes each
 pool's threads compete with the other's spinning ones. One library keeps one
@@ -15,6 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
+
+from .graphs import weights_to_laplacian
 
 __all__ = [
     "sym_eig",
@@ -127,27 +130,31 @@ def edge_gram_matrix(B):
 
 
 class GramSolver:
-    """Solver for the SPD system (3I + |B|^T |B|) x = b.
+    """Solver for the SPD system (3I + |B|^T |B|) x = b of the edge pattern
+    ``graph``.
 
     The Sherman-Morrison-Woodbury identity reduces the m x m system to the
     n x n system C = 3I + |B||B|^T. |B||B|^T is the signless Laplacian of the
     pattern, whose spectrum lies in [0, 2 d_max], so cond(C) <= (3 + 2 d_max)/3
     and the explicit inverse C^{-1} is as accurate as a factorization. It is
-    computed once in the constructor; each solve is one sparse product, one
-    dense matrix-vector product and one more sparse product. The instance is
-    read-only afterwards.
+    computed once in the constructor. A solve works on the edge arrays: |B| b
+    is a scatter-add of each edge's entry onto both endpoints, then one dense
+    matrix-vector product with C^{-1}, then |B|^T y gathers y_i + y_j per edge.
+    The instance is read-only afterwards.
     """
 
-    def __init__(self, B):
-        self._babs = abs(sp.csc_matrix(B)).tocsr()
-        self._babs_t = self._babs.T.tocsr()
-        self.n, self.m = self._babs.shape
-        C = 3.0 * np.eye(self.n) + (self._babs @ self._babs_t).toarray()
+    def __init__(self, graph):
+        self.n, self.m = graph.n, graph.m
+        self._ei, self._ej = graph.edges[:, 0], graph.edges[:, 1]
+        # each node's incident edges in edge order (edges (i, k) before (k, j)
+        # for i < k < j), the summation order of a CSR product with |B|
+        self._scatter = np.concatenate((self._ej, self._ei))
+        C = 3.0 * np.eye(self.n) + np.abs(weights_to_laplacian(np.ones(self.m), graph))
         self._c_inv = np.linalg.inv(C)
 
     def solve(self, b):
         b = np.asarray(b, dtype=float).reshape(-1)
         if b.shape[0] != self.m:
             raise ValueError(f"right-hand side must have length {self.m}")
-        y = self._c_inv @ (self._babs @ b)
-        return (b - self._babs_t @ y) / 3.0
+        y = self._c_inv @ np.bincount(self._scatter, np.concatenate((b, b)), self.n)
+        return (b - (y[self._ei] + y[self._ej])) / 3.0

@@ -10,7 +10,6 @@ import numpy as np
 from .graphs import (
     ConnectivityPrior,
     EdgeGraph,
-    incidence_matrix,
     is_connected,
     laplacian_adjoint,
     weights_to_laplacian,
@@ -24,9 +23,9 @@ __all__ = ["ProblemData"]
 class ProblemData:
     """Covariance S, candidate edge pattern, penalty parameters, and J = (1/n)11^T.
 
-    Heavy derived objects (incidence matrix, Gram solver) are built
-    lazily and cached; everything is read-only after construction, so one
-    instance can back many concurrent solver runs.
+    The Gram solver of the ADMM x-update is built on first use and cached;
+    everything is read-only after construction, so one instance can back
+    many concurrent solver runs.
     """
 
     def __init__(self, S, prior, params):
@@ -63,7 +62,6 @@ class ProblemData:
         self.J.setflags(write=False)
         self.a_of_S = laplacian_adjoint(S, prior)
         self.a_of_S.setflags(write=False)
-        self._incidence = None
         self._gram = None
         self._shifted_S = None
 
@@ -74,15 +72,9 @@ class ProblemData:
         return laplacian_adjoint(X, self.prior)
 
     @property
-    def incidence(self):
-        if self._incidence is None:
-            self._incidence = incidence_matrix(self.prior)
-        return self._incidence
-
-    @property
     def gram_solver(self):
         if self._gram is None:
-            self._gram = GramSolver(self.incidence)
+            self._gram = GramSolver(self.prior)
         return self._gram
 
     @property

@@ -3,7 +3,6 @@ records matching the documented CSV schema."""
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -27,18 +26,9 @@ from .metrics import detected_edges, f1_score, recovery_error
 from .penalty import PenaltyParams
 from .problem import ProblemData
 
-__all__ = ["SweepConfig", "SweepRecord", "default_threads", "make_instance", "run_sweep"]
+__all__ = ["SweepConfig", "SweepRecord", "make_instance", "run_sweep", "solve_chain"]
 
 _SCENARIOS = ("true", "coarse", "full", "drop")
-
-
-def default_threads():
-    """Number of seed chains a sweep runs at once: LAPLACE_MCP_THREADS when
-    set, else min(4, cpu count)."""
-    env = os.environ.get("LAPLACE_MCP_THREADS")
-    if env:
-        return max(1, int(env))
-    return max(1, min(4, os.cpu_count() or 1))
 
 
 @dataclass
@@ -65,7 +55,9 @@ class SweepConfig:
     weight_lo: float = 0.1
     weight_hi: float = 3.0
     threshold_rel: float = 1e-4
-    threads: int | None = None
+    # seed chains solved at once; on top of BLAS's own threads a pool was
+    # slower than one chain at a time on 2 vCPU
+    threads: int = 1
 
     def to_dict(self):
         d = dict(self.__dict__)
@@ -107,7 +99,9 @@ class _Instance:
     prior: object
 
 
-def _truth_graph(cfg, seed):
+def truth_graph(cfg, seed):
+    """The seeded weighted truth graph of ``cfg``: its truth file, or a
+    connected draw from its ensemble."""
     if cfg.truth_file is not None:
         from .io import load_graph
 
@@ -130,7 +124,7 @@ def _truth_graph(cfg, seed):
 def make_instance(cfg, seed):
     """Build one seeded instance: weighted truth, its Laplacian, the covariance
     input, and the connectivity prior for the configured scenario."""
-    truth = _truth_graph(cfg, seed)
+    truth = truth_graph(cfg, seed)
     L = truth.laplacian()
     if cfg.exact_cov:
         S = population_covariance(L)
@@ -150,40 +144,49 @@ def make_instance(cfg, seed):
     return _Instance(truth, L, S, prior)
 
 
-def _run_cell(cfg, inst, lam, seed, start):
-    """Solve one cell with its ADMM stage started from ``start``; returns the
-    record and the final ADMM iterate."""
-    t0 = time.perf_counter()
-    problem = ProblemData(inst.S, inst.prior, PenaltyParams(lam, cfg.gamma))
-    if cfg.model == "cgl-mcp":
-        report = solve_mcp(problem, DcaParams(eps=cfg.eps), start=start)
-    elif cfg.model == "cgl-l1":
-        report = solve_l1(problem, AdmmParams(eps=cfg.eps), start=start)
-    else:
-        raise ValueError(f"unknown model {cfg.model!r}")
-    est = detected_edges(report.w, problem.prior.edges, cfg.threshold_rel)
-    record = SweepRecord(
-        lam=float(lam),
-        seed=int(seed),
-        edges=int(est.shape[0]),
-        f1=f1_score(est, inst.truth.edges),
-        recovery_error=recovery_error(report.theta(), inst.L_true),
-        objective=float(report.objective),
-        time_s=time.perf_counter() - t0,
-        status=report.termination,
-    )
-    return record, report.admm_state
+def _solve_order(lambdas):
+    """Grid indices in descending lambda, ties in grid order."""
+    return sorted(range(len(lambdas)), key=lambda i: lambdas[i], reverse=True)
 
 
-def _run_chain(cfg, inst, seed):
-    """One seed's lambda path, solved in descending lambda (ties in grid
-    order); each cell's ADMM stage starts from the previous cell's final
-    iterate. Returns the records in grid order."""
-    order = sorted(range(len(cfg.lambdas)), key=lambda i: cfg.lambdas[i], reverse=True)
-    records = [None] * len(order)
+def solve_chain(cfg, inst, seed, keep_trace=False):
+    """Solve one seed's lambda grid as a chain and yield (record, problem,
+    report) for each cell in solve order: descending lambda, ties in grid
+    order. Each cell's ADMM stage starts from the previous cell's final ADMM
+    iterate; ``keep_trace`` is passed to ``solve_mcp``."""
     state = None
-    for i in order:
-        records[i], state = _run_cell(cfg, inst, cfg.lambdas[i], seed, state)
+    for i in _solve_order(cfg.lambdas):
+        lam = cfg.lambdas[i]
+        t0 = time.perf_counter()
+        problem = ProblemData(inst.S, inst.prior, PenaltyParams(lam, cfg.gamma))
+        if cfg.model == "cgl-mcp":
+            report = solve_mcp(
+                problem, DcaParams(eps=cfg.eps), keep_trace=keep_trace, start=state
+            )
+        elif cfg.model == "cgl-l1":
+            report = solve_l1(problem, AdmmParams(eps=cfg.eps), start=state)
+        else:
+            raise ValueError(f"unknown model {cfg.model!r}")
+        est = detected_edges(report.w, problem.prior.edges, cfg.threshold_rel)
+        record = SweepRecord(
+            lam=float(lam),
+            seed=int(seed),
+            edges=int(est.shape[0]),
+            f1=f1_score(est, inst.truth.edges),
+            recovery_error=recovery_error(report.theta(), inst.L_true),
+            objective=float(report.objective),
+            time_s=time.perf_counter() - t0,
+            status=report.termination,
+        )
+        state = report.admm_state
+        yield record, problem, report
+
+
+def _chain_records(cfg, inst, seed):
+    """One seed's records in grid order."""
+    records = [None] * len(cfg.lambdas)
+    for i, (record, _, _) in zip(_solve_order(cfg.lambdas), solve_chain(cfg, inst, seed)):
+        records[i] = record
     return records
 
 
@@ -193,20 +196,19 @@ def run_sweep(cfg):
     Instance data is synthesized once per seed. Each seed's lambda grid runs as
     one chain in descending lambda: the convex ADMM stage of a cell starts from
     the previous lambda's final ADMM iterate (pathwise continuation), while
-    every d.c. loop starts from its own lambda's l1 solution. Chains run on a
-    thread pool capped by LAPLACE_MCP_THREADS, so at most one thread per seed
-    is busy. Records come back lambda-major in the grid order as given, seeds
-    in the order as given.
+    every d.c. loop starts from its own lambda's l1 solution. Chains run one
+    after another unless ``cfg.threads > 1``, which runs them on a thread pool
+    of that size. Records come back lambda-major in the grid order as given,
+    seeds in the order as given.
     """
     if not cfg.lambdas:
         raise ValueError("lambda grid is empty")
     if not cfg.seeds:
         raise ValueError("seed list is empty")
     instances = {seed: make_instance(cfg, seed) for seed in cfg.seeds}
-    threads = cfg.threads if cfg.threads is not None else default_threads()
-    run = lambda seed: _run_chain(cfg, instances[seed], seed)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    run = lambda seed: _chain_records(cfg, instances[seed], seed)
+    if cfg.threads > 1:
+        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             chains = list(pool.map(run, cfg.seeds))
     else:
         chains = [run(seed) for seed in cfg.seeds]

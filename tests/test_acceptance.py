@@ -1,10 +1,10 @@
 """Acceptance suite: end-to-end correctness and reproduction checks, one
 PASS/FAIL line per criterion. The benchmark-scale runs (criteria 7, 8) are
 shared through a module fixture whose per-step certificates feed criteria 5
-and 10."""
+and 10. Criterion 7's cells are the warm-started lambda chains that
+``laplace-mcp sweep`` solves."""
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +20,7 @@ from laplace_mcp.ssn import (
     dual_value,
     subproblem_error_vector,
 )
+from laplace_mcp.sweep import SweepConfig, make_instance, solve_chain
 
 from util import random_connected_graph, random_context, random_symmetric, scan_then_golden
 
@@ -69,38 +70,29 @@ def _audit_run(problem, report):
     return audits
 
 
-def _fig1_instance(seed):
-    truth = lm.generate_connected(lambda s: lm.gen_erdos_renyi(100, 0.1, s), seed)
-    truth = lm.sample_weights(truth, 0.1, 3.0, seed + 7919)
-    L = truth.laplacian()
-    S = lm.sample_covariance(L, 5000 * 100, seed + 104729)
-    return truth, L, S
-
-
-def _fig1_cell(inst, lam, seed):
-    truth, L, S = inst
-    problem = lm.ProblemData(S, lm.true_prior(truth), lm.PenaltyParams(lam, 1.5))
-    report = solve_mcp(problem, lm.DcaParams(eps=1e-6), keep_trace=True)
-    audits = _audit_run(problem, report)
-    est = lm.detected_edges(report.w, problem.prior.edges)
-    return {
-        "lam": lam,
-        "seed": seed,
-        "f1": lm.f1_score(est, truth.edges),
-        "err": lm.recovery_error(report.theta(), L),
-        "history": report.history,
-        "audits": audits,
-        "converged": report.converged,
-    }
+def _fig1_chain(cfg, seed):
+    """One seed's Fig.-1 lambda chain, each cell audited."""
+    cells = []
+    inst = make_instance(cfg, seed)
+    for record, problem, report in solve_chain(cfg, inst, seed, keep_trace=True):
+        cells.append(
+            {
+                "lam": record.lam,
+                "seed": seed,
+                "f1": record.f1,
+                "err": record.recovery_error,
+                "history": report.history,
+                "audits": _audit_run(problem, report),
+                "converged": report.converged,
+            }
+        )
+    return cells
 
 
 def _table2_run(seed):
-    truth = lm.generate_connected(lambda s: lm.gen_modular(160, 0.005, 0.25, s), seed)
-    truth = lm.sample_weights(truth, 0.1, 3.0, seed + 7919)
-    L = truth.laplacian()
-    S = lm.sample_covariance(L, 5000 * 160, seed + 104729)
-    prior = lm.perturb_connectivity(lm.true_prior(truth), "full")
-    problem = lm.ProblemData(S, prior, lm.PenaltyParams(0.005, 1.5))
+    inst = make_instance(SweepConfig(ensemble="modular", n=160, scenario="full"), seed)
+    truth, L = inst.truth, inst.L_true
+    problem = lm.ProblemData(inst.S, inst.prior, lm.PenaltyParams(0.005, 1.5))
     t0 = time.perf_counter()
     report = solve_mcp(problem, lm.DcaParams(eps=1e-6), keep_trace=True)
     solve_time = time.perf_counter() - t0
@@ -155,13 +147,8 @@ def runs():
     }
 
     t0 = time.perf_counter()
-    instances = {seed: _fig1_instance(seed) for seed in FIG1_SEEDS}
-    cells = [(lam, seed) for lam in FIG1_LAMBDAS for seed in FIG1_SEEDS]
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        fig1 = list(
-            pool.map(lambda c: _fig1_cell(instances[c[1]], c[0], c[1]), cells)
-        )
-    data["fig1"] = fig1
+    cfg = SweepConfig(lambdas=FIG1_LAMBDAS, seeds=FIG1_SEEDS)
+    data["fig1"] = [cell for seed in cfg.seeds for cell in _fig1_chain(cfg, seed)]
     data["fig1_time"] = time.perf_counter() - t0
 
     data["table2"] = [_table2_run(seed) for seed in TABLE2_SEEDS]

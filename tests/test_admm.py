@@ -76,7 +76,7 @@ class TestAdmmStep:
             + prev.zeta / prev.sigma
         )
         # (I + A A*) x via the 2I + |B|^T|B| identity
-        lhs = state.x + lm.edge_gram_matrix(problem.incidence) @ state.x
+        lhs = state.x + lm.edge_gram_matrix(lm.incidence_matrix(problem.prior)) @ state.x
         assert np.linalg.norm(lhs - rhs) < 1e-10 * max(1.0, np.linalg.norm(rhs))
 
     def test_theta_plus_j_positive_definite(self):

@@ -165,6 +165,17 @@ class TestCliGen:
         assert g.weights is not None
         assert g.weights.min() >= 0.1 and g.weights.max() <= 3.0
 
+    def test_same_graph_as_the_sweep(self, tmp_path):
+        from laplace_mcp.sweep import SweepConfig, make_instance
+
+        out = tmp_path / "g.json"
+        rc = main(["gen", "--ensemble", "er", "--nodes", "30", "--seed", "3", "--out", str(out)])
+        assert rc == 0
+        g = lio.load_graph(out)
+        truth = make_instance(SweepConfig(ensemble="er", n=30), 3).truth
+        np.testing.assert_array_equal(g.edges, truth.edges)
+        np.testing.assert_array_equal(g.weights, truth.weights)
+
     def test_grid_edge_count(self, tmp_path):
         out = tmp_path / "grid.json"
         rc = main(["gen", "--ensemble", "grid", "--nodes", "100", "--out", str(out)])
@@ -469,18 +480,6 @@ class TestCliSweep:
             ]
         )
         assert rc == 1
-
-
-class TestThreadCap:
-    def test_env_var_caps_parallelism(self, monkeypatch):
-        from laplace_mcp.sweep import default_threads
-
-        monkeypatch.setenv("LAPLACE_MCP_THREADS", "7")
-        assert default_threads() == 7
-        monkeypatch.setenv("LAPLACE_MCP_THREADS", "0")
-        assert default_threads() == 1
-        monkeypatch.delenv("LAPLACE_MCP_THREADS")
-        assert default_threads() >= 1
 
 
 class TestLambdaGrid:

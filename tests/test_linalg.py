@@ -238,49 +238,61 @@ class TestEdgeGram:
         np.testing.assert_array_equal(np.diag(G), 4.0)
 
 
+GRAM_GRAPHS = [
+    lm.EdgeGraph(2, [(0, 1)]),
+    lm.EdgeGraph(7, [(0, 1), (1, 2), (1, 3), (3, 4), (4, 5), (4, 6)]),
+    random_connected_graph(12, 0.4, 14),
+    lm.EdgeGraph(9, np.column_stack(np.triu_indices(9, 1))),
+    # largest d_max for its n, so the largest cond(3I + |B||B|^T)
+    lm.EdgeGraph(12, [(0, j) for j in range(1, 12)]),
+]
+GRAM_IDS = ["single-edge", "tree", "erdos-renyi", "complete", "star"]
+
+
 class TestGramSolver:
     def test_zero_rhs(self):
         g = random_connected_graph(6, 0.5, 13)
-        solver = lm.GramSolver(lm.incidence_matrix(g))
+        solver = lm.GramSolver(g)
         assert np.all(solver.solve(np.zeros(g.m)) == 0.0)
 
     def test_path_hand_solve(self):
         # 3I + |B|^T|B| = [[5,1],[1,5]] maps (1,1) to (6,6)
-        B = lm.incidence_matrix(lm.EdgeGraph(3, [(0, 1), (1, 2)]))
-        solver = lm.GramSolver(B)
+        solver = lm.GramSolver(lm.EdgeGraph(3, [(0, 1), (1, 2)]))
         np.testing.assert_allclose(solver.solve([6.0, 6.0]), [1.0, 1.0], atol=1e-12)
 
-    @pytest.mark.parametrize(
-        "graph",
-        [
-            lm.EdgeGraph(2, [(0, 1)]),
-            lm.EdgeGraph(7, [(0, 1), (1, 2), (1, 3), (3, 4), (4, 5), (4, 6)]),
-            random_connected_graph(12, 0.4, 14),
-            lm.EdgeGraph(9, np.column_stack(np.triu_indices(9, 1))),
-            # largest d_max for its n, so the largest cond(3I + |B||B|^T)
-            lm.EdgeGraph(12, [(0, j) for j in range(1, 12)]),
-        ],
-        ids=["single-edge", "tree", "erdos-renyi", "complete", "star"],
-    )
+    @pytest.mark.parametrize("graph", GRAM_GRAPHS, ids=GRAM_IDS)
     def test_matches_dense_solve(self, graph):
-        B = lm.incidence_matrix(graph)
-        M = lm.edge_gram_matrix(B).toarray() + np.eye(graph.m)
+        M = lm.edge_gram_matrix(lm.incidence_matrix(graph)).toarray() + np.eye(graph.m)
         b = np.random.default_rng(15).standard_normal(graph.m)
-        x = lm.GramSolver(B).solve(b)
+        x = lm.GramSolver(graph).solve(b)
         np.testing.assert_allclose(x, np.linalg.solve(M, b), atol=1e-10)
+
+    @pytest.mark.parametrize("graph", GRAM_GRAPHS, ids=GRAM_IDS)
+    def test_edge_arrays_match_sparse_products(self, graph):
+        # the scatter-add and the gather sum in the order of the CSR products
+        # |B| b and |B|^T y, so the solve is bit-identical to the sparse form
+        babs = abs(lm.incidence_matrix(graph)).tocsr()
+        babs_t = babs.T.tocsr()
+        solver = lm.GramSolver(graph)
+        C = 3.0 * np.eye(graph.n) + (babs @ babs_t).toarray()
+        assert np.array_equal(solver._c_inv, np.linalg.inv(C))
+        rng = np.random.default_rng(18)
+        for _ in range(20):
+            b = rng.standard_normal(graph.m)
+            expected = (b - babs_t @ (solver._c_inv @ (babs @ b))) / 3.0
+            assert solver.solve(b).tobytes() == expected.tobytes()
 
     def test_residual(self):
         g = random_connected_graph(15, 0.3, 16)
-        B = lm.incidence_matrix(g)
-        M = lm.edge_gram_matrix(B).toarray() + np.eye(g.m)
+        M = lm.edge_gram_matrix(lm.incidence_matrix(g)).toarray() + np.eye(g.m)
         rng = np.random.default_rng(17)
         b = rng.standard_normal(g.m)
-        x = lm.GramSolver(B).solve(b)
+        x = lm.GramSolver(g).solve(b)
         assert np.linalg.norm(M @ x - b) <= 1e-10 * np.linalg.norm(b)
 
     def test_rhs_length_validation(self):
         g = random_connected_graph(6, 0.5, 19)
-        solver = lm.GramSolver(lm.incidence_matrix(g))
+        solver = lm.GramSolver(g)
         with pytest.raises(ValueError):
             solver.solve(np.zeros(g.m + 1))
 

@@ -3,15 +3,15 @@ import dataclasses
 import pytest
 
 import laplace_mcp as lm
-from laplace_mcp.sweep import SweepConfig, make_instance, run_sweep
+from laplace_mcp.sweep import SweepConfig, make_instance, run_sweep, solve_chain
 
 LAMBDAS = [1e-3, 1e-1, 1.0]
 
 
-def small_config(model, lambdas=LAMBDAS, threads=1):
+def small_config(model, lambdas=LAMBDAS):
     return SweepConfig(
         model=model, ensemble="er", n=12, prob=0.3, lambdas=list(lambdas), seeds=[0, 1],
-        samples_per_node=2000, eps=1e-6, threads=threads,
+        samples_per_node=2000, eps=1e-6,
     )
 
 
@@ -82,6 +82,26 @@ class TestLambdaChain:
         assert calls[0][1] is None
         for (_, _, prev), (_, start, _) in zip(calls, calls[1:]):
             assert start is prev
+
+    def test_chain_yields_run_sweep_cells_in_solve_order(self, chained):
+        cfg, records, _ = chained
+        by_cell = {(r.lam, r.seed): values(r) for r in records}
+        for seed in cfg.seeds:
+            cells = list(solve_chain(cfg, make_instance(cfg, seed), seed))
+            lams = [record.lam for record, _, _ in cells]
+            assert lams == sorted(cfg.lambdas, reverse=True)
+            for record, problem, report in cells:
+                assert values(record) == by_cell[(record.lam, seed)]
+                assert problem.params.lam == record.lam
+                assert report.termination == record.status
+
+    def test_default_runs_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a default sweep started a thread pool")
+
+        monkeypatch.setattr(lm.sweep, "ThreadPoolExecutor", no_pool)
+        records, _ = run_sweep(small_config("cgl-l1", [1e-1]))
+        assert len(records) == 2
 
     def test_two_threads_identical(self, chained):
         cfg, records, _ = chained
