@@ -38,7 +38,6 @@ from .problem import ProblemData
 from .report import SolveReport
 from .ssn import (
     CertificateError,
-    SsnParams,
     SubproblemContext,
     check_stop_condition,
     dual_gradient,

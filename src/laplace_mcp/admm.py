@@ -32,20 +32,22 @@ _SIGMA0 = 1.0
 _ADAPT_EVERY = 10
 _ADAPT_LO = 0.1
 _ADAPT_HI = 10.0
+# the KKT residuals are recorded in the history every _HISTORY_EVERY
+# iterations, at the first and at the last
+_HISTORY_EVERY = 50
 
 
 @dataclass
 class AdmmParams:
-    """ADMM parameters: the relative KKT tolerance ``eps``, the iteration cap
-    ``max_iter``, and ``history_every``, how often the KKT residuals are
-    recorded. The dual step length is ``_TAU`` (1.618), a cold start's
-    penalty ``_SIGMA0`` (1), and the penalty schedule ``_ADAPT_EVERY``,
-    ``_ADAPT_LO`` and ``_ADAPT_HI`` (see :func:`solve_l1`).
+    """ADMM parameters: the relative KKT tolerance ``eps`` and the iteration
+    cap ``max_iter``. The dual step length is ``_TAU`` (1.618), a cold
+    start's penalty ``_SIGMA0`` (1), the penalty schedule ``_ADAPT_EVERY``,
+    ``_ADAPT_LO`` and ``_ADAPT_HI`` (see :func:`solve_l1`), and the history
+    stride ``_HISTORY_EVERY`` (50).
     """
 
     eps: float = 1e-5
     max_iter: int = 20000
-    history_every: int = 50
 
     def __post_init__(self):
         if self.eps <= 0:
@@ -200,8 +202,13 @@ def solve_l1(problem, params=None, start=None):
     step. There is no dead band: with one, a ratio that stays inside it (3 to
     10, say) leaves sigma alone while eta_p lags, for about 160 iterations of
     the Table-2 instance.
+
+    A disconnected prior, and at lam = 0 a degenerate covariance, raise
+    ValueError before the first iteration (see
+    :meth:`ProblemData.check_solvable`).
     """
     params = params or AdmmParams()
+    problem.check_solvable("cgl-l1")
     t0 = time.perf_counter()
     gram = problem.gram_solver
     state = _start_state(problem, start)
@@ -224,7 +231,7 @@ def solve_l1(problem, params=None, start=None):
     for it in range(1, params.max_iter + 1):
         state = admm_step(state, problem, gram)
         eta_p, eta_d = _feasibility(state, problem)
-        recorded = it % params.history_every == 0 or it == 1
+        recorded = it % _HISTORY_EVERY == 0 or it == 1
         if recorded or it == params.max_iter or max(eta_p, eta_d) < params.eps:
             res = kkt_residuals(state, problem)
             if recorded:
@@ -241,7 +248,6 @@ def solve_l1(problem, params=None, start=None):
         "lam": problem.params.lam,
         "eps": params.eps,
         "max_iter": params.max_iter,
-        "history_every": params.history_every,
         "initial_point": "zeros" if start is None else "given",
         "prior_tag": problem.prior_tag,
     }

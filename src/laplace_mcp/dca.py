@@ -3,9 +3,8 @@ gated subproblem steps, the sigma schedule, and termination."""
 
 from __future__ import annotations
 
-import dataclasses
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,7 +13,6 @@ from .penalty import dc_smooth_grad_matrix, objective_value
 from .report import SolveReport
 from .ssn import (
     CertificateError,
-    SsnParams,
     SubproblemContext,
     _error_terms,
     check_stop_condition,
@@ -55,14 +53,14 @@ class DcaParams:
     sigma starts at ``sigma0`` and shrinks by ``_RHO`` (0.8) each iteration
     until it reaches ``_SIGMA_MIN`` (1e-4). The l1 warm start runs to
     tolerance max(eps, ``_ADMM_EPS_FLOOR``), that is max(eps, 1e-4), for at
-    most ``admm_max_iter`` iterations. ``ssn`` holds the Newton caps.
+    most ``admm_max_iter`` iterations. The Newton caps are the module
+    constants ``ssn._MAX_NEWTON`` and ``ssn._MAX_CG``.
     """
 
     sigma0: float = 1.0
     eps: float = 1e-6
     max_outer: int = 500
     admm_max_iter: int = 20000
-    ssn: SsnParams = field(default_factory=SsnParams)
 
     def __post_init__(self):
         if self.sigma0 <= 0:
@@ -145,8 +143,8 @@ def solve_mcp(problem, params=None, keep_trace=False, start=None):
     and the certificate bound, then a finite objective. That point is the
     step; no other way accepts one. Each outer step makes one Newton run,
     started from the previous step's multiplier (zero for the first); a run
-    that ends without a certificate (at the Newton iteration cap or on a
-    stalled line search) ends the solve as ``"certificate_failed"``. Accepted
+    that ends without a certificate (at the Newton iteration cap
+    ``ssn._MAX_NEWTON`` or on a stalled line search) ends the solve as ``"certificate_failed"``. Accepted
     steps must satisfy the quantified descent property (violations raise
     :class:`DescentError`). Terminates on the relative successive change of the
     weights or of the objective falling below eps. Each history entry records
@@ -157,24 +155,11 @@ def solve_mcp(problem, params=None, keep_trace=False, start=None):
     ``rel_f``.
     ``warm_start`` summarizes the ADMM stage: its termination, iterations,
     final KKT residual, tolerance ``eps``, ``wall_time_s`` and final ``sigma``.
+    A disconnected prior or a degenerate covariance raises ValueError before
+    the warm start (see :meth:`ProblemData.check_solvable`).
     """
     params = params or DcaParams()
-    if not problem.prior_connected():
-        raise ValueError(
-            "connectivity prior is disconnected: the objective is +inf everywhere"
-        )
-    a_S = problem.a_of_S
-    degenerate = np.flatnonzero(a_S <= 1e-12 * max(1.0, float(a_S.max())))
-    if degenerate.size:
-        edges = ", ".join(
-            f"({i}, {j})" for i, j in problem.prior.edges[degenerate[:10]].tolist()
-        )
-        more = f" and {degenerate.size - 10} more" if degenerate.size > 10 else ""
-        raise ValueError(
-            f"degenerate covariance: S_ii + S_jj - 2 S_ij vanishes on candidate "
-            f"edges {edges}{more} (duplicate data columns?), so the MCP "
-            "objective is unbounded below"
-        )
+    problem.check_solvable("cgl-mcp")
     t0 = time.perf_counter()
     admm_params = AdmmParams(
         eps=max(params.eps, _ADMM_EPS_FLOOR), max_iter=params.admm_max_iter
@@ -192,7 +177,7 @@ def solve_mcp(problem, params=None, keep_trace=False, start=None):
         cost = subproblem_cost_matrix(w, problem)
         ctx = SubproblemContext(problem, sigma, theta_k, w, cost)
         test = _StepTest(ctx)
-        res = ssn_solve(ctx, Y_ws, params.ssn, accept=test)
+        res = ssn_solve(ctx, Y_ws, test)
         if res.certificate is None:
             termination = "certificate_failed"
             break
@@ -244,7 +229,6 @@ def solve_mcp(problem, params=None, keep_trace=False, start=None):
         "eps": params.eps,
         "max_outer": params.max_outer,
         "admm_max_iter": params.admm_max_iter,
-        "ssn": dataclasses.asdict(params.ssn),
         "prior_tag": problem.prior_tag,
         "warm_start_initial_point": warm.config["initial_point"],
     }

@@ -3,7 +3,7 @@ cached linear-operator state reused across solver components."""
 
 from __future__ import annotations
 
-import copy
+from functools import cached_property
 
 import numpy as np
 
@@ -86,12 +86,34 @@ class ProblemData:
             self._shifted_S = M
         return self._shifted_S
 
-    def prior_connected(self):
+    @cached_property
+    def _connected(self):
         return is_connected(self.prior)
 
-    def with_params(self, params):
-        """Copy sharing the cached operators but with different penalty parameters."""
-        other = copy.copy(self)
-        other.params = params if isinstance(params, PenaltyParams) else PenaltyParams(*params)
-        other._shifted_S = None
-        return other
+    def check_solvable(self, model):
+        """Raise ValueError naming the cause when ``model`` ("cgl-mcp" or
+        "cgl-l1") has no finite minimum on this data: a disconnected prior,
+        or a(S) = S_ii + S_jj - 2 S_ij vanishing on a candidate edge. The
+        second matters to MCP, whose penalty is bounded, and to l1 only at
+        lam = 0; a positive trace term 2 lam sum(w) keeps l1 bounded below.
+        The connectivity verdict is computed once per instance.
+        """
+        if not self._connected:
+            raise ValueError(
+                "connectivity prior is disconnected: the objective is +inf everywhere"
+            )
+        if model == "cgl-l1" and self.params.lam > 0:
+            return
+        a_S = self.a_of_S
+        degenerate = np.flatnonzero(a_S <= 1e-12 * max(1.0, float(a_S.max())))
+        if degenerate.size:
+            edges = ", ".join(
+                f"({i}, {j})" for i, j in self.prior.edges[degenerate[:10]].tolist()
+            )
+            more = f" and {degenerate.size - 10} more" if degenerate.size > 10 else ""
+            name = "MCP" if model == "cgl-mcp" else "l1"
+            raise ValueError(
+                f"degenerate covariance: S_ii + S_jj - 2 S_ij vanishes on candidate "
+                f"edges {edges}{more} (duplicate data columns?), so the {name} "
+                "objective is unbounded below"
+            )

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import laplace_mcp as lm
+from laplace_mcp import admm
 from laplace_mcp.admm import (
     _ADAPT_EVERY,
     _ADAPT_HI,
@@ -16,7 +17,7 @@ from laplace_mcp.admm import (
     kkt_residuals,
 )
 
-from util import make_problem
+from util import lbfgsb_min, logdet_objective, make_problem
 
 
 def two_node_problem(lam=0.1):
@@ -151,6 +152,41 @@ class TestSolveL1:
         assert max(res["eta_p"], res["eta_d"], res["eta_g"]) < 1e-5
         assert np.all(report.w >= 0.0)
 
+    @pytest.mark.parametrize("k", [None, 5000 * 12], ids=["exact", "sampled"])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_objective_matches_lbfgsb(self, seed, k):
+        # independent oracle: L-BFGS-B on -log det(A* w + J) + <S + lam I, A* w>
+        problem, _, _ = make_problem(n=12, p=0.3, seed=seed, k=k)
+        report = lm.solve_l1(problem, lm.AdmmParams(eps=1e-10))
+        assert report.converged
+        ref = lbfgsb_min(
+            lambda w: logdet_objective(w, problem, problem.shifted_S), np.ones(problem.m)
+        )
+        assert report.objective == pytest.approx(ref.fun, rel=1e-10)
+        assert report.objective == pytest.approx(
+            logdet_objective(report.w, problem, problem.shifted_S)[0], rel=1e-12
+        )
+
+    def test_disconnected_prior_rejected(self):
+        # the objective is +inf everywhere, so the solve fails at entry
+        g = lm.EdgeGraph(4, [(0, 1), (2, 3)], weights=[1.0, 1.0])
+        problem = lm.ProblemData(np.eye(4), lm.true_prior(g), lm.PenaltyParams(0.1, 1.5))
+        with pytest.raises(ValueError, match="connectivity prior is disconnected"):
+            lm.solve_l1(problem)
+
+    def test_degenerate_covariance_rejected_only_at_zero_lambda(self):
+        # a duplicated data column makes S_44 + S_55 - 2 S_45 exactly zero; the
+        # trace term keeps the l1 objective bounded below for lam > 0 only
+        X = np.random.default_rng(0).standard_normal((400, 6))
+        X[:, 5] = X[:, 4]
+        X -= X.mean(axis=0)
+        S = X.T @ X / X.shape[0]
+        prior = lm.true_prior(lm.EdgeGraph(6, np.column_stack(np.triu_indices(6, 1))))
+        report = lm.solve_l1(lm.ProblemData(S, prior, lm.PenaltyParams(0.05, 1.5)))
+        assert report.converged
+        with pytest.raises(ValueError, match=r"degenerate covariance.*\(4, 5\)"):
+            lm.solve_l1(lm.ProblemData(S, prior, lm.PenaltyParams(0.0, 1.5)))
+
     def test_trace_monotone_in_lambda(self):
         # the l1 penalty equals lam * trace on Laplacians, so the optimal trace
         # cannot increase with lam
@@ -159,7 +195,7 @@ class TestSolveL1:
         edge_counts = []
         for lam in (0.01, 0.1, 0.5):
             rep = lm.solve_l1(
-                problem.with_params(lm.PenaltyParams(lam, 1.5)),
+                lm.ProblemData(problem.S, problem.prior, lm.PenaltyParams(lam, 1.5)),
                 lm.AdmmParams(eps=1e-7),
             )
             traces.append(np.trace(rep.theta()))
@@ -240,10 +276,10 @@ class TestSolveL1:
 
 
 class TestPenaltyRule:
-    def test_sigma_moves_on_schedule_within_band(self):
+    def test_sigma_moves_on_schedule_within_band(self, monkeypatch):
+        monkeypatch.setattr(admm, "_HISTORY_EVERY", 1)
         problem, _, _ = make_problem(n=10, p=0.4, seed=9, lam=0.05, k=5000 * 10)
-        params = lm.AdmmParams(eps=1e-8, history_every=1)
-        rep = lm.solve_l1(problem, params)
+        rep = lm.solve_l1(problem, lm.AdmmParams(eps=1e-8))
         assert rep.converged
         # one entry per iteration, holding the residuals and the sigma of that
         # iteration's step; a change made at its end shows in the next entry
@@ -284,7 +320,7 @@ def reference_solve_l1(problem, params):
             "iteration": it, "pobj": res.pobj, "dobj": res.dobj, "eta_p": res.eta_p,
             "eta_d": res.eta_d, "eta_g": res.eta_g, "sigma": state.sigma,
         }
-        if it % params.history_every == 0 or it == 1:
+        if it % admm._HISTORY_EVERY == 0 or it == 1:
             history.append(entry)
         if res.max < params.eps:
             iterations = it
@@ -330,8 +366,8 @@ class TestWarmStart:
         problem, _, _ = make_problem(n=10, p=0.4, seed=10, lam=0.05, k=5000 * 10)
         start = lm.solve_l1(problem, lm.AdmmParams(eps=1e-4)).admm_state
         before = {k: np.copy(v) for k, v in vars(start).items()}
-        lm.solve_l1(problem.with_params(lm.PenaltyParams(0.01, 1.5)), lm.AdmmParams(eps=1e-7),
-                    start=start)
+        other = lm.ProblemData(problem.S, problem.prior, lm.PenaltyParams(0.01, 1.5))
+        lm.solve_l1(other, lm.AdmmParams(eps=1e-7), start=start)
         for key, value in before.items():
             assert np.array_equal(getattr(start, key), value), key
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import laplace_mcp as lm
-from laplace_mcp import dca
+from laplace_mcp import dca, ssn
+from laplace_mcp import problem as problem_module
 from laplace_mcp.dca import descent_check, solve_mcp, subproblem_cost_matrix
 from laplace_mcp.ssn import SubproblemContext, check_stop_condition, subproblem_error_vector
 
@@ -126,8 +127,23 @@ class TestSolveMcp:
         g = lm.EdgeGraph(4, [(0, 1), (2, 3)], weights=[1.0, 1.0])
         S = np.eye(4)
         problem = lm.ProblemData(S, lm.true_prior(g), lm.PenaltyParams(0.1, 1.5))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="connectivity prior is disconnected"):
             solve_mcp(problem)
+
+    def test_connectivity_checked_once_per_instance(self, monkeypatch):
+        # the solve and its l1 warm start share one connectivity verdict
+        calls = []
+        real = problem_module.is_connected
+
+        def spy(graph):
+            calls.append(1)
+            return real(graph)
+
+        monkeypatch.setattr(problem_module, "is_connected", spy)
+        problem, _, _ = make_problem(n=6, p=0.5, seed=3, lam=0.05)
+        solve_mcp(problem, lm.DcaParams(eps=1e-4))
+        solve_mcp(problem, lm.DcaParams(eps=1e-4))
+        assert len(calls) == 1
 
     def test_degenerate_covariance_rejected(self):
         # a duplicated data column makes S_44 + S_55 - 2 S_45 exactly zero
@@ -152,11 +168,11 @@ class TestSolveMcp:
         )
         assert abs(report.w[0] - oracle) < 1e-6
 
-    def test_certificate_failure_reported(self):
+    def test_certificate_failure_reported(self, monkeypatch):
         # a crippled subsolver cannot produce a usable certificate
+        monkeypatch.setattr(ssn, "_MAX_NEWTON", 0)
         problem, _, _ = make_problem(n=8, p=0.5, seed=13, lam=0.05, k=5000 * 8)
-        params = lm.DcaParams(eps=1e-10, ssn=lm.SsnParams(max_iter=0))
-        report = solve_mcp(problem, params)
+        report = solve_mcp(problem, lm.DcaParams(eps=1e-10))
         assert report.termination == "certificate_failed"
         assert not report.converged
 
@@ -173,8 +189,9 @@ class TestSolveMcp:
             return runs[-1]
 
         monkeypatch.setattr(dca, "ssn_solve", spy)
+        monkeypatch.setattr(ssn, "_MAX_CG", 50)
         problem, _, _ = make_problem(n=12, p=0.3, seed=0, lam=1e6)
-        params = lm.DcaParams(admm_max_iter=2000, ssn=lm.SsnParams(cg_max_iter=50))
+        params = lm.DcaParams(admm_max_iter=2000)
         with np.errstate(all="raise"):
             report = solve_mcp(problem, params)
         assert report.termination in ("converged", "max_outer", "certificate_failed")

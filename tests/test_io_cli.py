@@ -136,16 +136,14 @@ class TestReportJson:
         problem = lm.ProblemData(S, lm.true_prior(g), lm.PenaltyParams(0.1, 1.5))
         if model == "cgl-l1":
             config = lm.solve_l1(problem).config
-            fields = {"eps", "max_iter", "history_every"}
+            fields = {"eps", "max_iter"}
             other = {"model", "lam", "initial_point", "prior_tag"}
             params = lm.AdmmParams
         else:
             config = lm.solve_mcp(problem).config
-            fields = {"sigma0", "eps", "max_outer", "admm_max_iter", "ssn"}
+            fields = {"sigma0", "eps", "max_outer", "admm_max_iter"}
             other = {"model", "lam", "gamma", "prior_tag", "warm_start_initial_point"}
             params = lm.DcaParams
-            ssn_fields = {f.name for f in dataclasses.fields(lm.SsnParams)}
-            assert set(config["ssn"]) == ssn_fields == {"max_iter", "grad_tol", "cg_max_iter"}
         assert set(config) == fields | other
         assert {f.name for f in dataclasses.fields(params)} == fields
 
@@ -372,6 +370,21 @@ class TestCliSolveEval:
         err = capsys.readouterr().err
         assert err.startswith("error: degenerate covariance")
         assert "(4, 5)" in err
+
+    @pytest.mark.parametrize("model", ["cgl-l1", "cgl-mcp"])
+    def test_disconnected_prior_rejected(self, tmp_path, capsys, model):
+        graph = tmp_path / "split.json"
+        lio.save_graph(graph, lm.EdgeGraph(4, [(0, 1), (2, 3)], weights=[1.0, 1.0]))
+        cov = tmp_path / "S.mtx"
+        lio.write_covariance(cov, np.eye(4))
+        rc = main(
+            [
+                "solve", "--model", model, "--cov", str(cov),
+                "--connectivity", str(graph), "--lambda", "0.1",
+            ]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: connectivity prior is disconnected")
 
     def test_descent_error_exit_code(self, tmp_path, instance, monkeypatch, capsys):
         graph, cov = instance

@@ -20,7 +20,15 @@ from laplace_mcp.ssn import (
     subproblem_error_vector,
 )
 
-from util import golden_min, random_context, random_symmetric, subproblem_primal_value
+from util import (
+    golden_min,
+    grad_below,
+    lbfgsb_min,
+    logdet_objective,
+    random_context,
+    random_symmetric,
+    subproblem_primal_value,
+)
 
 
 def one_edge_context(sigma=0.8, w_ref=0.6, lam=0.1):
@@ -227,7 +235,6 @@ def forcing_target(gnorm):
 
 class TestNewtonDirection:
     def test_residual_meets_forcing_target(self):
-        params = lm.SsnParams()
         rng = np.random.default_rng(60)
         for seed in range(4):
             ctx, _ = random_context(n=8, seed=61 + seed, sigma=0.5)
@@ -235,28 +242,29 @@ class TestNewtonDirection:
             point = _dual_eval(Y, ctx)
             mask = lm.clarke_diag(point.c)
             gnorm = float(np.linalg.norm(point.grad))
-            D, steps = _newton_direction(point, ctx, mask, params, gnorm)
-            assert 0 < steps < params.cg_max_iter
+            D, steps = _newton_direction(point, ctx, mask, gnorm)
+            assert 0 < steps < ssn._MAX_CG
             assert np.array_equal(D, D.T)
             T_D = -dual_jacobian_apply(Y, D, ctx, mask, point.cache) + ssn._CG_RIDGE * D
             target = forcing_target(gnorm)
             assert np.linalg.norm(T_D - point.grad) <= target * (1.0 + 1e-9)
 
-    def test_step_cap_counts(self):
+    def test_step_cap_counts(self, monkeypatch):
+        monkeypatch.setattr(ssn, "_MAX_CG", 2)
         ctx, _ = random_context(n=8, seed=65)
         point = _dual_eval(np.zeros((8, 8)), ctx)
         mask = lm.clarke_diag(point.c)
         gnorm = float(np.linalg.norm(point.grad))
-        _, steps = _newton_direction(point, ctx, mask, lm.SsnParams(cg_max_iter=2), gnorm)
+        _, steps = _newton_direction(point, ctx, mask, gnorm)
         assert steps == 2
 
-    def test_run_total_matches_first_direction(self):
+    def test_run_total_matches_first_direction(self, monkeypatch):
+        monkeypatch.setattr(ssn, "_MAX_NEWTON", 1)
         ctx, _ = random_context(n=8, seed=66)
-        params = lm.SsnParams(max_iter=1, grad_tol=1e-12)
         point = _dual_eval(np.zeros((8, 8)), ctx)
         gnorm = float(np.linalg.norm(point.grad))
-        _, steps = _newton_direction(point, ctx, lm.clarke_diag(point.c), params, gnorm)
-        res = ssn_solve(ctx, None, params)
+        _, steps = _newton_direction(point, ctx, lm.clarke_diag(point.c), gnorm)
+        res = ssn_solve(ctx, None, grad_below(1e-12))
         assert res.status == "max_iter"
         assert res.cg_steps == steps
 
@@ -311,10 +319,9 @@ class TestMixedPrecisionDirection:
 
     def test_one_float32_round_when_exact(self, monkeypatch):
         rounds = skew_float32_operator(monkeypatch, 1.0)
-        params = lm.SsnParams()
         ctx, Y, point, mask = self.newton_point(95)
         gnorm = float(np.linalg.norm(point.grad))
-        D, _ = _newton_direction(point, ctx, mask, params, gnorm)
+        D, _ = _newton_direction(point, ctx, mask, gnorm)
         assert rounds == [np.float32]
         target = forcing_target(gnorm)
         assert self.true_residual(ctx, Y, point, mask, D) <= target
@@ -323,15 +330,14 @@ class TestMixedPrecisionDirection:
         # a 30% operator error leaves about 0.23 of the residual per round:
         # float32 rounds alone must reach the target
         rounds = skew_float32_operator(monkeypatch, 1.3)
-        params = lm.SsnParams()
         for seed in (96, 97):
             rounds.clear()
             ctx, Y, point, mask = self.newton_point(seed)
             gnorm = float(np.linalg.norm(point.grad))
-            D, steps = _newton_direction(point, ctx, mask, params, gnorm)
+            D, steps = _newton_direction(point, ctx, mask, gnorm)
             assert len(rounds) >= 2
             assert set(rounds) == {np.dtype(np.float32)}
-            assert steps < params.cg_max_iter
+            assert steps < ssn._MAX_CG
             target = forcing_target(gnorm)
             assert self.true_residual(ctx, Y, point, mask, D) <= target
             assert np.array_equal(D, D.T)
@@ -340,12 +346,11 @@ class TestMixedPrecisionDirection:
         # a 4x operator error leaves 3/4 of the residual, less than halved:
         # the direction must be finished by the float64 operator
         rounds = skew_float32_operator(monkeypatch, 4.0)
-        params = lm.SsnParams()
         ctx, Y, point, mask = self.newton_point(98)
         gnorm = float(np.linalg.norm(point.grad))
-        D, steps = _newton_direction(point, ctx, mask, params, gnorm)
+        D, steps = _newton_direction(point, ctx, mask, gnorm)
         assert rounds == [np.float32, np.float64]
-        assert steps < params.cg_max_iter
+        assert steps < ssn._MAX_CG
         target = forcing_target(gnorm)
         assert self.true_residual(ctx, Y, point, mask, D) <= target * (1.0 + 1e-9)
         assert D.dtype == np.float64
@@ -361,7 +366,7 @@ def test_float32_stays_inside_the_newton_cg():
     assert lm.prox_logdet_dderiv(cache, H32).dtype == np.float64
     mask = lm.clarke_diag(ctx.projection_point(Y))
     assert dual_jacobian_apply(Y, H32, ctx, mask, cache).dtype == np.float64
-    res = ssn_solve(ctx, None, lm.SsnParams(grad_tol=1e-8))
+    res = ssn_solve(ctx, None, grad_below(1e-8))
     assert res.cg_steps > 0
     assert res.Y.dtype == res.E.dtype == res.w_hat.dtype == np.float64
     report = lm.solve_mcp(ctx.problem, lm.DcaParams(eps=1e-6))
@@ -372,13 +377,13 @@ def test_float32_stays_inside_the_newton_cg():
 class TestSsnSolve:
     def test_starts_at_optimum(self):
         ctx, _, Y_star = one_edge_context()
-        res = ssn_solve(ctx, Y_star, lm.SsnParams(grad_tol=1e-8))
+        res = ssn_solve(ctx, Y_star, grad_below(1e-8))
         assert res.converged
         assert res.iterations <= 1
 
     def test_converges_on_random_context(self):
         ctx, _ = random_context(n=10, seed=15)
-        res = ssn_solve(ctx, None, lm.SsnParams(grad_tol=1e-8))
+        res = ssn_solve(ctx, None, grad_below(1e-8))
         assert res.converged
         assert res.grad_norm < 1e-8
         # gradient norms eventually strictly decrease
@@ -387,19 +392,20 @@ class TestSsnSolve:
 
     def test_dual_ascent(self):
         ctx, _ = random_context(n=8, seed=16)
-        res = ssn_solve(ctx, None, lm.SsnParams(grad_tol=1e-8))
+        res = ssn_solve(ctx, None, grad_below(1e-8))
         vals = res.values
         assert all(vals[i + 1] >= vals[i] - 1e-12 for i in range(len(vals) - 1))
 
     def test_zero_e_at_convergence(self):
         ctx, _ = random_context(n=6, seed=17)
-        res = ssn_solve(ctx, None, lm.SsnParams(grad_tol=1e-9))
+        res = ssn_solve(ctx, None, grad_below(1e-9))
         assert np.linalg.norm(res.E) <= 1e-9
 
     @pytest.mark.parametrize("max_iter", [0, 2, 100])
-    def test_w_hat_is_recovered_weight(self, max_iter):
+    def test_w_hat_is_recovered_weight(self, max_iter, monkeypatch):
+        monkeypatch.setattr(ssn, "_MAX_NEWTON", max_iter)
         ctx, _ = random_context(n=8, seed=22)
-        res = ssn_solve(ctx, None, lm.SsnParams(grad_tol=1e-9, max_iter=max_iter))
+        res = ssn_solve(ctx, None, grad_below(1e-9))
         _, w_bar = recover_primal(res.Y, ctx)
         assert res.w_hat.tobytes() == w_bar.tobytes()
 
@@ -414,30 +420,30 @@ def run_fields(res):
 
 class TestAcceptStop:
     @pytest.mark.parametrize("max_iter", [0, 2, 100])
-    def test_failing_test_changes_nothing(self, max_iter):
+    def test_failing_test_changes_nothing(self, max_iter, monkeypatch):
+        monkeypatch.setattr(ssn, "_MAX_NEWTON", max_iter)
         ctx, _ = random_context(n=8, seed=40)
-        params = lm.SsnParams(grad_tol=1e-9, max_iter=max_iter)
         seen = []
 
         def never(point):
             seen.append(float(np.linalg.norm(point.grad)))
 
-        res = ssn_solve(ctx, None, params, accept=never)
-        ref = ssn_solve(ctx, None, params)
-        assert res.certificate is ref.certificate is None
+        res = ssn_solve(ctx, None, never)
+        ref = ssn_solve(ctx, None, grad_below(1e-9))
+        assert res.certificate is None
         # tested once at every iterate
         assert seen == res.grad_norms
         if max_iter < 100:
             assert ref.status == "max_iter"
             assert run_fields(res) == run_fields(ref)
         else:
-            # grad_tol ends only the run without a test; the other goes on
-            # from the same iterates until a cap or a stalled line search
-            assert ref.status == "converged"
+            # the gradient test ends the reference run; the failing test goes
+            # on from the same iterates until a cap or a stalled line search
+            assert ref.status == "certified"
             assert res.grad_norms[: len(ref.grad_norms)] == ref.grad_norms
             assert res.status in ("max_iter", "linesearch_failed")
 
-    def test_passing_test_stops_there(self):
+    def test_passing_test_stops_there(self, monkeypatch):
         ctx, _ = random_context(n=8, seed=41)
         cert = Certificate(np.zeros(ctx.problem.m), 0.0, 0.0)
         seen = []
@@ -446,8 +452,9 @@ class TestAcceptStop:
             seen.append(point)
             return cert if len(seen) == 3 else None
 
-        res = ssn_solve(ctx, None, lm.SsnParams(grad_tol=1e-12), accept=third)
-        ref = ssn_solve(ctx, None, lm.SsnParams(grad_tol=1e-12, max_iter=2))
+        res = ssn_solve(ctx, None, third)
+        monkeypatch.setattr(ssn, "_MAX_NEWTON", 2)
+        ref = ssn_solve(ctx, None, grad_below(1e-12))
         assert ref.status == "max_iter"
         assert (res.status, res.converged, res.iterations) == ("certified", True, 2)
         assert res.certificate is cert
@@ -460,12 +467,10 @@ class TestAcceptStop:
         # the acceptance test against a gradient tolerance of 1e-4 (1 + ||K||)
         ctx, _ = random_context(n=10, seed=seed, sigma=0.5)
         tol = 1e-4 * (1.0 + np.linalg.norm(ctx.cost_matrix))
-        params = lm.SsnParams(grad_tol=tol)
         test = _StepTest(ctx)
-        res = ssn_solve(ctx, None, params, accept=test)
-        ref = ssn_solve(ctx, None, params)
-        assert res.status == "certified"
-        assert ref.status == "converged"
+        res = ssn_solve(ctx, None, test)
+        ref = ssn_solve(ctx, None, grad_below(tol))
+        assert res.status == ref.status == "certified"
         assert res.iterations <= ref.iterations
         assert test.checks == res.iterations + 1
         assert check_stop_condition(res.certificate.delta, res.w_hat, ctx.w_ref, 0.5, ctx)
@@ -491,7 +496,7 @@ class TestRecoverPrimal:
 
     def test_scalar_instance_matches_golden_section(self):
         ctx, w_star, _ = one_edge_context()
-        res = ssn_solve(ctx, None, lm.SsnParams(grad_tol=1e-12))
+        res = ssn_solve(ctx, None, grad_below(1e-12))
         _, w_bar = recover_primal(res.Y, ctx)
         oracle = golden_min(
             lambda w: subproblem_primal_value(np.array([w]), ctx), 1e-6, 10.0
@@ -501,6 +506,19 @@ class TestRecoverPrimal:
 
 
 class TestSubproblemOracle:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("sigma", [1.0, 0.1])
+    def test_matches_lbfgsb(self, seed, sigma):
+        # the subproblem primal is sigma-strongly convex, so L-BFGS-B on it
+        # from w_ref is an independent multi-edge oracle for w_hat
+        ctx, w_k = random_context(n=10, seed=seed, sigma=sigma)
+        res = ssn_solve(ctx, None, grad_below(1e-9))
+        assert res.status == "certified"
+        ref = lbfgsb_min(lambda w: logdet_objective(w, ctx.problem, ctx.cost_matrix, ctx), w_k)
+        value = subproblem_primal_value(res.w_hat, ctx)
+        assert ref.fun >= value - 1e-12 * abs(value)
+        np.testing.assert_allclose(res.w_hat, ref.x, rtol=0, atol=1e-6)
+
     def test_matches_generic_convex_solver(self):
         # independent multi-edge oracle: the same convex subproblem in cvxpy
         cp = pytest.importorskip("cvxpy")
@@ -523,7 +541,7 @@ class TestSubproblemOracle:
         cvx = cp.Problem(objective)
         cvx.solve(solver=cp.SCS, eps=1e-10, max_iters=200000)
         assert cvx.status == "optimal"
-        res = ssn_solve(ctx, None, lm.SsnParams(grad_tol=1e-11))
+        res = ssn_solve(ctx, None, grad_below(1e-11))
         _, w_bar = recover_primal(res.Y, ctx)
         np.testing.assert_allclose(w_bar, w.value, atol=1e-8)
         # strong duality at the computed pair
@@ -543,7 +561,7 @@ class TestErrorCertificate:
     def test_bound_dominates(self):
         for seed in range(5):
             ctx, _ = random_context(n=7, seed=30 + seed)
-            res = ssn_solve(ctx, None, lm.SsnParams(grad_tol=1e-5))
+            res = ssn_solve(ctx, None, grad_below(1e-5))
             _, w_bar = recover_primal(res.Y, ctx)
             cert = subproblem_error_vector(w_bar, res.E, ctx)
             assert cert.r < 1.0
@@ -551,7 +569,7 @@ class TestErrorCertificate:
 
     def test_delta_scales_with_error(self):
         ctx, _ = random_context(n=6, seed=23)
-        res = ssn_solve(ctx, None, lm.SsnParams(grad_tol=1e-4))
+        res = ssn_solve(ctx, None, grad_below(1e-4))
         _, w_bar = recover_primal(res.Y, ctx)
         E = res.E
         if np.linalg.norm(E) < 1e-10:
@@ -563,7 +581,7 @@ class TestErrorCertificate:
     def test_bound_matches_svd_formula(self):
         for seed in range(4):
             ctx, _ = random_context(n=7, seed=70 + seed)
-            res = ssn_solve(ctx, None, lm.SsnParams(grad_tol=1e-4))
+            res = ssn_solve(ctx, None, grad_below(1e-4))
             _, w_bar = recover_primal(res.Y, ctx)
             E = res.E if np.linalg.norm(res.E) > 0 else 1e-6 * np.eye(7)
             cert = subproblem_error_vector(w_bar, E, ctx)
@@ -581,7 +599,7 @@ class TestErrorCertificate:
         # at a Newton point X1 = A* w_hat + J - E is the prox output theta_hat + J
         ctx, _ = random_context(n=8, seed=seed, sigma=0.5)
         points = []
-        ssn_solve(ctx, None, lm.SsnParams(grad_tol=1e-8), accept=points.append)
+        ssn_solve(ctx, None, points.append)
         certified = 0
         for point in points:
             E = -point.grad
@@ -618,7 +636,7 @@ class TestErrorCertificate:
     def test_perturbed_kkt_point(self):
         # w_next must be the exact KKT point of the delta-perturbed subproblem
         ctx, w_k = random_context(n=8, seed=25, sigma=0.7)
-        res = ssn_solve(ctx, None, lm.SsnParams(grad_tol=1e-8))
+        res = ssn_solve(ctx, None, grad_below(1e-8))
         _, w_next = recover_primal(res.Y, ctx)
         cert = subproblem_error_vector(w_next, res.E, ctx)
         problem, sigma = ctx.problem, ctx.sigma
@@ -671,11 +689,6 @@ class TestStopCondition:
 
 
 class TestContextValidation:
-    def test_rejects_negative_newton_cap(self):
-        # the run checks the point at the cap, so the cap must be reachable
-        with pytest.raises(ValueError):
-            lm.SsnParams(max_iter=-1)
-
     def test_rejects_bad_sigma(self):
         ctx, w_k = random_context(n=4, seed=31)
         with pytest.raises(ValueError):

@@ -2,11 +2,12 @@
 that only the tests evaluate (the solvers never need these values)."""
 
 import numpy as np
+from scipy.optimize import minimize
 
 import laplace_mcp as lm
 from laplace_mcp.dca import subproblem_cost_matrix
 from laplace_mcp.penalty import mcp_value
-from laplace_mcp.ssn import SubproblemContext
+from laplace_mcp.ssn import Certificate, SubproblemContext
 
 
 def moreau_logdet_value(X, sigma):
@@ -33,21 +34,56 @@ def mcp_matrix_value(theta, params):
     return float(p.sum() - np.trace(p))
 
 
+def logdet_objective(w, problem, K, ctx=None):
+    """Value and gradient in w of -log det(A* w + J) + <K, A* w>, plus the
+    proximal terms (sigma/2)(||A* w - theta_ref||^2 + ||w - w_ref||^2) of
+    ``ctx`` when given; (+inf, 0) where A* w + J is not positive definite.
+    With K = S + lam I this is the l1 objective, and with ``ctx`` and its
+    cost matrix the subproblem primal."""
+    theta = problem.astar(w)
+    vals, U = np.linalg.eigh(theta + problem.J)
+    if vals[0] <= 0:
+        return float("inf"), np.zeros_like(w)
+    value = -float(np.log(vals).sum()) + float(np.vdot(K, theta))
+    grad = problem.a(K - (U / vals) @ U.T)
+    if ctx is not None:
+        value += 0.5 * ctx.sigma * float(
+            np.linalg.norm(theta - ctx.theta_ref) ** 2 + np.linalg.norm(w - ctx.w_ref) ** 2
+        )
+        grad = grad + ctx.sigma * (problem.a(theta - ctx.theta_ref) + w - ctx.w_ref)
+    return value, grad
+
+
 def subproblem_primal_value(w, ctx):
     """Subproblem objective at the feasible point (A* w, w); +inf off the domain."""
     w = np.asarray(w, dtype=float).reshape(-1)
     if np.any(w < 0):
         return float("inf")
-    theta = ctx.problem.astar(w)
-    vals = np.linalg.eigvalsh(theta + ctx.problem.J)
-    if vals[0] <= 0:
-        return float("inf")
-    return float(
-        -np.log(vals).sum()
-        + np.vdot(ctx.cost_matrix, theta)
-        + 0.5 * ctx.sigma * np.linalg.norm(theta - ctx.theta_ref) ** 2
-        + 0.5 * ctx.sigma * np.linalg.norm(w - ctx.w_ref) ** 2
+    return logdet_objective(w, ctx.problem, ctx.cost_matrix, ctx)[0]
+
+
+def lbfgsb_min(value_and_grad, w0):
+    """Oracle minimizer over w >= 0: scipy's L-BFGS-B, which shares no code
+    with the solvers. With ``ftol`` 0 it runs until the projected gradient
+    norm reaches 1e-12 or the objective stops decreasing in floating point.
+    Returns the scipy result."""
+    return minimize(
+        value_and_grad, np.asarray(w0, dtype=float), jac=True, method="L-BFGS-B",
+        bounds=[(0.0, None)] * len(w0),
+        options={"maxiter": 10000, "ftol": 0.0, "gtol": 1e-12},
     )
+
+
+def grad_below(tol):
+    """Accept test for ``ssn_solve`` that passes, with a zero certificate,
+    once the dual gradient norm is at most ``tol``."""
+
+    def accept(point):
+        if np.linalg.norm(point.grad) <= tol:
+            return Certificate(np.zeros_like(point.w_hat), 0.0, 0.0)
+        return None
+
+    return accept
 
 
 def random_connected_graph(n, p, seed):
