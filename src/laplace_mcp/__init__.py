@@ -16,7 +16,6 @@ from .graphs import (
     gen_grid,
     gen_modular,
     generate_connected,
-    incidence_matrix,
     laplacian_adjoint,
     perturb_connectivity,
     population_covariance,
@@ -28,7 +27,6 @@ from .graphs import (
 from .linalg import (
     GramSolver,
     clarke_diag,
-    edge_gram_matrix,
     prox_logdet,
     prox_logdet_dderiv,
 )

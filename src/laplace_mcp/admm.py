@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import project_nonneg, prox_logdet
+from .penalty import stationarity
 from .report import SolveReport
 
 __all__ = [
@@ -193,9 +194,10 @@ def solve_l1(problem, params=None, start=None):
     start state itself is not recorded. Terminates when
     max(eta_p, eta_d, eta_g) < eps, or with a cap-hit flag after ``max_iter``
     iterations; the last iterate is returned either way and kept as the
-    report's ``admm_state``. The duality gap costs two Cholesky
-    factorizations, so it is evaluated only when the feasibility residuals are
-    already below eps and on recorded iterations. Every ``_ADAPT_EVERY`` (10)
+    report's ``admm_state``, and the report's ``stationarity`` measures its
+    weights. The duality gap costs two Cholesky factorizations, so it is
+    evaluated only when the feasibility residuals are already below eps and on
+    recorded iterations. Every ``_ADAPT_EVERY`` (10)
     iterations sigma is multiplied by sqrt(eta_p/eta_d) clipped to
     ``[_ADAPT_LO, _ADAPT_HI]`` ([0.1, 10]). This is residual balancing: eta_p scales roughly
     as 1/sigma and eta_d as sigma, so the square root levels the two in one
@@ -264,5 +266,6 @@ def solve_l1(problem, params=None, start=None):
         history=history,
         config=config,
         warm_start=None,
+        stationarity=stationarity(state.w, problem, "cgl-l1"),
         admm_state=state,
     )

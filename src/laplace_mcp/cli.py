@@ -218,8 +218,16 @@ def _cmd_solve(args):
     )
     print(
         f"{args.model}: termination={report.termination}, "
-        f"objective={report.objective:.6e}, time={report.wall_time_s:.2f}s{warm_note}"
+        f"objective={report.objective:.6e}, stationarity={report.stationarity:.3e}, "
+        f"time={report.wall_time_s:.2f}s{warm_note}"
     )
+    if args.model == "cgl-mcp":
+        steps = report.history
+        print(
+            f"work: {len(steps)} outer steps, "
+            f"{sum(h['ssn_iterations'] for h in steps)} Newton steps, "
+            f"{sum(h['ssn_cg_steps'] for h in steps)} CG steps"
+        )
     return 0 if report.converged else 2
 
 

@@ -9,13 +9,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .admm import AdmmParams, solve_l1
-from .penalty import dc_smooth_grad_matrix, objective_value
+from .penalty import dc_smooth_grad_matrix, objective_value, stationarity
 from .report import SolveReport
 from .ssn import (
     CertificateError,
     SubproblemContext,
     _error_terms,
-    check_stop_condition,
+    _rule_bound,
     recover_primal,  # noqa: F401
     ssn_solve,
     subproblem_error_vector,
@@ -92,13 +92,16 @@ class _StepTest:
     vector delta and the inexactness rule against the step from w_ref; then,
     for a point that passes, the certificate (r < 1 and the operator-norm
     bound); then a finite objective, kept as ``f``. X1^{-1} comes from the
-    point's cached eigendecomposition. Returns the certificate or None;
-    ``checks`` counts the rule evaluations, one per Newton point."""
+    point's cached eigendecomposition. Returns the certificate or None, with
+    the excess ||delta|| / (rule bound) where the rule failed and +inf
+    otherwise. A passing point's ``stationarity`` comes from the rule's
+    X2^{-1}; ``checks`` counts the rule evaluations, one per Newton point."""
 
     def __init__(self, ctx):
         self.ctx = ctx
         self.checks = 0
         self.f = None
+        self.stationarity = None
 
     def __call__(self, point):
         ctx = self.ctx
@@ -109,15 +112,20 @@ class _StepTest:
         except np.linalg.LinAlgError:
             # A* w_hat + J is singular when w_hat vanishes or its support is
             # disconnected, so the objective is infinite there too
-            return None
-        if not check_stop_condition(terms[0], point.w_hat, ctx.w_ref, ctx.sigma, ctx):
-            return None
+            return None, np.inf
+        delta_norm = float(np.linalg.norm(terms[0]))
+        bound = _rule_bound(point.w_hat, ctx.w_ref, ctx.sigma, ctx)
+        if not delta_norm <= bound:
+            return None, delta_norm / bound
         try:
             cert = subproblem_error_vector(point.w_hat, E, ctx, terms)
         except CertificateError:
-            return None
+            return None, np.inf
         self.f = objective_value(point.w_hat, ctx.problem)
-        return cert if np.isfinite(self.f) else None
+        if not np.isfinite(self.f):
+            return None, np.inf
+        self.stationarity = stationarity(point.w_hat, ctx.problem, "cgl-mcp", terms[3])
+        return cert, np.inf
 
 
 @dataclass
@@ -141,18 +149,26 @@ def solve_mcp(problem, params=None, keep_trace=False, start=None):
     weights pass the acceptance test: the inexactness rule
     ||delta|| <= (sigma/4)||dw|| + sigma ||A* dw||^2 / (2||dw||), then r < 1
     and the certificate bound, then a finite objective. That point is the
-    step; no other way accepts one. Each outer step makes one Newton run,
-    started from the previous step's multiplier (zero for the first); a run
-    that ends without a certificate (at the Newton iteration cap
-    ``ssn._MAX_NEWTON`` or on a stalled line search) ends the solve as ``"certificate_failed"``. Accepted
-    steps must satisfy the quantified descent property (violations raise
+    step; no other way accepts one. Each outer step makes one Newton run.
+    The first starts from Y = 0; each later one starts where the previous
+    run left the prox argument Z = K + Y (K the cost matrix), at
+    Y = Z - K_k. Near a critical point Z is about (A* w + J)^{-1} whatever
+    sigma and K are, so this start survives sigma shrinking and K moving,
+    where the previous multiplier itself would shift the prox base point by
+    (K_k - K_{k-1})/sigma. A run that ends without a certificate (at the
+    Newton iteration cap ``ssn._MAX_NEWTON`` or on a stalled line search)
+    ends the solve as ``"certificate_failed"``. Accepted steps must satisfy
+    the quantified descent property (violations raise
     :class:`DescentError`). Terminates on the relative successive change of the
     weights or of the objective falling below eps. Each history entry records
     the Newton iterations and CG steps of the step (``ssn_iterations``,
     ``ssn_cg_steps``), how many rule evaluations it took (``cert_checks``,
     one per Newton point), ``cert_retries`` (always 0), the certificate
-    (``delta_norm``, ``r``, ``bound``) and the relative changes ``rel_w`` and
-    ``rel_f``.
+    (``delta_norm``, ``r``, ``bound``), the relative changes ``rel_w`` and
+    ``rel_f``, and the first-order ``stationarity`` residual of the accepted
+    weights (see :func:`laplace_mcp.penalty.stationarity`; it costs one A(.)
+    of the X2^{-1} the rule check already has). The report's
+    ``stationarity`` is that of its final weights.
     ``warm_start`` summarizes the ADMM stage: its termination, iterations,
     final KKT residual, tolerance ``eps``, ``wall_time_s`` and final ``sigma``.
     A disconnected prior or a degenerate covariance raises ValueError before
@@ -168,7 +184,7 @@ def solve_mcp(problem, params=None, keep_trace=False, start=None):
     w = np.asarray(warm.w, dtype=float)
     f_prev = objective_value(w, problem)
     sigma = params.sigma0
-    Y_ws = np.zeros((problem.n, problem.n))
+    Z = None
     history = []
     trace = [] if keep_trace else None
     termination = "max_outer"
@@ -177,7 +193,7 @@ def solve_mcp(problem, params=None, keep_trace=False, start=None):
         cost = subproblem_cost_matrix(w, problem)
         ctx = SubproblemContext(problem, sigma, theta_k, w, cost)
         test = _StepTest(ctx)
-        res = ssn_solve(ctx, Y_ws, test)
+        res = ssn_solve(ctx, None if Z is None else Z - cost, test)
         if res.certificate is None:
             termination = "certificate_failed"
             break
@@ -210,13 +226,14 @@ def solve_mcp(problem, params=None, keep_trace=False, start=None):
                 "bound": cert.bound,
                 "rel_w": rel_w,
                 "rel_f": rel_f,
+                "stationarity": test.stationarity,
             }
         )
         if keep_trace:
             trace.append(_TraceStep(w.copy(), w_next.copy(), res.E.copy(), sigma))
         w = w_next
         f_prev = f_next
-        Y_ws = res.Y
+        Z = cost + res.Y
         if rel_w < params.eps or rel_f < params.eps:
             termination = "converged"
             break
@@ -242,6 +259,9 @@ def solve_mcp(problem, params=None, keep_trace=False, start=None):
         wall_time_s=time.perf_counter() - t0,
         history=history,
         config=config,
+        stationarity=(
+            history[-1]["stationarity"] if history else stationarity(w, problem, "cgl-mcp")
+        ),
         warm_start={
             "termination": warm.termination,
             "iterations": warm.history[-1]["iteration"] if warm.history else 0,

@@ -13,7 +13,6 @@ __all__ = [
     "GraphError",
     "EdgeGraph",
     "ConnectivityPrior",
-    "incidence_matrix",
     "weights_to_laplacian",
     "laplacian_adjoint",
     "gen_erdos_renyi",
@@ -138,15 +137,6 @@ class ConnectivityPrior:
 
     graph: EdgeGraph
     tag: str
-
-
-def incidence_matrix(graph):
-    """Node-arc incidence matrix B with column (i,j) equal to e_i - e_j."""
-    m = graph.m
-    rows = graph.edges.reshape(-1)
-    cols = np.repeat(np.arange(m), 2)
-    data = np.tile([1.0, -1.0], m)
-    return sp.csc_matrix((data, (rows, cols)), shape=(graph.n, m))
 
 
 def _float_array(x):

@@ -2,12 +2,10 @@
 cone projections, and the solver for the shifted edge Gram system.
 
 Every dense kernel of the solver (eigh, Cholesky, inverse, GEMM/GEMV) goes
-through numpy's LAPACK/BLAS; scipy is used only for the sparse edge Gram
-matrix, a test oracle that no solver path builds. numpy and
-scipy each bundle their own OpenBLAS with its own thread pool, whose workers
-busy-wait after each call, so alternating between the two libraries makes each
-pool's threads compete with the other's spinning ones. One library keeps one
-pool active.
+through numpy's LAPACK/BLAS. numpy and scipy each bundle their own OpenBLAS
+with its own thread pool, whose workers busy-wait after each call, so
+alternating between the two libraries makes each pool's threads compete with
+the other's spinning ones. One library keeps one pool active.
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from .graphs import weights_to_laplacian
 
@@ -26,7 +23,6 @@ __all__ = [
     "prox_logdet_dderiv",
     "project_nonneg",
     "clarke_diag",
-    "edge_gram_matrix",
     "GramSolver",
 ]
 
@@ -119,14 +115,6 @@ def clarke_diag(c):
     which keeps the Newton operator maximally negative definite.
     """
     return (np.asarray(c) > 0).astype(float)
-
-
-def edge_gram_matrix(B):
-    """Matrix form 2I + |B|^T |B| of the composition adjoint-then-Laplacian map."""
-    B = sp.csc_matrix(B)
-    Babs = abs(B)
-    m = B.shape[1]
-    return (2.0 * sp.identity(m, format="csc") + (Babs.T @ Babs)).tocsr()
 
 
 class GramSolver:

@@ -18,6 +18,7 @@ __all__ = [
     "dc_smooth_grad",
     "dc_smooth_grad_matrix",
     "objective_value",
+    "stationarity",
 ]
 
 
@@ -85,3 +86,30 @@ def objective_value(w, problem):
     # <S, A*w> = <A(S), w>; P(Theta) counts each edge entry twice (ij and ji).
     penalty = 2.0 * float(np.sum(mcp_value(w, problem.params)))
     return float(-np.log(vals).sum() + problem.a_of_S @ w + penalty)
+
+
+def stationarity(w, problem, model, X_inv=None):
+    """First-order stationarity residual ||Pi(g)||/(1 + ||w||) at w >= 0 of
+    the objective of ``model`` ("cgl-mcp" or "cgl-l1").
+
+    g = -A(X^{-1}) + A(S) + p'(w), X = A* w + J, is the gradient in w, with
+    p'(w) = 2 (lam - h'(w)) = 2 max(lam - w/gamma, 0) for MCP and 2 lam for
+    the l1 trace term. Pi keeps g_e where w_e > 0 and min(g_e, 0) elsewhere,
+    so the residual vanishes exactly at a critical point. ``X_inv`` is
+    X^{-1} when the caller has it; otherwise X is inverted here, and a
+    singular X gives +inf.
+    """
+    w = np.asarray(w, dtype=float).reshape(-1)
+    if X_inv is None:
+        try:
+            X_inv = np.linalg.inv(problem.astar(w) + problem.J)
+        except np.linalg.LinAlgError:
+            return float("inf")
+    lam = problem.params.lam
+    if model == "cgl-mcp":
+        penalty_grad = 2.0 * (lam - dc_smooth_grad(w, problem.params))
+    else:
+        penalty_grad = 2.0 * lam
+    g = problem.a_of_S - problem.a(X_inv) + penalty_grad
+    g = np.where(w > 0, g, np.minimum(g, 0.0))
+    return float(np.linalg.norm(g) / (1.0 + np.linalg.norm(w)))

@@ -16,8 +16,10 @@ class SolveReport:
     """Outcome of one solver run.
 
     ``history`` holds one dict per recorded iteration with plain floats only;
-    ``config`` echoes the fully resolved run configuration so the run can be
-    reproduced from the report alone. ``trace`` carries in-memory arrays for
+    ``stationarity`` is the first-order stationarity residual of ``w`` (see
+    :func:`laplace_mcp.penalty.stationarity`); ``config`` echoes the fully
+    resolved run configuration so the run can be reproduced from the report
+    alone. ``trace`` carries in-memory arrays for
     certificate auditing and ``admm_state`` the final ADMM iterate (an
     ``AdmmState``, the warm start of a later ``start=``); neither is
     serialized.
@@ -33,6 +35,7 @@ class SolveReport:
     history: list = field(default_factory=list)
     config: dict = field(default_factory=dict)
     warm_start: dict | None = None
+    stationarity: float | None = None
     trace: list | None = None
     admm_state: object | None = None
 
@@ -59,6 +62,7 @@ class SolveReport:
             "history": self.history,
             "config": self.config,
             "warm_start": self.warm_start,
+            "stationarity": self.stationarity,
         }
 
     @classmethod
@@ -74,4 +78,5 @@ class SolveReport:
             history=list(d.get("history", [])),
             config=dict(d.get("config", {})),
             warm_start=d.get("warm_start"),
+            stationarity=d.get("stationarity"),
         )

@@ -35,9 +35,11 @@ class CertificateError(RuntimeError):
 
 
 # forcing bounds of the inexact Newton direction: its residual target is
-# min(_ETA_BAR, ||g||^(1 + _FORCING_TAU))
+# min(_ETA_BAR, max(||g||^(1 + _FORCING_TAU), _RULE_MARGIN ||g|| / excess)),
+# where excess is how far the caller's acceptance rule missed at the point
 _ETA_BAR = 0.1
-_FORCING_TAU = 0.5
+_FORCING_TAU = 1.0
+_RULE_MARGIN = 0.3
 # Armijo sufficient-increase constant and backtracking factor, and the cap on
 # backtracks per Newton step
 _ARMIJO_MU = 0.25
@@ -208,22 +210,30 @@ def _pcg(T, b, diag, target, max_steps):
     return x, steps
 
 
-def _newton_direction(point, ctx, mask, gnorm):
+def _newton_direction(point, ctx, mask, gnorm, excess):
     """Inexact Newton direction and the number of CG steps it took.
 
     Solves T D = g, T the negated Jacobian plus a tiny ridge with the
     projection part applied on the active edges only, to the float64 contract
-    ||T D - g|| <= min(_ETA_BAR, gnorm^(1+_FORCING_TAU)). Jacobi-preconditioned
-    CG runs in float32 (operator, preconditioner and iterates) on the float64
-    residual, and its correction is added to a float64 D; one float64 apply
-    then recomputes the true residual r = g - T D. If r misses the target,
-    another float32 round solves for the rest (mixed-precision iterative
-    refinement); a round that fails to halve ||r|| hands the rest of the
-    direction to CG with the float64 operator. The step count covers the CG
-    steps of both precisions, not the residual checks, and all rounds share
-    the ``_MAX_CG`` cap.
+    ||T D - g|| <= min(_ETA_BAR, max(gnorm^(1+_FORCING_TAU),
+    _RULE_MARGIN gnorm/excess)). ``excess`` is ||delta|| over the bound of the
+    inexactness rule at the point (+inf when the rule was not what failed).
+    delta is linear in E = -g to first order, so a residual below
+    _RULE_MARGIN/excess of ||g|| moves delta by less than the rule can see.
+
+    Jacobi-preconditioned CG runs in float32 (operator, preconditioner and
+    iterates) on the float64 residual r scaled to unit norm, and its
+    correction, scaled back, is added to a float64 D; one float64 apply then
+    recomputes the true residual r = g - T D. The scaling keeps float32 from
+    underflowing on a tiny r. If r misses the target, another round solves for
+    the rest (mixed-precision iterative refinement); a round that fails to
+    halve ||r|| hands the rest of the direction to CG with the float64
+    operator. The step count covers the CG steps of both precisions, not the
+    residual checks, and all rounds share the ``_MAX_CG`` cap.
     """
-    target = min(_ETA_BAR, gnorm ** (1.0 + _FORCING_TAU))
+    target = min(
+        _ETA_BAR, max(gnorm ** (1.0 + _FORCING_TAU), _RULE_MARGIN * gnorm / excess)
+    )
     g = point.grad
     if gnorm <= target:
         return g.copy(), 0
@@ -237,9 +247,11 @@ def _newton_direction(point, ctx, mask, gnorm):
     r, rnorm = g, gnorm
     steps = 0
     while steps < _MAX_CG:
-        dD, k = _pcg(T, r.astype(diag.dtype), diag, target, _MAX_CG - steps)
+        dD, k = _pcg(
+            T, (r / rnorm).astype(diag.dtype), diag, target / rnorm, _MAX_CG - steps
+        )
         steps += k
-        D += dD
+        D += rnorm * dD.astype(D.dtype)
         if T is T64:
             break
         r = g - T64(D)
@@ -298,10 +310,14 @@ def ssn_solve(ctx, Y0, accept):
     ``accept`` is the only stop short of the caps. It is called once at every
     iterate, the start point and the point at the iteration cap included,
     with the dual point, whose ``w_hat`` holds the recovered weights and
-    ``grad`` the dual gradient (E = -grad), and returns a certificate or
-    None. The first certificate ends the run as ``"certified"``. Otherwise
-    the run ends as ``"max_iter"`` after ``_MAX_NEWTON`` Newton steps, or as
-    ``"linesearch_failed"`` when the line search stalls.
+    ``grad`` the dual gradient (E = -grad), and returns a pair: a
+    certificate or None, and ``excess``, the factor by which the point
+    missed the caller's rule on ||delta|| (+inf when something else failed).
+    The first certificate ends the run as ``"certified"``. Otherwise
+    ``excess`` sets how exactly the next Newton system is solved (see
+    :func:`_newton_direction`), and the run ends as ``"max_iter"`` after
+    ``_MAX_NEWTON`` Newton steps, or as ``"linesearch_failed"`` when the line
+    search stalls.
     """
     n = ctx.problem.n
     Y = np.zeros((n, n)) if Y0 is None else np.array(Y0, dtype=float)
@@ -319,13 +335,13 @@ def ssn_solve(ctx, Y0, accept):
     for j in range(_MAX_NEWTON + 1):
         gnorm = float(np.linalg.norm(cur.grad))
         grad_norms.append(gnorm)
-        cert = accept(cur)
+        cert, excess = accept(cur)
         if cert is not None:
             return result(j, gnorm, "certified", cert)
         if j == _MAX_NEWTON:
             return result(j, gnorm, "max_iter")
         mask = clarke_diag(cur.c)
-        D, steps = _newton_direction(cur, ctx, mask, gnorm)
+        D, steps = _newton_direction(cur, ctx, mask, gnorm, excess)
         cg_steps += steps
         gD = float(np.vdot(cur.grad, D))
         if not np.isfinite(gD) or gD <= 0:
@@ -381,7 +397,7 @@ def _sym_norm2(X):
 
 def _error_terms(w_next, E, ctx, cache=None):
     """delta = -A[sigma E + X1^{-1} - X2^{-1}] with X2 = A* w_next + J and
-    X1 = X2 - E, returned with X1^{-1} and ||X1^{-1}||_2; see
+    X1 = X2 - E, returned with X1^{-1}, ||X1^{-1}||_2 and X2^{-1}; see
     :func:`subproblem_error_vector`.
 
     ``cache`` is the prox eigendecomposition of the Newton point whose
@@ -403,8 +419,9 @@ def _error_terms(w_next, E, ctx, cache=None):
             raise np.linalg.LinAlgError("X1 is singular")
         X1_inv = (cache.U / cache.d) @ cache.U.T
         X1_inv_norm = 1.0 / d_min
-    delta = -ctx.problem.a(ctx.sigma * E + X1_inv - np.linalg.inv(X2))
-    return delta, X1_inv, X1_inv_norm
+    X2_inv = np.linalg.inv(X2)
+    delta = -ctx.problem.a(ctx.sigma * E + X1_inv - X2_inv)
+    return delta, X1_inv, X1_inv_norm, X2_inv
 
 
 def subproblem_error_vector(w_next, E, ctx, terms=None):
@@ -414,12 +431,12 @@ def subproblem_error_vector(w_next, E, ctx, terms=None):
     the subproblem perturbed by delta = -A[sigma E + X1^{-1} - X2^{-1}] where
     X1 = A* w_next + J - E and X2 = A* w_next + J. Requires the contraction
     factor r = ||X1^{-1} E||_2 < 1, else raises :class:`CertificateError`.
-    ||delta|| -> 0 as ||E|| -> 0. ``terms``, the triple that
-    :func:`_error_terms` gives for the same arguments, saves recomputing it;
-    without it X1 and X2 are inverted from (w_next, E) alone.
+    ||delta|| -> 0 as ||E|| -> 0. ``terms``, what :func:`_error_terms`
+    gives for the same arguments, saves recomputing it; without it X1 and X2
+    are inverted from (w_next, E) alone.
     """
     E = np.asarray(E, dtype=float)
-    delta, X1_inv, X1_inv_norm = _error_terms(w_next, E, ctx) if terms is None else terms
+    delta, X1_inv, X1_inv_norm, _ = _error_terms(w_next, E, ctx) if terms is None else terms
     M = X1_inv @ E
     # ||M||_2^2 is the top eigenvalue of the symmetric M^T M
     r = float(np.sqrt(max(np.linalg.eigvalsh(M.T @ M)[-1], 0.0)))
@@ -433,18 +450,19 @@ def subproblem_error_vector(w_next, E, ctx, terms=None):
     return Certificate(delta, r, float(bound))
 
 
-def check_stop_condition(delta, w_next, w_prev, sigma, ctx):
-    """Inexactness acceptance rule of the outer loop.
-
-    True iff ||delta|| <= (sigma/4)||dw|| + sigma ||A* dw||^2 / (2||dw||) with
-    dw = w_next - w_prev; boundary equality counts as satisfied. A zero step is
-    accepted only with ||delta|| <= 1e-12, since the rule divides by ||dw||.
-    """
-    delta_norm = float(np.linalg.norm(delta))
+def _rule_bound(w_next, w_prev, sigma, ctx):
+    """Right-hand side (sigma/4)||dw|| + sigma ||A* dw||^2 / (2||dw||) of the
+    inexactness rule, dw = w_next - w_prev; 1e-12 for a zero step, since the
+    rule divides by ||dw||."""
     dw = np.asarray(w_next, dtype=float) - np.asarray(w_prev, dtype=float)
     dwn = float(np.linalg.norm(dw))
     if dwn == 0.0:
-        return delta_norm <= 1e-12
+        return 1e-12
     datw = float(np.linalg.norm(ctx.problem.astar(dw)))
-    rhs = 0.25 * sigma * dwn + 0.5 * sigma * datw * datw / dwn
-    return delta_norm <= rhs
+    return 0.25 * sigma * dwn + 0.5 * sigma * datw * datw / dwn
+
+
+def check_stop_condition(delta, w_next, w_prev, sigma, ctx):
+    """Inexactness acceptance rule of the outer loop: true iff ||delta|| is
+    at most :func:`_rule_bound`; boundary equality counts as satisfied."""
+    return float(np.linalg.norm(delta)) <= _rule_bound(w_next, w_prev, sigma, ctx)

@@ -22,7 +22,14 @@ from laplace_mcp.ssn import (
 )
 from laplace_mcp.sweep import SweepConfig, make_instance, solve_chain
 
-from util import random_connected_graph, random_context, random_symmetric, scan_then_golden
+from util import (
+    edge_gram_matrix,
+    incidence_matrix,
+    random_connected_graph,
+    random_context,
+    random_symmetric,
+    scan_then_golden,
+)
 
 FIG1_LAMBDAS = list(np.logspace(-4, 0, 10))
 FIG1_SEEDS = [0, 1, 2, 3, 4]
@@ -166,7 +173,7 @@ class TestCriterion1:
             g = lm.gen_erdos_renyi(n, 0.6, trial) if n > 2 else lm.EdgeGraph(2, [(0, 1)])
             if g.m == 0:
                 g = lm.EdgeGraph(n, [(0, 1)])
-            G = lm.edge_gram_matrix(lm.incidence_matrix(g))
+            G = edge_gram_matrix(incidence_matrix(g))
             for _ in range(3):
                 w = rng.standard_normal(g.m)
                 gap = np.abs(G @ w - lm.laplacian_adjoint(lm.weights_to_laplacian(w, g), g))

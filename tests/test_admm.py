@@ -17,7 +17,14 @@ from laplace_mcp.admm import (
     kkt_residuals,
 )
 
-from util import lbfgsb_min, logdet_objective, make_problem
+from util import (
+    edge_gram_matrix,
+    incidence_matrix,
+    lbfgsb_min,
+    logdet_objective,
+    make_problem,
+    stationarity_oracle,
+)
 
 
 def two_node_problem(lam=0.1):
@@ -77,7 +84,7 @@ class TestAdmmStep:
             + prev.zeta / prev.sigma
         )
         # (I + A A*) x via the 2I + |B|^T|B| identity
-        lhs = state.x + lm.edge_gram_matrix(lm.incidence_matrix(problem.prior)) @ state.x
+        lhs = state.x + edge_gram_matrix(incidence_matrix(problem.prior)) @ state.x
         assert np.linalg.norm(lhs - rhs) < 1e-10 * max(1.0, np.linalg.norm(rhs))
 
     def test_theta_plus_j_positive_definite(self):
@@ -166,6 +173,14 @@ class TestSolveL1:
         assert report.objective == pytest.approx(
             logdet_objective(report.w, problem, problem.shifted_S)[0], rel=1e-12
         )
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-10])
+    def test_stationarity_of_final_point(self, eps):
+        problem, _, _ = make_problem(n=12, p=0.3, seed=0, k=5000 * 12)
+        report = lm.solve_l1(problem, lm.AdmmParams(eps=eps))
+        want = stationarity_oracle(report.w, problem, "cgl-l1")
+        assert report.stationarity == pytest.approx(want, rel=1e-8)
+        assert report.stationarity < 10 * eps
 
     def test_disconnected_prior_rejected(self):
         # the objective is +inf everywhere, so the solve fails at entry

@@ -9,7 +9,7 @@ from laplace_mcp import problem as problem_module
 from laplace_mcp.dca import descent_check, solve_mcp, subproblem_cost_matrix
 from laplace_mcp.ssn import SubproblemContext, check_stop_condition, subproblem_error_vector
 
-from util import make_problem, scan_then_golden
+from util import make_problem, scan_then_golden, stationarity_oracle
 
 
 class TestCostMatrix:
@@ -253,6 +253,42 @@ class TestSolveMcp:
         assert len(calls) == len(report.history)
         for h in report.history:
             assert h["cert_checks"] == h["ssn_iterations"] + 1
+
+    def test_newton_runs_start_at_the_last_prox_argument(self, monkeypatch):
+        # run k >= 1 starts at Y = Z - K_k, where Z = K_{k-1} + Y_{k-1} is the
+        # prox argument at which run k - 1 ended; the first run starts at 0
+        runs = []
+        real = dca.ssn_solve
+
+        def spy(ctx, Y0, accept):
+            res = real(ctx, Y0, accept)
+            runs.append((ctx.cost_matrix.copy(), None if Y0 is None else Y0.copy(), res.Y))
+            return res
+
+        monkeypatch.setattr(dca, "ssn_solve", spy)
+        # at lam = 0.5 weights below gamma lam sit where the MCP bends, so the
+        # cost matrix moves from step to step
+        problem, _, _ = make_problem(n=10, p=0.4, seed=6, lam=0.5, k=5000 * 10)
+        report = solve_mcp(problem, lm.DcaParams(eps=1e-6))
+        assert len(runs) == len(report.history) > 2
+        assert runs[0][1] is None
+        assert np.abs(runs[1][0] - runs[0][0]).max() > 1e-2
+        for (K_prev, _, Y_prev), (K, Y0, _) in zip(runs, runs[1:]):
+            Z = K_prev + Y_prev
+            np.testing.assert_allclose(Y0 + K, Z, rtol=0, atol=1e-14 * np.abs(Z).max())
+
+    def test_stationarity_recorded(self):
+        problem, _, _ = make_problem(n=10, p=0.4, seed=6, lam=0.05, k=5000 * 10)
+        report = solve_mcp(problem, lm.DcaParams(eps=1e-6), keep_trace=True)
+        for h, step in zip(report.history, report.trace):
+            want = stationarity_oracle(step.w_next, problem, "cgl-mcp")
+            assert h["stationarity"] == pytest.approx(want, rel=1e-8)
+        assert report.stationarity == report.history[-1]["stationarity"] < 1e-3
+        back = lm.SolveReport.from_dict(json.loads(json.dumps(report.to_dict())))
+        assert back.stationarity == report.stationarity
+        assert [h["stationarity"] for h in back.history] == [
+            h["stationarity"] for h in report.history
+        ]
 
     def test_node_permutation_equivariance(self):
         # a coarse prior leaves half the candidate edges at zero weight, so the

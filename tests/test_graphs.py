@@ -4,7 +4,7 @@ import pytest
 import laplace_mcp as lm
 from laplace_mcp.graphs import GraphError, is_connected
 
-from util import bfs_connected, random_connected_graph
+from util import bfs_connected, incidence_matrix, random_connected_graph
 
 
 def path3():
@@ -35,7 +35,7 @@ class TestLaplacianMap:
 
     def test_matches_incidence_product(self):
         g = random_connected_graph(7, 0.5, 9)
-        B = lm.incidence_matrix(g).toarray()
+        B = incidence_matrix(g).toarray()
         rng = np.random.default_rng(4)
         w = rng.uniform(0, 3, g.m)
         np.testing.assert_allclose(

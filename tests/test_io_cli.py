@@ -272,6 +272,30 @@ class TestCliSolveEval:
         assert m["f1"] == 1.0
         assert m["recovery_error"] < 0.1
 
+    @pytest.mark.parametrize("model", ["cgl-mcp", "cgl-l1"])
+    def test_solve_prints_work_and_stationarity(self, tmp_path, instance, capsys, model):
+        graph, cov = instance
+        report = tmp_path / "report.json"
+        rc = main(
+            [
+                "solve", "--model", model, "--cov", str(cov),
+                "--connectivity", str(graph), "--lambda", "0.05",
+                "--out", str(report),
+            ]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        rep = lio.load_report(report)
+        assert rep.stationarity > 0
+        assert f"stationarity={rep.stationarity:.3e}" in out
+        if model == "cgl-mcp":
+            steps = rep.history
+            newton = sum(h["ssn_iterations"] for h in steps)
+            cg = sum(h["ssn_cg_steps"] for h in steps)
+            assert f"work: {len(steps)} outer steps, {newton} Newton steps, {cg} CG steps" in out
+        else:
+            assert "work:" not in out
+
     def test_solve_l1_full_connectivity(self, tmp_path, instance):
         _, cov = instance
         report = tmp_path / "l1.json"

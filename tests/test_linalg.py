@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 import laplace_mcp as lm
 from laplace_mcp.linalg import EigCache, project_nonneg, sym_eig
 
-from util import moreau_logdet_value, random_connected_graph, random_symmetric
+from util import (
+    edge_gram_matrix,
+    incidence_matrix,
+    moreau_logdet_value,
+    random_connected_graph,
+    random_symmetric,
+)
 
 
 class TestSymEig:
@@ -217,24 +223,24 @@ class TestClarkeMask:
 
 class TestEdgeGram:
     def test_path_example(self):
-        B = lm.incidence_matrix(lm.EdgeGraph(3, [(0, 1), (1, 2)]))
+        B = incidence_matrix(lm.EdgeGraph(3, [(0, 1), (1, 2)]))
         np.testing.assert_array_equal(
-            lm.edge_gram_matrix(B).toarray(), [[4.0, 1.0], [1.0, 4.0]]
+            edge_gram_matrix(B).toarray(), [[4.0, 1.0], [1.0, 4.0]]
         )
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(11)
         for trial in range(20):
             g = random_connected_graph(int(rng.integers(3, 9)), 0.6, trial)
-            Bd = lm.incidence_matrix(g).toarray()
-            G = lm.edge_gram_matrix(lm.incidence_matrix(g)).toarray()
+            Bd = incidence_matrix(g).toarray()
+            G = edge_gram_matrix(incidence_matrix(g)).toarray()
             w = rng.standard_normal(g.m)
             brute = np.diag(Bd.T @ (Bd @ np.diag(w) @ Bd.T) @ Bd)
             np.testing.assert_allclose(G @ w, brute, atol=1e-12)
 
     def test_diagonal_is_four(self):
         g = random_connected_graph(10, 0.4, 12)
-        G = lm.edge_gram_matrix(lm.incidence_matrix(g)).toarray()
+        G = edge_gram_matrix(incidence_matrix(g)).toarray()
         np.testing.assert_array_equal(np.diag(G), 4.0)
 
 
@@ -262,7 +268,7 @@ class TestGramSolver:
 
     @pytest.mark.parametrize("graph", GRAM_GRAPHS, ids=GRAM_IDS)
     def test_matches_dense_solve(self, graph):
-        M = lm.edge_gram_matrix(lm.incidence_matrix(graph)).toarray() + np.eye(graph.m)
+        M = edge_gram_matrix(incidence_matrix(graph)).toarray() + np.eye(graph.m)
         b = np.random.default_rng(15).standard_normal(graph.m)
         x = lm.GramSolver(graph).solve(b)
         np.testing.assert_allclose(x, np.linalg.solve(M, b), atol=1e-10)
@@ -271,7 +277,7 @@ class TestGramSolver:
     def test_edge_arrays_match_sparse_products(self, graph):
         # the scatter-add and the gather sum in the order of the CSR products
         # |B| b and |B|^T y, so the solve is bit-identical to the sparse form
-        babs = abs(lm.incidence_matrix(graph)).tocsr()
+        babs = abs(incidence_matrix(graph)).tocsr()
         babs_t = babs.T.tocsr()
         solver = lm.GramSolver(graph)
         C = 3.0 * np.eye(graph.n) + (babs @ babs_t).toarray()
@@ -284,7 +290,7 @@ class TestGramSolver:
 
     def test_residual(self):
         g = random_connected_graph(15, 0.3, 16)
-        M = lm.edge_gram_matrix(lm.incidence_matrix(g)).toarray() + np.eye(g.m)
+        M = edge_gram_matrix(incidence_matrix(g)).toarray() + np.eye(g.m)
         rng = np.random.default_rng(17)
         b = rng.standard_normal(g.m)
         x = lm.GramSolver(g).solve(b)

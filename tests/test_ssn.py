@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -228,9 +230,13 @@ class TestJacobiPreconditioner:
         np.testing.assert_allclose(mask_part, brute, rtol=0, atol=1e-12)
 
 
-def forcing_target(gnorm):
-    """Residual target of the Newton direction at gradient norm ``gnorm``."""
-    return min(ssn._ETA_BAR, gnorm ** (1.0 + ssn._FORCING_TAU))
+def forcing_target(gnorm, excess=np.inf):
+    """Residual target of the Newton direction at gradient norm ``gnorm``
+    and rule excess ``excess``."""
+    return min(
+        ssn._ETA_BAR,
+        max(gnorm ** (1.0 + ssn._FORCING_TAU), ssn._RULE_MARGIN * gnorm / excess),
+    )
 
 
 class TestNewtonDirection:
@@ -242,7 +248,7 @@ class TestNewtonDirection:
             point = _dual_eval(Y, ctx)
             mask = lm.clarke_diag(point.c)
             gnorm = float(np.linalg.norm(point.grad))
-            D, steps = _newton_direction(point, ctx, mask, gnorm)
+            D, steps = _newton_direction(point, ctx, mask, gnorm, np.inf)
             assert 0 < steps < ssn._MAX_CG
             assert np.array_equal(D, D.T)
             T_D = -dual_jacobian_apply(Y, D, ctx, mask, point.cache) + ssn._CG_RIDGE * D
@@ -255,7 +261,7 @@ class TestNewtonDirection:
         point = _dual_eval(np.zeros((8, 8)), ctx)
         mask = lm.clarke_diag(point.c)
         gnorm = float(np.linalg.norm(point.grad))
-        _, steps = _newton_direction(point, ctx, mask, gnorm)
+        _, steps = _newton_direction(point, ctx, mask, gnorm, np.inf)
         assert steps == 2
 
     def test_run_total_matches_first_direction(self, monkeypatch):
@@ -263,10 +269,67 @@ class TestNewtonDirection:
         ctx, _ = random_context(n=8, seed=66)
         point = _dual_eval(np.zeros((8, 8)), ctx)
         gnorm = float(np.linalg.norm(point.grad))
-        _, steps = _newton_direction(point, ctx, lm.clarke_diag(point.c), gnorm)
+        _, steps = _newton_direction(point, ctx, lm.clarke_diag(point.c), gnorm, np.inf)
         res = ssn_solve(ctx, None, grad_below(1e-12))
         assert res.status == "max_iter"
         assert res.cg_steps == steps
+
+
+def run_points(ctx, tol=1e-8):
+    """The dual points of a Newton run from zero that stops at ||grad|| <= tol."""
+    points = []
+    accept = grad_below(tol)
+
+    def record(point):
+        points.append(point)
+        return accept(point)
+
+    ssn_solve(ctx, None, record)
+    return points
+
+
+class TestRuleFloor:
+    def true_residual(self, ctx, point, mask, D):
+        active = ctx.problem.prior.support(mask)
+        T = ssn._newton_operator(point.cache, active, ctx.sigma, ssn._CG_RIDGE)
+        return float(np.linalg.norm(T(D) - point.grad))
+
+    def test_floored_target_takes_no_more_cg_steps(self):
+        # a finite excess can only loosen the target: the same point meets the
+        # floored target in at most the CG steps of the plain one
+        fewer = 0
+        for seed in (70, 71):
+            ctx, _ = random_context(n=8, seed=seed, sigma=0.5)
+            for point in run_points(ctx)[:-1]:
+                mask = lm.clarke_diag(point.c)
+                gnorm = float(np.linalg.norm(point.grad))
+                _, plain = _newton_direction(point, ctx, mask, gnorm, np.inf)
+                D, floored = _newton_direction(point, ctx, mask, gnorm, 2.0)
+                assert self.true_residual(ctx, point, mask, D) <= forcing_target(gnorm, 2.0)
+                assert floored <= plain
+                fewer += floored < plain
+        assert fewer >= 2
+
+    def test_tiny_gradient_scales_exactly(self):
+        # each CG round solves for r/||r||, so a gradient scaled by 2^-80,
+        # whose squares underflow in float32, gives the direction scaled by
+        # 2^-80 in the same CG steps
+        ctx, _ = random_context(n=8, seed=72, sigma=0.5)
+        point = run_points(ctx)[0]
+        mask = lm.clarke_diag(point.c)
+        # a gradient norm in [2^-5, 2^-4), where excess 2 sets the target
+        scale = 2.0 ** -(5 + np.floor(np.log2(np.linalg.norm(point.grad))))
+        big = dataclasses.replace(point, grad=scale * point.grad)
+        tiny = dataclasses.replace(point, grad=2.0**-80 * big.grad)
+        D_big, steps_big = _newton_direction(
+            big, ctx, mask, float(np.linalg.norm(big.grad)), 2.0
+        )
+        gnorm = float(np.linalg.norm(tiny.grad))
+        D, steps = _newton_direction(tiny, ctx, mask, gnorm, 2.0)
+        assert np.all(np.isfinite(D))
+        assert self.true_residual(ctx, tiny, mask, D) <= forcing_target(gnorm, 2.0)
+        assert steps == steps_big > 0
+        assert np.array_equal(D, 2.0**-80 * D_big)
 
 
 def skew_float32_operator(monkeypatch, scale):
@@ -321,7 +384,7 @@ class TestMixedPrecisionDirection:
         rounds = skew_float32_operator(monkeypatch, 1.0)
         ctx, Y, point, mask = self.newton_point(95)
         gnorm = float(np.linalg.norm(point.grad))
-        D, _ = _newton_direction(point, ctx, mask, gnorm)
+        D, _ = _newton_direction(point, ctx, mask, gnorm, np.inf)
         assert rounds == [np.float32]
         target = forcing_target(gnorm)
         assert self.true_residual(ctx, Y, point, mask, D) <= target
@@ -334,7 +397,7 @@ class TestMixedPrecisionDirection:
             rounds.clear()
             ctx, Y, point, mask = self.newton_point(seed)
             gnorm = float(np.linalg.norm(point.grad))
-            D, steps = _newton_direction(point, ctx, mask, gnorm)
+            D, steps = _newton_direction(point, ctx, mask, gnorm, np.inf)
             assert len(rounds) >= 2
             assert set(rounds) == {np.dtype(np.float32)}
             assert steps < ssn._MAX_CG
@@ -348,7 +411,7 @@ class TestMixedPrecisionDirection:
         rounds = skew_float32_operator(monkeypatch, 4.0)
         ctx, Y, point, mask = self.newton_point(98)
         gnorm = float(np.linalg.norm(point.grad))
-        D, steps = _newton_direction(point, ctx, mask, gnorm)
+        D, steps = _newton_direction(point, ctx, mask, gnorm, np.inf)
         assert rounds == [np.float32, np.float64]
         assert steps < ssn._MAX_CG
         target = forcing_target(gnorm)
@@ -427,6 +490,7 @@ class TestAcceptStop:
 
         def never(point):
             seen.append(float(np.linalg.norm(point.grad)))
+            return None, np.inf
 
         res = ssn_solve(ctx, None, never)
         ref = ssn_solve(ctx, None, grad_below(1e-9))
@@ -450,7 +514,7 @@ class TestAcceptStop:
 
         def third(point):
             seen.append(point)
-            return cert if len(seen) == 3 else None
+            return (cert if len(seen) == 3 else None), np.inf
 
         res = ssn_solve(ctx, None, third)
         monkeypatch.setattr(ssn, "_MAX_NEWTON", 2)
@@ -461,6 +525,26 @@ class TestAcceptStop:
         assert res.Y.tobytes() == ref.Y.tobytes()
         assert res.w_hat.tobytes() == seen[-1].w_hat.tobytes() == ref.w_hat.tobytes()
         assert (res.grad_norm, res.cg_steps) == (ref.grad_norm, ref.cg_steps)
+
+    def test_stops_at_first_certified_point(self):
+        # the rule's excess steers the CG targets, never the stop: the run
+        # ends at the first point the step test passes
+        ctx, _ = random_context(n=10, seed=42, sigma=0.5)
+        test = _StepTest(ctx)
+        points = []
+
+        def accept(point):
+            points.append(point)
+            return test(point)
+
+        res = ssn_solve(ctx, None, accept)
+        assert res.status == "certified"
+        assert len(points) == res.iterations + 1 > 1
+        verdicts = [_StepTest(ctx)(point) for point in points]
+        assert all(cert is None for cert, _ in verdicts[:-1])
+        assert any(np.isfinite(excess) for _, excess in verdicts[:-1])
+        assert verdicts[-1][0] is not None
+        assert res.w_hat.tobytes() == points[-1].w_hat.tobytes()
 
     @pytest.mark.parametrize("seed", [42, 43, 44])
     def test_certified_run_is_no_longer(self, seed):
@@ -599,7 +683,7 @@ class TestErrorCertificate:
         # at a Newton point X1 = A* w_hat + J - E is the prox output theta_hat + J
         ctx, _ = random_context(n=8, seed=seed, sigma=0.5)
         points = []
-        ssn_solve(ctx, None, points.append)
+        ssn_solve(ctx, None, lambda point: (points.append(point), np.inf))
         certified = 0
         for point in points:
             E = -point.grad

@@ -2,6 +2,7 @@
 that only the tests evaluate (the solvers never need these values)."""
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.optimize import minimize
 
 import laplace_mcp as lm
@@ -54,6 +55,20 @@ def logdet_objective(w, problem, K, ctx=None):
     return value, grad
 
 
+def stationarity_oracle(w, problem, model):
+    """||Pi(g)||/(1 + ||w||) with g the gradient of the ``model`` objective
+    from :func:`logdet_objective` (K = S + lam I for l1, K = S plus the MCP
+    derivative 2 max(lam - w/gamma, 0) for MCP); Pi keeps g_e where w_e > 0
+    and min(g_e, 0) elsewhere."""
+    params = problem.params
+    K = problem.shifted_S if model == "cgl-l1" else problem.S
+    g = logdet_objective(w, problem, K)[1]
+    if model == "cgl-mcp":
+        g = g + 2.0 * np.maximum(params.lam - w / params.gamma, 0.0)
+    g = np.where(w > 0, g, np.minimum(g, 0.0))
+    return float(np.linalg.norm(g) / (1.0 + np.linalg.norm(w)))
+
+
 def subproblem_primal_value(w, ctx):
     """Subproblem objective at the feasible point (A* w, w); +inf off the domain."""
     w = np.asarray(w, dtype=float).reshape(-1)
@@ -76,14 +91,32 @@ def lbfgsb_min(value_and_grad, w0):
 
 def grad_below(tol):
     """Accept test for ``ssn_solve`` that passes, with a zero certificate,
-    once the dual gradient norm is at most ``tol``."""
+    once the dual gradient norm is at most ``tol``. It has no rule on delta,
+    so its excess is always +inf."""
 
     def accept(point):
         if np.linalg.norm(point.grad) <= tol:
-            return Certificate(np.zeros_like(point.w_hat), 0.0, 0.0)
-        return None
+            return Certificate(np.zeros_like(point.w_hat), 0.0, 0.0), np.inf
+        return None, np.inf
 
     return accept
+
+
+def incidence_matrix(graph):
+    """Node-arc incidence matrix B with column (i,j) equal to e_i - e_j."""
+    m = graph.m
+    rows = graph.edges.reshape(-1)
+    cols = np.repeat(np.arange(m), 2)
+    data = np.tile([1.0, -1.0], m)
+    return sp.csc_matrix((data, (rows, cols)), shape=(graph.n, m))
+
+
+def edge_gram_matrix(B):
+    """Matrix form 2I + |B|^T |B| of the composition adjoint-then-Laplacian map."""
+    B = sp.csc_matrix(B)
+    Babs = abs(B)
+    m = B.shape[1]
+    return (2.0 * sp.identity(m, format="csc") + (Babs.T @ Babs)).tocsr()
 
 
 def random_connected_graph(n, p, seed):
