@@ -36,15 +36,21 @@ _ADAPT_HI = 10.0
 # the KKT residuals are recorded in the history every _HISTORY_EVERY
 # iterations, at the first and at the last
 _HISTORY_EVERY = 50
+# the l1 warm start of the d.c. loop runs to max(eps, _ADMM_EPS_FLOOR): the
+# loop only starts from it. Solves tighter than this are Anderson-accelerated
+_ADMM_EPS_FLOOR = 1e-4
+# Anderson memory: the number of difference pairs kept
+_AA_MEMORY = 3
 
 
 @dataclass
 class AdmmParams:
     """ADMM parameters: the relative KKT tolerance ``eps`` and the iteration
-    cap ``max_iter``. The dual step length is ``_TAU`` (1.618), a cold
-    start's penalty ``_SIGMA0`` (1), the penalty schedule ``_ADAPT_EVERY``,
-    ``_ADAPT_LO`` and ``_ADAPT_HI`` (see :func:`solve_l1`), and the history
-    stride ``_HISTORY_EVERY`` (50).
+    cap ``max_iter`` (at least 1). The dual step length is ``_TAU`` (1.618),
+    a cold start's penalty ``_SIGMA0`` (1), the penalty schedule
+    ``_ADAPT_EVERY``, ``_ADAPT_LO`` and ``_ADAPT_HI`` (see :func:`solve_l1`),
+    the history stride ``_HISTORY_EVERY`` (50), and the Anderson memory
+    ``_AA_MEMORY`` (3), used below ``eps`` = ``_ADMM_EPS_FLOOR`` (1e-4).
     """
 
     eps: float = 1e-5
@@ -53,6 +59,8 @@ class AdmmParams:
     def __post_init__(self):
         if self.eps <= 0:
             raise ValueError("eps must be positive")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
 
 @dataclass
@@ -183,6 +191,126 @@ def _start_state(problem, start):
     return dataclasses.replace(start, sigma=float(start.sigma))
 
 
+class _Anderson:
+    """Safeguarded type-II Anderson acceleration of the ADMM map F.
+
+    The step reads theta and w only through a(theta + Y/sigma) + w, so a
+    point is z = (Y, a(theta), w, zeta), n^2 + 3m numbers, and the step
+    input at z has theta = 0 and a(theta) + w in place of w. Keeping
+    a(theta) and w apart in z, rather than their sum, weighs them apart in
+    ||r||: on the ER n=250 benchmark instance the sum took 62 iterations
+    against 50. With r = F(z) - z and the last ``_AA_MEMORY`` differences
+    dF, dR of F(z) and r, the next point is F(z) - dF g, where
+    g = argmin ||r - dR g|| is solved on the Gram matrix dR^T dR, which
+    gains one row per step. The differences, the last residual and dF g are
+    float32; points, residual norms and g are float64.
+
+    :meth:`next_point` takes each step's output and returns the input of
+    the next step: the output itself (the plain step) or an extrapolated
+    point. It extrapolates only while sigma and the support of w > 0 stay
+    as they were at the previous output; a change clears the differences.
+    A candidate whose residual exceeds the residual of the point it was
+    extrapolated from is rejected: the differences are cleared and the next
+    step starts from the plain iterate that the candidate replaced.
+    ``steps`` counts candidates and ``rejected`` the rejected ones.
+
+    The last output is kept by reference, never copied, and every buffer
+    is allocated once: allocating per step made glibc return the heap top
+    and fault it back in, about 40k page faults per ER n=250 solve.
+    """
+
+    def __init__(self, problem):
+        self.problem = problem
+        n, m = problem.n, problem.m
+        self.zero = np.broadcast_to(0.0, (n, n))
+        size = n * n + 3 * m
+        # the last extrapolated point, then its residual
+        self.z = np.empty(size)
+        self.r_prev = np.empty(size, dtype=np.float32)
+        self.r_prev_norm = math.inf
+        self.dF = np.empty((_AA_MEMORY, size), dtype=np.float32)
+        self.dR = np.empty((_AA_MEMORY, size), dtype=np.float32)
+        self.gram = np.empty((_AA_MEMORY, _AA_MEMORY))
+        self.cols = self.slot = 0
+        # the last output F(z), in parts
+        self.last = None
+        self.sigma = self.support = None
+        self.has_prev = self.candidate = False
+        self.steps = self.rejected = 0
+
+    def _split(self, v):
+        n2, m = self.problem.n ** 2, self.problem.m
+        return v[:n2], v[n2 : n2 + m], v[n2 + m : n2 + 2 * m], v[n2 + 2 * m :]
+
+    def _state(self, parts):
+        """The step input at a point (its x, which the step does not read,
+        is its w)."""
+        n = self.problem.n
+        Y, a_theta, w, zeta = parts
+        u = a_theta + w
+        return AdmmState(x=u, theta=self.zero, w=u, Y=Y.reshape(n, n), zeta=zeta, sigma=self.sigma)
+
+    def _clear(self):
+        self.cols = self.slot = 0
+        self.candidate = False
+
+    def next_point(self, out):
+        """The input of the step after the one that returned ``out``."""
+        f = (out.Y.reshape(-1), self.problem.a(out.theta), out.w, out.zeta)
+        support = out.w > 0
+        if out.sigma != self.sigma:
+            # a new map: start over from this output
+            self._clear()
+            self.has_prev = False
+            self.sigma, self.support, self.last = out.sigma, support, f
+            return out
+        # r = F(z) - z, where z is the last output unless it was extrapolated
+        z = self.z
+        base = self._split(z) if self.candidate else self.last
+        for dst, src, at in zip(self._split(z), f, base):
+            np.subtract(src, at, out=dst)
+        r_norm = float(np.linalg.norm(z))
+        if self.candidate and r_norm > self.r_prev_norm:
+            self.rejected += 1
+            self._clear()
+            return self._state(self.last)
+        if not np.array_equal(support, self.support):
+            self._clear()
+            self.support = support
+        elif self.has_prev:
+            s = self.slot
+            for dst, src, prev in zip(self._split(self.dF[s]), f, self.last):
+                np.subtract(src, prev, out=dst)
+            np.subtract(z, self.r_prev, out=self.dR[s])
+            self.cols = min(self.cols + 1, _AA_MEMORY)
+            self.slot = (s + 1) % _AA_MEMORY
+            k = self.cols
+            g = self.dR[:k] @ self.dR[s]
+            self.gram[s, :k] = g
+            self.gram[:k, s] = g
+        self.last = f
+        self.has_prev = True
+        self.r_prev[:] = z
+        self.r_prev_norm = r_norm
+        self.candidate = self.cols > 0
+        if not self.candidate:
+            return out
+        k = self.cols
+        rhs = self.dR[:k] @ self.r_prev
+        gamma = np.linalg.lstsq(self.gram[:k, :k], rhs, rcond=None)[0]
+        # dF g entry by entry: a BLAS product could round Y_ij and Y_ji
+        # differently, and the prox needs Y symmetric. It goes to the dR row
+        # that the next difference overwrites, which nothing reads until then
+        step = self.dR[self.slot]
+        np.multiply(self.dF[0], float(gamma[0]), out=step)
+        for j in range(1, k):
+            step += self.dF[j] * float(gamma[j])
+        for dst, src, st in zip(self._split(z), f, self._split(step)):
+            np.subtract(src, st, out=dst)
+        self.steps += 1
+        return self._state(self._split(z))
+
+
 def solve_l1(problem, params=None, start=None):
     """Solve the l1 (trace) penalized model to the relative KKT tolerance.
 
@@ -205,6 +333,26 @@ def solve_l1(problem, params=None, start=None):
     10, say) leaves sigma alone while eta_p lags, for about 160 iterations of
     the Table-2 instance.
 
+    Solves tighter than the warm-start floor ``_ADMM_EPS_FLOOR`` (1e-4) are
+    Anderson-accelerated (type II, memory ``_AA_MEMORY``, see
+    :class:`_Anderson`): while sigma and the support of w > 0 stay as they
+    were at the previous iterate, the next step starts from the
+    extrapolation F(z) - dF g of the last outputs instead of the last output
+    itself; otherwise the step is the plain one. A sigma change or a new
+    support clears the differences. A candidate whose fixed-point residual
+    ||F(z) - z|| exceeds that of the point it was extrapolated from is
+    rejected: the differences are cleared and the loop goes on from the
+    plain iterate the candidate replaced, at the cost of one step. Every
+    checked, recorded and returned iterate is still an :func:`admm_step`
+    output, so the stop, the history and ``admm_state`` keep their meaning,
+    and ``iteration`` counts steps, rejected candidates included. Each
+    history entry carries the cumulative ``aa_steps`` (candidates) and
+    ``aa_rejected``. The MCP warm start runs at eps >= 1e-4 and stays plain:
+    at small lambda the d.c. loop can stop on rel_f after one step and keep
+    the error of whichever 1e-4 point ADMM returned, and with acceleration
+    there a chained sweep cell and its cold solve differed by up to 3e-3 in
+    rel_err, against 4.8e-4 for the plain loop.
+
     A disconnected prior, and at lam = 0 a degenerate covariance, raise
     ValueError before the first iteration (see
     :meth:`ProblemData.check_solvable`).
@@ -214,6 +362,8 @@ def solve_l1(problem, params=None, start=None):
     t0 = time.perf_counter()
     gram = problem.gram_solver
     state = _start_state(problem, start)
+    aa = _Anderson(problem) if params.eps < _ADMM_EPS_FLOOR else None
+    point = state
     history = []
     termination = "max_iter"
     iterations = params.max_iter
@@ -228,10 +378,12 @@ def solve_l1(problem, params=None, start=None):
             "eta_d": res.eta_d,
             "eta_g": res.eta_g,
             "sigma": state.sigma,
+            "aa_steps": aa.steps if aa else 0,
+            "aa_rejected": aa.rejected if aa else 0,
         }
 
     for it in range(1, params.max_iter + 1):
-        state = admm_step(state, problem, gram)
+        state = admm_step(point, problem, gram)
         eta_p, eta_d = _feasibility(state, problem)
         recorded = it % _HISTORY_EVERY == 0 or it == 1
         if recorded or it == params.max_iter or max(eta_p, eta_d) < params.eps:
@@ -245,6 +397,7 @@ def solve_l1(problem, params=None, start=None):
         if it % _ADAPT_EVERY == 0:
             ratio = eta_p / max(eta_d, 1e-30)
             state.sigma *= min(max(math.sqrt(ratio), _ADAPT_LO), _ADAPT_HI)
+        point = aa.next_point(state) if aa and it < params.max_iter else state
     config = {
         "model": "cgl-l1",
         "lam": problem.params.lam,

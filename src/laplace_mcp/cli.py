@@ -228,6 +228,12 @@ def _cmd_solve(args):
             f"{sum(h['ssn_iterations'] for h in steps)} Newton steps, "
             f"{sum(h['ssn_cg_steps'] for h in steps)} CG steps"
         )
+    else:
+        last = report.history[-1]
+        print(
+            f"work: {last['iteration']} ADMM iterations ({last['aa_steps']} accelerated, "
+            f"{last['aa_rejected']} rejected)"
+        )
     return 0 if report.converged else 2
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admm import AdmmParams, solve_l1
+from .admm import _ADMM_EPS_FLOOR, AdmmParams, solve_l1
 from .penalty import dc_smooth_grad_matrix, objective_value, stationarity
 from .report import SolveReport
 from .ssn import (
@@ -41,9 +41,6 @@ class DescentError(RuntimeError):
 # then stays constant, keeping the certificate usable
 _RHO = 0.8
 _SIGMA_MIN = 1e-4
-# the d.c. loop only starts from the l1 warm start, and its descent argument
-# does not depend on how accurate that start is
-_ADMM_EPS_FLOOR = 1e-4
 
 
 @dataclass
@@ -52,9 +49,11 @@ class DcaParams:
 
     sigma starts at ``sigma0`` and shrinks by ``_RHO`` (0.8) each iteration
     until it reaches ``_SIGMA_MIN`` (1e-4). The l1 warm start runs to
-    tolerance max(eps, ``_ADMM_EPS_FLOOR``), that is max(eps, 1e-4), for at
-    most ``admm_max_iter`` iterations. The Newton caps are the module
-    constants ``ssn._MAX_NEWTON`` and ``ssn._MAX_CG``.
+    tolerance max(eps, ``admm._ADMM_EPS_FLOOR``), that is max(eps, 1e-4),
+    for at most ``admm_max_iter`` (at least 1) iterations; the d.c. loop
+    only starts from it, and its descent argument does not depend on how
+    accurate that start is. ``max_outer`` is non-negative. The Newton caps
+    are the module constants ``ssn._MAX_NEWTON`` and ``ssn._MAX_CG``.
     """
 
     sigma0: float = 1.0
@@ -67,6 +66,10 @@ class DcaParams:
             raise ValueError("sigma0 must be positive")
         if self.eps <= 0:
             raise ValueError("eps must be positive")
+        if self.max_outer < 0:
+            raise ValueError(f"max_outer must be non-negative, got {self.max_outer}")
+        if self.admm_max_iter < 1:
+            raise ValueError(f"admm_max_iter must be at least 1, got {self.admm_max_iter}")
 
 
 def subproblem_cost_matrix(w_k, problem):

@@ -16,6 +16,7 @@ from laplace_mcp.admm import (
     initial_state,
     kkt_residuals,
 )
+from laplace_mcp.sweep import SweepConfig, make_instance
 
 from util import (
     edge_gram_matrix,
@@ -23,6 +24,7 @@ from util import (
     lbfgsb_min,
     logdet_objective,
     make_problem,
+    reference_solve_l1,
     stationarity_oracle,
 )
 
@@ -260,6 +262,11 @@ class TestSolveL1:
         with pytest.raises(ValueError):
             lm.AdmmParams(eps=0.0)
 
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_iteration_cap_below_one_rejected(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter"):
+            lm.AdmmParams(max_iter=max_iter)
+
     @pytest.mark.parametrize("c", [0.1, 10.0])
     def test_scale_equivariance(self, c):
         # (cS, c lam) scales the linear term by c, and -log det(A*w/c + J)
@@ -322,35 +329,9 @@ class TestPenaltyRule:
         assert max(counts) <= 2 * min(counts), counts
 
 
-def reference_solve_l1(problem, params):
-    """The ADMM loop with all three KKT residuals at every iteration: returns
-    the final state, the history and the iteration count."""
-    state = initial_state(problem)
-    history = []
-    iterations = params.max_iter
-    for it in range(1, params.max_iter + 1):
-        state = admm_step(state, problem, problem.gram_solver)
-        res = kkt_residuals(state, problem)
-        entry = {
-            "iteration": it, "pobj": res.pobj, "dobj": res.dobj, "eta_p": res.eta_p,
-            "eta_d": res.eta_d, "eta_g": res.eta_g, "sigma": state.sigma,
-        }
-        if it % admm._HISTORY_EVERY == 0 or it == 1:
-            history.append(entry)
-        if res.max < params.eps:
-            iterations = it
-            break
-        if it % _ADAPT_EVERY == 0:
-            ratio = res.eta_p / max(res.eta_d, 1e-30)
-            state.sigma *= min(max(math.sqrt(ratio), _ADAPT_LO), _ADAPT_HI)
-    if history[-1]["iteration"] != iterations:
-        history.append(dict(entry, sigma=state.sigma))
-    return state, history, iterations
-
-
 class TestOnDemandGap:
     @pytest.mark.parametrize(
-        "eps, max_iter", [(1e-7, 20000), (1e-12, 137), (1e-12, 100)],
+        "eps, max_iter", [(1e-7, 20000), (1e-12, 67), (1e-12, 50)],
         ids=["converged", "cap-off-record", "cap-on-record"],
     )
     def test_matches_every_iteration_reference(self, eps, max_iter):
@@ -363,6 +344,102 @@ class TestOnDemandGap:
         assert rep.history[-1]["iteration"] == iterations
         assert rep.objective == history[-1]["pobj"]
         assert rep.converged == (max_iter == 20000)
+        assert history[-1]["aa_steps"] > 0
+
+    def test_plain_at_floor_matches_plain_loop(self):
+        # at the warm-start floor no step is accelerated: the library loop is
+        # the plain one, iterate for iterate
+        problem, _, _ = make_problem(n=10, p=0.4, seed=9, lam=0.05, k=5000 * 10)
+        params = lm.AdmmParams(eps=admm._ADMM_EPS_FLOOR)
+        state, history, iterations = reference_solve_l1(problem, params, accelerate=False)
+        rep = lm.solve_l1(problem, params)
+        assert rep.w.tobytes() == state.w.tobytes()
+        assert rep.history[-1] == history[-1]
+        assert rep.history[-1]["iteration"] == iterations
+
+
+class TestAnderson:
+    @pytest.mark.parametrize("k", [None, 5000 * 12], ids=["exact", "sampled"])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_objective_matches_plain_loop(self, seed, k):
+        problem, _, _ = make_problem(n=12, p=0.3, seed=seed, k=k)
+        params = lm.AdmmParams(eps=1e-10)
+        rep = lm.solve_l1(problem, params)
+        state, _, _ = reference_solve_l1(problem, params, accelerate=False)
+        assert rep.converged
+        assert rep.history[-1]["aa_steps"] > 0
+        assert rep.objective == pytest.approx(kkt_residuals(state, problem).pobj, rel=1e-10)
+
+    def test_mcp_warm_start_is_plain(self, monkeypatch):
+        # the d.c. loop keeps whichever 1e-4 point the warm start returns, so
+        # that point must be the plain loop's
+        problem, _, _ = make_problem(n=10, p=0.4, seed=9, lam=0.05, k=5000 * 10)
+
+        def refuse(problem):
+            raise AssertionError("the MCP warm start built an Anderson accelerator")
+
+        monkeypatch.setattr(admm, "_Anderson", refuse)
+        rep = lm.solve_mcp(problem, lm.DcaParams(eps=1e-8))
+        state, _, iterations = reference_solve_l1(
+            problem, lm.AdmmParams(eps=admm._ADMM_EPS_FLOOR), accelerate=False
+        )
+        assert rep.warm_start["iterations"] == iterations
+        assert rep.admm_state.w.tobytes() == state.w.tobytes()
+        assert rep.admm_state.Y.tobytes() == state.Y.tobytes()
+
+    def test_bad_candidate_rejected(self, monkeypatch):
+        problem, _, _ = make_problem(n=12, p=0.3, seed=0, k=5000 * 12)
+        params = lm.AdmmParams(eps=1e-10)
+        state_of = admm._Anderson._state
+        spoiled = []
+
+        def spoil_first_candidate(self, parts):
+            if self.candidate and not spoiled:
+                for part in parts:
+                    part *= 10.0
+                spoiled.append(self.steps)
+            return state_of(self, parts)
+
+        monkeypatch.setattr(admm._Anderson, "_state", spoil_first_candidate)
+        monkeypatch.setattr(admm, "_HISTORY_EVERY", 1)
+        rep = lm.solve_l1(problem, params)
+        assert spoiled
+        assert rep.converged
+        rejected = [h["aa_rejected"] for h in rep.history]
+        assert rejected == sorted(rejected) and rejected[-1] >= 1
+        # the spoiled candidate is the first one rejected
+        first = next(h for h in rep.history if h["aa_rejected"])
+        assert first["aa_steps"] == spoiled[0]
+        state, _, _ = reference_solve_l1(problem, params, accelerate=False)
+        assert rep.objective == pytest.approx(kkt_residuals(state, problem).pobj, rel=1e-10)
+        np.testing.assert_allclose(rep.w, state.w, rtol=0, atol=1e-6 * np.abs(state.w).max())
+
+    def test_history_counts_accelerated_steps(self):
+        problem, _, _ = make_problem(n=10, p=0.4, seed=6, lam=0.05, k=5000 * 10)
+        rep = lm.solve_l1(problem, lm.AdmmParams(eps=1e-8))
+        steps = [h["aa_steps"] for h in rep.history]
+        assert steps == sorted(steps) and 0 < steps[-1] < rep.history[-1]["iteration"]
+        assert all(0 <= h["aa_rejected"] <= h["aa_steps"] for h in rep.history)
+        back = lm.SolveReport.from_dict(json.loads(json.dumps(rep.to_dict())))
+        assert back.history == rep.history
+
+    def test_grid_tail(self):
+        # the grid's small Fiedler value (0.076 at n=144) gives plain ADMM a
+        # long linear tail: 1452 iterations
+        cfg = SweepConfig(ensemble="grid", n=144, scenario="true", seeds=[0])
+        inst = make_instance(cfg, 0)
+        problem = lm.ProblemData(inst.S, inst.prior, lm.PenaltyParams(0.01, 1.5))
+        rep = lm.solve_l1(problem, lm.AdmmParams(eps=1e-6))
+        assert rep.converged
+        assert rep.history[-1]["iteration"] < 500
+
+    def test_badly_scaled_covariance_tail(self):
+        # plain ADMM takes 9773 iterations on S x 1e3
+        base, _, _ = make_problem(n=10, p=0.4, seed=0, k=5000 * 10)
+        problem = lm.ProblemData(1e3 * base.S, base.prior, lm.PenaltyParams(0.05, 1.5))
+        rep = lm.solve_l1(problem, lm.AdmmParams(eps=1e-8))
+        assert rep.converged
+        assert rep.history[-1]["iteration"] < 2000
 
 
 class TestWarmStart:

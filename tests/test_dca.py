@@ -349,3 +349,16 @@ class TestDcaParams:
             lm.DcaParams(sigma0=0.0)
         with pytest.raises(ValueError):
             lm.DcaParams(eps=0.0)
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_admm_cap_below_one_rejected(self, cap):
+        with pytest.raises(ValueError, match="admm_max_iter"):
+            lm.DcaParams(admm_max_iter=cap)
+
+    def test_negative_outer_cap_rejected(self):
+        with pytest.raises(ValueError, match="max_outer"):
+            lm.DcaParams(max_outer=-1)
+        problem, _, _ = make_problem(n=8, p=0.5, seed=12, lam=0.05, k=5000 * 8)
+        report = lm.solve_mcp(problem, lm.DcaParams(max_outer=0))
+        assert report.termination == "max_outer"
+        assert report.history == []

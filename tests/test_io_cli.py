@@ -294,7 +294,31 @@ class TestCliSolveEval:
             cg = sum(h["ssn_cg_steps"] for h in steps)
             assert f"work: {len(steps)} outer steps, {newton} Newton steps, {cg} CG steps" in out
         else:
-            assert "work:" not in out
+            last = rep.history[-1]
+            assert last["aa_steps"] > 0
+            assert (
+                f"work: {last['iteration']} ADMM iterations ({last['aa_steps']} accelerated, "
+                f"{last['aa_rejected']} rejected)"
+            ) in out
+
+    @pytest.mark.parametrize(
+        "model, flag, value, field",
+        [
+            ("cgl-l1", "--max-iter", "0", "max_iter"),
+            ("cgl-mcp", "--max-iter", "0", "admm_max_iter"),
+            ("cgl-mcp", "--max-outer", "-1", "max_outer"),
+        ],
+    )
+    def test_iteration_cap_out_of_range_exits_1(self, instance, capsys, model, flag, value, field):
+        graph, cov = instance
+        rc = main(
+            [
+                "solve", "--model", model, "--cov", str(cov),
+                "--connectivity", str(graph), "--lambda", "0.05", flag, value,
+            ]
+        )
+        assert rc == 1
+        assert f"error: {field} must be" in capsys.readouterr().err
 
     def test_solve_l1_full_connectivity(self, tmp_path, instance):
         _, cov = instance
