@@ -7,7 +7,7 @@ an ADMM solver for the l1 (trace) penalized model as warm start and baseline.
 """
 
 from .admm import AdmmParams, admm_step, kkt_residuals, solve_l1
-from .dca import DcaParams, DescentError, descent_check, solve_mcp, subproblem_cost_matrix
+from .dca import DcaParams, DescentError, descent_check, solve_mcp
 from .graphs import (
     ConnectivityPrior,
     EdgeGraph,

@@ -132,9 +132,6 @@ class KktResiduals:
     def max(self):
         return max(self.eta_p, self.eta_d, self.eta_g)
 
-    def __iter__(self):
-        return iter((self.eta_p, self.eta_d, self.eta_g))
-
 
 def _feasibility(state, problem):
     """Relative primal and dual infeasibility (eta_p, eta_d) of the iterate."""

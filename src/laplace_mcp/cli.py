@@ -16,11 +16,12 @@ from . import io
 from .admm import AdmmParams, solve_l1
 from .dca import DcaParams, DescentError, solve_mcp
 from .graphs import (
+    ConnectivityPrior,
     EdgeGraph,
     GraphError,
+    _pair_indices,
     population_covariance,
     sample_covariance,
-    true_prior,
 )
 from .metrics import detected_edges, f1_score, recovery_error
 from .penalty import PenaltyParams
@@ -85,7 +86,6 @@ def _build_parser():
     solve.add_argument("--lambda", dest="lam", type=float, required=True)
     solve.add_argument("--gamma", type=float, default=1.5)
     solve.add_argument("--eps", type=float, default=1e-6)
-    solve.add_argument("--sigma0", type=float, default=1.0)
     solve.add_argument("--max-outer", type=int, default=500)
     solve.add_argument(
         "--max-iter",
@@ -165,14 +165,13 @@ def _cmd_gen(args):
 
 def _resolve_prior(spec, n):
     if spec == "full":
-        g = EdgeGraph(n, np.column_stack(np.triu_indices(n, 1)))
-        return true_prior(g).graph, "full"
+        return ConnectivityPrior(EdgeGraph(n, _pair_indices(n)), "full")
     g = io.load_graph(spec).unweighted()
     if g.n != n:
         raise ValueError(
             f"connectivity file has {g.n} nodes but the covariance has {n}"
         )
-    return g, "file"
+    return ConnectivityPrior(g, "file")
 
 
 def _cmd_solve(args):
@@ -181,7 +180,7 @@ def _cmd_solve(args):
     else:
         S = io.covariance_from_data(io.read_data_matrix(args.data))
     n = S.shape[0]
-    prior, tag = _resolve_prior(args.connectivity, n)
+    prior = _resolve_prior(args.connectivity, n)
     if args.model == "cgl-l1" and args.lam <= 0:
         raise ValueError("the cgl-l1 model requires lambda > 0")
     if args.lam < 0:
@@ -192,7 +191,6 @@ def _cmd_solve(args):
             problem,
             DcaParams(
                 eps=args.eps,
-                sigma0=args.sigma0,
                 max_outer=args.max_outer,
                 admm_max_iter=args.max_iter,
             ),
@@ -204,7 +202,6 @@ def _cmd_solve(args):
             "cov": args.cov,
             "data": args.data,
             "connectivity": args.connectivity,
-            "connectivity_kind": tag,
             "out": args.out,
         }
     )

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .admm import _ADMM_EPS_FLOOR, AdmmParams, solve_l1
-from .penalty import dc_smooth_grad_matrix, objective_value, stationarity
+from .penalty import objective_value, stationarity
 from .report import SolveReport
 from .ssn import (
     CertificateError,
@@ -24,7 +24,6 @@ from .ssn import (
 __all__ = [
     "DcaParams",
     "DescentError",
-    "subproblem_cost_matrix",
     "descent_check",
     "solve_mcp",
 ]
@@ -37,8 +36,9 @@ class DescentError(RuntimeError):
     indicates an implementation bug rather than a data issue."""
 
 
-# sigma shrinks by this factor each outer step until it reaches _SIGMA_MIN,
-# then stays constant, keeping the certificate usable
+# sigma starts at _SIGMA0 and shrinks by _RHO each outer step until it
+# reaches _SIGMA_MIN, then stays constant, keeping the certificate usable
+_SIGMA0 = 1.0
 _RHO = 0.8
 _SIGMA_MIN = 1e-4
 
@@ -47,8 +47,8 @@ _SIGMA_MIN = 1e-4
 class DcaParams:
     """Outer-loop parameters; the penalty comes from ``ProblemData.params``.
 
-    sigma starts at ``sigma0`` and shrinks by ``_RHO`` (0.8) each iteration
-    until it reaches ``_SIGMA_MIN`` (1e-4). The l1 warm start runs to
+    sigma starts at ``_SIGMA0`` (1.0) and shrinks by ``_RHO`` (0.8) each
+    iteration until it reaches ``_SIGMA_MIN`` (1e-4). The l1 warm start runs to
     tolerance max(eps, ``admm._ADMM_EPS_FLOOR``), that is max(eps, 1e-4),
     for at most ``admm_max_iter`` (at least 1) iterations; the d.c. loop
     only starts from it, and its descent argument does not depend on how
@@ -56,29 +56,17 @@ class DcaParams:
     are the module constants ``ssn._MAX_NEWTON`` and ``ssn._MAX_CG``.
     """
 
-    sigma0: float = 1.0
     eps: float = 1e-6
     max_outer: int = 500
     admm_max_iter: int = 20000
 
     def __post_init__(self):
-        if self.sigma0 <= 0:
-            raise ValueError("sigma0 must be positive")
         if self.eps <= 0:
             raise ValueError("eps must be positive")
         if self.max_outer < 0:
             raise ValueError(f"max_outer must be non-negative, got {self.max_outer}")
         if self.admm_max_iter < 1:
             raise ValueError(f"admm_max_iter must be at least 1, got {self.admm_max_iter}")
-
-
-def subproblem_cost_matrix(w_k, problem):
-    """Linearized cost S + lam I - grad_h(A* w_k) of the convex subproblem."""
-    w_k = np.asarray(w_k, dtype=float)
-    if np.any(w_k < 0):
-        raise ValueError("iterate must be non-negative")
-    theta = problem.astar(w_k)
-    return problem.shifted_S - dc_smooth_grad_matrix(theta, problem.params)
 
 
 def descent_check(f_prev, f_next, sigma, dw_norm):
@@ -117,7 +105,7 @@ class _StepTest:
             # disconnected, so the objective is infinite there too
             return None, np.inf
         delta_norm = float(np.linalg.norm(terms[0]))
-        bound = _rule_bound(point.w_hat, ctx.w_ref, ctx.sigma, ctx)
+        bound = _rule_bound(point.w_hat, ctx)
         if not delta_norm <= bound:
             return None, delta_norm / bound
         try:
@@ -147,7 +135,7 @@ def solve_mcp(problem, params=None, keep_trace=False, start=None):
     Step 0 warm-starts from the l1 model via ADMM, itself started from zero or
     from the :class:`AdmmState` ``start`` (see :func:`solve_l1`); the final
     ADMM iterate is kept as the report's ``admm_state``. Each outer step
-    builds the subproblem at (sigma_k, A* w_k, w_k) and maximizes its dual by
+    builds the subproblem at (sigma_k, w_k) and maximizes its dual by
     semismooth Newton, which stops at the first Newton point whose recovered
     weights pass the acceptance test: the inexactness rule
     ||delta|| <= (sigma/4)||dw|| + sigma ||A* dw||^2 / (2||dw||), then r < 1
@@ -186,17 +174,15 @@ def solve_mcp(problem, params=None, keep_trace=False, start=None):
     warm = solve_l1(problem, admm_params, start=start)
     w = np.asarray(warm.w, dtype=float)
     f_prev = objective_value(w, problem)
-    sigma = params.sigma0
+    sigma = _SIGMA0
     Z = None
     history = []
     trace = [] if keep_trace else None
     termination = "max_outer"
     for k in range(params.max_outer):
-        theta_k = problem.astar(w)
-        cost = subproblem_cost_matrix(w, problem)
-        ctx = SubproblemContext(problem, sigma, theta_k, w, cost)
+        ctx = SubproblemContext(problem, sigma, w)
         test = _StepTest(ctx)
-        res = ssn_solve(ctx, None if Z is None else Z - cost, test)
+        res = ssn_solve(ctx, None if Z is None else Z - ctx.cost_matrix, test)
         if res.certificate is None:
             termination = "certificate_failed"
             break
@@ -236,7 +222,7 @@ def solve_mcp(problem, params=None, keep_trace=False, start=None):
             trace.append(_TraceStep(w.copy(), w_next.copy(), res.E.copy(), sigma))
         w = w_next
         f_prev = f_next
-        Z = cost + res.Y
+        Z = ctx.cost_matrix + res.Y
         if rel_w < params.eps or rel_f < params.eps:
             termination = "converged"
             break
@@ -245,7 +231,6 @@ def solve_mcp(problem, params=None, keep_trace=False, start=None):
         "model": "cgl-mcp",
         "lam": problem.params.lam,
         "gamma": problem.params.gamma,
-        "sigma0": params.sigma0,
         "eps": params.eps,
         "max_outer": params.max_outer,
         "admm_max_iter": params.admm_max_iter,
@@ -267,12 +252,8 @@ def solve_mcp(problem, params=None, keep_trace=False, start=None):
         ),
         warm_start={
             "termination": warm.termination,
-            "iterations": warm.history[-1]["iteration"] if warm.history else 0,
-            "kkt_residual": max(
-                warm.history[-1][key] for key in ("eta_p", "eta_d", "eta_g")
-            )
-            if warm.history
-            else None,
+            "iterations": warm.history[-1]["iteration"],
+            "kkt_residual": max(warm.history[-1][key] for key in ("eta_p", "eta_d", "eta_g")),
             "eps": admm_params.eps,
             "wall_time_s": warm.wall_time_s,
             "sigma": warm.admm_state.sigma,

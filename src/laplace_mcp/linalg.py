@@ -42,16 +42,15 @@ def sym_eig(X):
 
 @dataclass(frozen=True)
 class EigCache:
-    """Eigendecomposition of a prox base point plus derived quantities.
+    """Eigenvectors ``U`` of a prox base point plus derived quantities.
 
     ``d`` holds the prox eigenvalues, the positive roots of sigma d (d - lam)
-    = 1, and ``gamma`` the Hadamard weights of the prox directional derivative.
+    = 1 for the base point's eigenvalues lam, and ``gamma`` the Hadamard
+    weights of the prox directional derivative.
     Immutable; safe to share across threads.
     """
 
     U: np.ndarray
-    lam: np.ndarray
-    sigma: float
     d: np.ndarray
     gamma: np.ndarray
     base: np.ndarray
@@ -87,7 +86,7 @@ def prox_logdet(X, sigma):
     gamma = 0.5 * (1.0 + np.add.outer(lam, lam) / np.add.outer(s, s))
     P = (U * d) @ U.T
     P = 0.5 * (P + P.T)
-    cache = EigCache(U, lam, float(sigma), d, gamma, np.asarray(X, dtype=float))
+    cache = EigCache(U, d, gamma, np.asarray(X, dtype=float))
     return P, cache
 
 

@@ -9,6 +9,7 @@ import numpy as np
 
 from .graphs import laplacian_adjoint, weights_to_laplacian
 from .linalg import clarke_diag, project_nonneg, prox_logdet, prox_logdet_dderiv
+from .penalty import dc_smooth_grad_matrix
 
 __all__ = [
     "SubproblemContext",
@@ -53,33 +54,28 @@ _CG_RIDGE = 1e-12
 
 
 class SubproblemContext:
-    """One proximal-DCA subproblem: proximal weight sigma, reference pair
-    (theta_ref = A* w_ref, w_ref), and the linearized cost matrix.
+    """One proximal-DCA subproblem, fixed by the proximal weight sigma and the
+    iterate w_ref: the reference Laplacian theta_ref = A* w_ref and the
+    linearized cost matrix S + lam I - grad_h(theta_ref) follow from w_ref.
 
     Holds a reference to the immutable problem data for the linear maps and J.
     """
 
-    def __init__(self, problem, sigma, theta_ref, w_ref, cost_matrix):
+    def __init__(self, problem, sigma, w_ref):
         if sigma <= 0:
             raise ValueError("sigma must be positive")
-        theta_ref = np.asarray(theta_ref, dtype=float)
         w_ref = np.asarray(w_ref, dtype=float).reshape(-1)
-        cost_matrix = np.asarray(cost_matrix, dtype=float)
-        n, m = problem.n, problem.m
-        if theta_ref.shape != (n, n) or cost_matrix.shape != (n, n):
-            raise ValueError("matrix arguments must be n x n")
-        if w_ref.shape[0] != m:
+        if w_ref.shape[0] != problem.m:
             raise ValueError("w_ref must have one entry per candidate edge")
-        scale = max(1.0, float(np.abs(theta_ref).max()))
-        if np.abs(theta_ref - theta_ref.T).max() > 1e-10 * scale:
-            raise ValueError("theta_ref must be symmetric")
-        if np.abs(theta_ref.sum(axis=1)).max() > 1e-8 * scale:
-            raise ValueError("theta_ref must have zero row sums")
+        if np.any(w_ref < 0):
+            raise ValueError("w_ref must be non-negative")
         self.problem = problem
         self.sigma = float(sigma)
-        self.theta_ref = theta_ref
         self.w_ref = w_ref
-        self.cost_matrix = cost_matrix
+        self.theta_ref = problem.astar(w_ref)
+        self.cost_matrix = problem.shifted_S - dc_smooth_grad_matrix(
+            self.theta_ref, problem.params
+        )
 
     def base_point(self, Y):
         """Prox base point theta_ref + J - (K + Y)/sigma."""
@@ -97,7 +93,6 @@ class _DualPoint:
     cache: object
     c: np.ndarray
     w_hat: np.ndarray
-    theta_hat: np.ndarray
 
 
 def _dual_eval(Y, ctx):
@@ -119,7 +114,7 @@ def _dual_eval(Y, ctx):
         + 0.5 * sigma * float(np.linalg.norm(w_hat - ctx.w_ref) ** 2)
         + float(np.vdot(grad, Y))
     )
-    return _DualPoint(value, grad, cache, c, w_hat, theta_hat)
+    return _DualPoint(value, grad, cache, c, w_hat)
 
 
 def dual_value(Y, ctx):
@@ -450,19 +445,19 @@ def subproblem_error_vector(w_next, E, ctx, terms=None):
     return Certificate(delta, r, float(bound))
 
 
-def _rule_bound(w_next, w_prev, sigma, ctx):
+def _rule_bound(w_next, ctx):
     """Right-hand side (sigma/4)||dw|| + sigma ||A* dw||^2 / (2||dw||) of the
-    inexactness rule, dw = w_next - w_prev; 1e-12 for a zero step, since the
-    rule divides by ||dw||."""
-    dw = np.asarray(w_next, dtype=float) - np.asarray(w_prev, dtype=float)
+    inexactness rule, dw = w_next - ctx.w_ref; 1e-12 for a zero step, since
+    the rule divides by ||dw||."""
+    dw = np.asarray(w_next, dtype=float) - ctx.w_ref
     dwn = float(np.linalg.norm(dw))
     if dwn == 0.0:
         return 1e-12
     datw = float(np.linalg.norm(ctx.problem.astar(dw)))
-    return 0.25 * sigma * dwn + 0.5 * sigma * datw * datw / dwn
+    return 0.25 * ctx.sigma * dwn + 0.5 * ctx.sigma * datw * datw / dwn
 
 
-def check_stop_condition(delta, w_next, w_prev, sigma, ctx):
+def check_stop_condition(delta, w_next, ctx):
     """Inexactness acceptance rule of the outer loop: true iff ||delta|| is
     at most :func:`_rule_bound`; boundary equality counts as satisfied."""
-    return float(np.linalg.norm(delta)) <= _rule_bound(w_next, w_prev, sigma, ctx)
+    return float(np.linalg.norm(delta)) <= _rule_bound(w_next, ctx)

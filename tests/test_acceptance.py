@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import laplace_mcp as lm
-from laplace_mcp.dca import descent_check, solve_mcp, subproblem_cost_matrix
+from laplace_mcp.dca import descent_check, solve_mcp
 from laplace_mcp.ssn import (
     SubproblemContext,
     check_stop_condition,
@@ -50,21 +50,13 @@ def _audit_run(problem, report):
     """Recompute the certificate chain for every accepted step, then free the trace."""
     audits = []
     for step in report.trace:
-        ctx = SubproblemContext(
-            problem,
-            step.sigma,
-            problem.astar(step.w_prev),
-            step.w_prev,
-            subproblem_cost_matrix(step.w_prev, problem),
-        )
+        ctx = SubproblemContext(problem, step.sigma, step.w_prev)
         try:
             cert = subproblem_error_vector(step.w_next, step.E, ctx)
             ok = (
                 cert.r < 1.0
                 and cert.delta_norm <= cert.bound
-                and check_stop_condition(
-                    cert.delta, step.w_next, step.w_prev, step.sigma, ctx
-                )
+                and check_stop_condition(cert.delta, step.w_next, ctx)
             )
             audits.append(
                 {"r": cert.r, "delta": cert.delta_norm, "bound": cert.bound, "ok": bool(ok)}

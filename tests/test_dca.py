@@ -6,33 +6,51 @@ import pytest
 import laplace_mcp as lm
 from laplace_mcp import dca, ssn
 from laplace_mcp import problem as problem_module
-from laplace_mcp.dca import descent_check, solve_mcp, subproblem_cost_matrix
+from laplace_mcp.dca import descent_check, solve_mcp
+from laplace_mcp.penalty import dc_smooth_grad_matrix
 from laplace_mcp.ssn import SubproblemContext, check_stop_condition, subproblem_error_vector
 
 from util import make_problem, scan_then_golden, stationarity_oracle
 
 
+def cost_matrix(w, problem):
+    return SubproblemContext(problem, 1.0, w).cost_matrix
+
+
 class TestCostMatrix:
     def test_zero_iterate(self):
         problem, _, _ = make_problem(n=6, seed=0, lam=0.2)
-        G = subproblem_cost_matrix(np.zeros(problem.m), problem)
+        G = cost_matrix(np.zeros(problem.m), problem)
         np.testing.assert_allclose(G, problem.S + 0.2 * np.eye(6), atol=1e-14)
 
     def test_vanishing_penalty(self):
         problem, gw, _ = make_problem(n=6, seed=1, lam=0.0)
-        G = subproblem_cost_matrix(np.asarray(gw.weights), problem)
+        G = cost_matrix(np.asarray(gw.weights), problem)
         np.testing.assert_allclose(G, problem.S, atol=1e-14)
 
     def test_entrywise_bound(self):
         problem, gw, _ = make_problem(n=8, seed=2, lam=0.3)
-        G = subproblem_cost_matrix(np.asarray(gw.weights), problem)
+        G = cost_matrix(np.asarray(gw.weights), problem)
         diff = G - problem.S - 0.3 * np.eye(8)
         assert np.abs(diff).max() <= 0.3 + 1e-14
 
     def test_rejects_negative_iterate(self):
         problem, _, _ = make_problem(n=5, seed=3)
-        with pytest.raises(ValueError):
-            subproblem_cost_matrix(-np.ones(problem.m), problem)
+        w = np.ones(problem.m)
+        w[1] = -1e-12
+        with pytest.raises(ValueError, match="w_ref must be non-negative"):
+            SubproblemContext(problem, 1.0, w)
+
+    def test_derived_from_iterate_bitwise(self):
+        # the context derives A* w and S + lam I - grad_h(A* w) from w alone
+        problem, gw, _ = make_problem(n=8, seed=2, lam=0.3)
+        w = np.asarray(gw.weights)
+        ctx = SubproblemContext(problem, 0.5, w)
+        theta = problem.astar(w)
+        cost = problem.shifted_S - dc_smooth_grad_matrix(theta, problem.params)
+        assert ctx.theta_ref.tobytes() == theta.tobytes()
+        assert ctx.cost_matrix.tobytes() == cost.tobytes()
+        assert ctx.w_ref.tobytes() == w.tobytes() and ctx.sigma == 0.5
 
 
 class TestDescentCheck:
@@ -72,7 +90,7 @@ class TestSolveMcp:
         problem, _, _ = make_problem(n=10, p=0.4, seed=6, lam=0.05, k=5000 * 10)
         report = solve_mcp(problem, lm.DcaParams(eps=1e-8))
         sigmas = [h["sigma"] for h in report.history]
-        assert sigmas[0] == 1.0
+        assert sigmas[0] == dca._SIGMA0 == 1.0
         for a, b in zip(sigmas, sigmas[1:]):
             assert b == pytest.approx(max(a * 0.8, 1e-4), rel=1e-12)
 
@@ -109,19 +127,11 @@ class TestSolveMcp:
         report = solve_mcp(problem, lm.DcaParams(eps=1e-6), keep_trace=True)
         assert report.trace
         for step in report.trace:
-            ctx = SubproblemContext(
-                problem,
-                step.sigma,
-                problem.astar(step.w_prev),
-                step.w_prev,
-                subproblem_cost_matrix(step.w_prev, problem),
-            )
+            ctx = SubproblemContext(problem, step.sigma, step.w_prev)
             cert = subproblem_error_vector(step.w_next, step.E, ctx)
             assert cert.r < 1.0
             assert cert.delta_norm <= cert.bound
-            assert check_stop_condition(
-                cert.delta, step.w_next, step.w_prev, step.sigma, ctx
-            )
+            assert check_stop_condition(cert.delta, step.w_next, ctx)
 
     def test_disconnected_prior_rejected(self):
         g = lm.EdgeGraph(4, [(0, 1), (2, 3)], weights=[1.0, 1.0])
@@ -220,18 +230,10 @@ class TestSolveMcp:
         report = solve_mcp(problem, lm.DcaParams(eps=1e-6), keep_trace=True)
         assert len(report.trace) == len(report.history) > 0
         for h, step in zip(report.history, report.trace):
-            ctx = SubproblemContext(
-                problem,
-                step.sigma,
-                problem.astar(step.w_prev),
-                step.w_prev,
-                subproblem_cost_matrix(step.w_prev, problem),
-            )
+            ctx = SubproblemContext(problem, step.sigma, step.w_prev)
             cert = subproblem_error_vector(step.w_next, step.E, ctx)
             assert cert.r < 1.0
-            assert check_stop_condition(
-                cert.delta, step.w_next, step.w_prev, step.sigma, ctx
-            )
+            assert check_stop_condition(cert.delta, step.w_next, ctx)
             assert cert.delta_norm == pytest.approx(h["delta_norm"], rel=1e-12)
             assert cert.r == pytest.approx(h["r"], rel=1e-12)
             assert h["f"] == lm.objective_value(step.w_next, problem)
@@ -346,9 +348,9 @@ class TestSolveMcp:
 class TestDcaParams:
     def test_validation(self):
         with pytest.raises(ValueError):
-            lm.DcaParams(sigma0=0.0)
-        with pytest.raises(ValueError):
             lm.DcaParams(eps=0.0)
+        with pytest.raises(TypeError):
+            lm.DcaParams(sigma0=0.5)
 
     @pytest.mark.parametrize("cap", [0, -1])
     def test_admm_cap_below_one_rejected(self, cap):

@@ -141,7 +141,7 @@ class TestReportJson:
             params = lm.AdmmParams
         else:
             config = lm.solve_mcp(problem).config
-            fields = {"sigma0", "eps", "max_outer", "admm_max_iter"}
+            fields = {"eps", "max_outer", "admm_max_iter"}
             other = {"model", "lam", "gamma", "prior_tag", "warm_start_initial_point"}
             params = lm.DcaParams
         assert set(config) == fields | other
@@ -258,7 +258,8 @@ class TestCliSolveEval:
         assert rc == 0
         rep = lio.load_report(report)
         assert rep.converged
-        assert rep.config["connectivity_kind"] == "file"
+        assert rep.config["prior_tag"] == "file"
+        assert "connectivity_kind" not in rep.config
         metrics = tmp_path / "metrics.json"
         rc = main(
             [
@@ -333,7 +334,8 @@ class TestCliSolveEval:
         assert rc == 0
         rep = lio.load_report(report)
         assert rep.model == "cgl-l1"
-        assert rep.config["connectivity_kind"] == "full"
+        assert rep.config["prior_tag"] == "full"
+        assert "connectivity_kind" not in rep.config
 
     def test_l1_requires_positive_lambda(self, tmp_path, instance):
         _, cov = instance

@@ -122,7 +122,7 @@ class TestProxDerivative:
         low = cache.astype(np.float32)
         assert low.U.dtype == low.gamma.dtype == np.float32
         assert low.gamma.tobytes() == cache.gamma.astype(np.float32).tobytes()
-        assert low.base is cache.base and low.lam is cache.lam
+        assert low.base is cache.base and low.d is cache.d
         H = random_symmetric(5, np.random.default_rng(8))
         assert lm.prox_logdet_dderiv(low, H).dtype == np.float32
 

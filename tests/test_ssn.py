@@ -5,7 +5,7 @@ import pytest
 
 import laplace_mcp as lm
 from laplace_mcp import ssn
-from laplace_mcp.dca import _StepTest, subproblem_cost_matrix
+from laplace_mcp.dca import _StepTest
 from laplace_mcp.ssn import (
     Certificate,
     CertificateError,
@@ -44,8 +44,8 @@ def one_edge_context(sigma=0.8, w_ref=0.6, lam=0.1):
     S = np.array([[0.9, 0.15], [0.15, 1.1]])
     problem = lm.ProblemData(S, lm.true_prior(g), lm.PenaltyParams(lam, 1.5))
     w_ref_vec = np.array([w_ref])
-    K = subproblem_cost_matrix(w_ref_vec, problem)
-    ctx = SubproblemContext(problem, sigma, problem.astar(w_ref_vec), w_ref_vec, K)
+    ctx = SubproblemContext(problem, sigma, w_ref_vec)
+    K = ctx.cost_matrix
     a = float(problem.a(K)[0])
     b = a - 5 * sigma * w_ref
     w_star = (-b + np.sqrt(b * b + 20 * sigma)) / (10 * sigma)
@@ -557,7 +557,7 @@ class TestAcceptStop:
         assert res.status == ref.status == "certified"
         assert res.iterations <= ref.iterations
         assert test.checks == res.iterations + 1
-        assert check_stop_condition(res.certificate.delta, res.w_hat, ctx.w_ref, 0.5, ctx)
+        assert check_stop_condition(res.certificate.delta, res.w_hat, ctx)
 
 
 class TestRecoverPrimal:
@@ -740,7 +740,7 @@ class TestStopCondition:
     def test_zero_delta_accepts(self):
         ctx, w_k = random_context(n=5, seed=26)
         w_next = w_k + 0.01
-        assert check_stop_condition(np.zeros(ctx.problem.m), w_next, w_k, 1.0, ctx)
+        assert check_stop_condition(np.zeros(ctx.problem.m), w_next, ctx)
 
     def test_boundary_equality_accepts(self):
         ctx, w_k = random_context(n=5, seed=27)
@@ -752,7 +752,7 @@ class TestStopCondition:
         ) ** 2 / dwn
         delta = np.zeros(ctx.problem.m)
         delta[0] = rhs
-        assert check_stop_condition(delta, w_next, w_k, 1.0, ctx)
+        assert check_stop_condition(delta, w_next, ctx)
 
     def test_above_boundary_rejects(self):
         ctx, w_k = random_context(n=5, seed=28)
@@ -762,27 +762,26 @@ class TestStopCondition:
         rhs = 0.25 * dwn + 0.5 * np.linalg.norm(ctx.problem.astar(dw)) ** 2 / dwn
         delta = np.zeros(ctx.problem.m)
         delta[0] = 1.01 * rhs
-        assert not check_stop_condition(delta, w_next, w_k, 1.0, ctx)
+        assert not check_stop_condition(delta, w_next, ctx)
 
     def test_zero_step_requires_exact_solve(self):
         ctx, w_k = random_context(n=5, seed=29)
         tiny = np.full(ctx.problem.m, 1e-13 / np.sqrt(ctx.problem.m))
-        assert check_stop_condition(tiny, w_k, w_k, 1.0, ctx)
+        assert check_stop_condition(tiny, w_k, ctx)
         big = np.full(ctx.problem.m, 1e-3)
-        assert not check_stop_condition(big, w_k, w_k, 1.0, ctx)
+        assert not check_stop_condition(big, w_k, ctx)
 
 
 class TestContextValidation:
     def test_rejects_bad_sigma(self):
         ctx, w_k = random_context(n=4, seed=31)
-        with pytest.raises(ValueError):
-            SubproblemContext(
-                ctx.problem, 0.0, ctx.theta_ref, ctx.w_ref, ctx.cost_matrix
-            )
+        for sigma in (0.0, -1.0):
+            with pytest.raises(ValueError, match="sigma must be positive"):
+                SubproblemContext(ctx.problem, sigma, w_k)
 
-    def test_rejects_nonzero_row_sums(self):
-        ctx, _ = random_context(n=4, seed=32)
-        with pytest.raises(ValueError):
-            SubproblemContext(
-                ctx.problem, 1.0, np.eye(4), ctx.w_ref, ctx.cost_matrix
-            )
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_rejects_wrong_length(self, extra):
+        ctx, w_k = random_context(n=4, seed=32)
+        w = np.ones(ctx.problem.m + extra)
+        with pytest.raises(ValueError, match="one entry per candidate edge"):
+            SubproblemContext(ctx.problem, 1.0, w)

@@ -8,7 +8,6 @@ import scipy.sparse as sp
 from scipy.optimize import minimize
 
 import laplace_mcp as lm
-from laplace_mcp.dca import subproblem_cost_matrix
 from laplace_mcp.penalty import mcp_value
 from laplace_mcp.ssn import Certificate, SubproblemContext
 
@@ -179,10 +178,7 @@ def random_context(n=10, p=0.4, seed=0, sigma=1.0, lam=0.05, gamma=1.5):
     problem, gw, _ = make_problem(n=n, p=p, seed=seed, lam=lam, gamma=gamma, k=5000 * n)
     rng = np.random.default_rng(seed + 10)
     w_k = rng.uniform(0.1, 2.0, problem.m)
-    ctx = SubproblemContext(
-        problem, sigma, problem.astar(w_k), w_k, subproblem_cost_matrix(w_k, problem)
-    )
-    return ctx, w_k
+    return SubproblemContext(problem, sigma, w_k), w_k
 
 
 def random_symmetric(n, rng, scale=1.0):
