@@ -6,8 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "GraphError",
@@ -252,14 +250,32 @@ def generate_connected(factory, seed, max_tries=64):
 
 
 def is_connected(graph):
-    if graph.n == 1:
+    """Whether the graph has a single connected component.
+
+    Hook and jump over the edge arrays: every node carries the label of its
+    tree root, starting from ``arange(n)``. Each round hooks the larger root
+    of every edge whose ends carry different labels onto the smaller one,
+    then jumps pointers (``labels = labels[labels]``) until each label is a
+    root again. A round that finds no such edge leaves one label per
+    component, so the graph is connected iff every label is 0.
+    """
+    n = graph.n
+    if n == 1:
         return True
-    if graph.m == 0:
+    if graph.m < n - 1:
         return False
     ei, ej = graph.edges[:, 0], graph.edges[:, 1]
-    adj = sp.coo_matrix((np.ones(graph.m), (ei, ej)), shape=(graph.n, graph.n))
-    ncomp, _ = connected_components(adj, directed=False)
-    return ncomp == 1
+    labels = np.arange(n)
+    while True:
+        li, lj = labels[ei], labels[ej]
+        split = li != lj
+        if not split.any():
+            return bool(np.all(labels == 0))
+        np.minimum.at(labels, np.maximum(li, lj)[split], np.minimum(li, lj)[split])
+        jumped = labels[labels]
+        while not np.array_equal(jumped, labels):
+            labels = jumped
+            jumped = labels[labels]
 
 
 def true_prior(graph):

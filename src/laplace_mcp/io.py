@@ -7,8 +7,6 @@ import csv
 import json
 
 import numpy as np
-import scipy.io
-import scipy.sparse as sp
 
 from .graphs import EdgeGraph
 from .report import SolveReport
@@ -35,8 +33,13 @@ def read_covariance(path):
 
     Rejects NaN entries and non-square inputs; enforces symmetry as (S+S^T)/2.
     """
+    # imported on use, so that a solver process reading no Matrix Market file
+    # loads no scipy (README, "One BLAS")
+    import scipy.io
+    import scipy.sparse
+
     M = scipy.io.mmread(path)
-    if sp.issparse(M):
+    if scipy.sparse.issparse(M):
         M = M.toarray()
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -50,6 +53,8 @@ def read_covariance(path):
 
 
 def write_covariance(path, S):
+    import scipy.io
+
     scipy.io.mmwrite(path, np.asarray(S, dtype=float))
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import laplace_mcp as lm
 from laplace_mcp.graphs import GraphError, is_connected
@@ -184,6 +186,63 @@ class TestGenerators:
         a = lm.gen_modular(40, 0.01, 0.3, 5)
         b = lm.gen_modular(40, 0.01, 0.3, 5)
         assert np.array_equal(a.edges, b.edges)
+
+
+def _edge_graph(n, pairs):
+    """EdgeGraph on n nodes from unordered pairs, dropping loops and repeats."""
+    edges = {(min(i, j), max(i, j)) for i, j in pairs if i != j}
+    return lm.EdgeGraph(n, sorted(edges) or np.zeros((0, 2), dtype=np.int64))
+
+
+def _random_path(n, seed):
+    """Path through the nodes in a random order, so labels do not follow it."""
+    order = np.random.default_rng(seed).permutation(n)
+    return list(zip(order[:-1].tolist(), order[1:].tolist()))
+
+
+def _clique(nodes):
+    return [(i, j) for a, i in enumerate(nodes) for j in nodes[a + 1:]]
+
+
+class TestIsConnected:
+    @given(st.data())
+    @settings(deadline=None, max_examples=200)
+    def test_matches_bfs(self, data):
+        n = data.draw(st.integers(1, 40))
+        node = st.integers(0, n - 1)
+        pairs = data.draw(st.lists(st.tuples(node, node), max_size=3 * n))
+        g = _edge_graph(n, pairs)
+        assert is_connected(g) == bfs_connected(g.n, g.edges)
+
+    def test_tiny(self):
+        assert is_connected(_edge_graph(1, []))
+        assert not is_connected(_edge_graph(2, []))
+        assert is_connected(_edge_graph(2, [(0, 1)]))
+
+    def test_isolated_last_node(self):
+        # enough edges (10 >= n - 1) that only the search can tell
+        g = _edge_graph(6, _clique(list(range(5))))
+        assert not is_connected(g)
+        assert is_connected(_edge_graph(6, _clique(list(range(5))) + [(4, 5)]))
+
+    def test_long_random_path(self):
+        n = 2000
+        path = _random_path(n, 0)
+        assert is_connected(_edge_graph(n, path))
+        # cut the path in the middle and add a chord: still n - 1 edges
+        cut = path[: n // 2] + path[n // 2 + 1:] + [(path[0][0], path[2][1])]
+        assert not is_connected(_edge_graph(n, cut))
+
+    def test_star(self):
+        for center in (0, 7, 15):
+            pairs = [(center, v) for v in range(16) if v != center]
+            assert is_connected(_edge_graph(16, pairs))
+
+    def test_two_cliques(self):
+        left, right = [0, 2, 4, 6, 8], [1, 3, 5, 7, 9]
+        apart = _clique(left) + _clique(right)
+        assert not is_connected(_edge_graph(10, apart))
+        assert is_connected(_edge_graph(10, apart + [(8, 9)]))
 
 
 class TestSampleWeights:

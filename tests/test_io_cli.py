@@ -36,6 +36,32 @@ class TestCovarianceIO:
         with pytest.raises(ValueError):
             lio.read_covariance(path)
 
+    # 3x3 Laplacian-like matrix with one structural zero, (0, 2)
+    COORD_EXPECTED = np.array([[2.0, -1.0, 0.0], [-1.0, 3.0, -2.0], [0.0, -2.0, 2.0]])
+
+    def test_coordinate_symmetric(self, tmp_path):
+        # lower triangle only; the reader fills in the upper one
+        path = tmp_path / "sym.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real symmetric\n"
+            "% hand-written\n"
+            "3 3 5\n1 1 2.0\n2 1 -1.0\n2 2 3.0\n3 2 -2.0\n3 3 2.0\n"
+        )
+        S = lio.read_covariance(path)
+        assert type(S) is np.ndarray
+        np.testing.assert_array_equal(S, self.COORD_EXPECTED)
+
+    def test_coordinate_general(self, tmp_path):
+        path = tmp_path / "gen.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real general\n"
+            "3 3 7\n1 1 2.0\n1 2 -1.0\n2 1 -1.0\n2 2 3.0\n"
+            "2 3 -2.0\n3 2 -2.0\n3 3 2.0\n"
+        )
+        S = lio.read_covariance(path)
+        assert type(S) is np.ndarray
+        np.testing.assert_array_equal(S, self.COORD_EXPECTED)
+
 
 class TestDataMatrix:
     def test_two_pass_covariance_oracle(self, tmp_path):

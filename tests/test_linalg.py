@@ -1,4 +1,8 @@
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -312,6 +316,30 @@ class TestEigCacheStaleness:
         assert isinstance(cache, EigCache)
 
 
+def _package_imports():
+    """(file:line, imported names, inside a function) for each import in the package."""
+    src = Path(lm.__file__).resolve().parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        local = {
+            id(inner)
+            for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            for inner in ast.walk(fn)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                mod = node.module or ""
+                names = [mod] + [f"{mod}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            found.append((f"{path.name}:{node.lineno}", names, id(node) in local))
+    return found
+
+
 def test_no_module_imports_scipy_linalg():
     """Every dense kernel must run on numpy's LAPACK/BLAS.
 
@@ -323,17 +351,63 @@ def test_no_module_imports_scipy_linalg():
     the median ER n=250 l1 solve (bench/run.py, er250-l1) took 23.8 s
     instead of 4.4 s.
     """
-    src = Path(lm.__file__).resolve().parent
-    offenders = []
-    for path in sorted(src.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                mod = node.module or ""
-                names = [mod] + [f"{mod}.{alias.name}" for alias in node.names]
-            else:
-                continue
-            if any(n == "scipy.linalg" or n.startswith("scipy.linalg.") for n in names):
-                offenders.append(f"{path.name}:{node.lineno}")
+    offenders = [
+        where
+        for where, names, _ in _package_imports()
+        if any(n == "scipy.linalg" or n.startswith("scipy.linalg.") for n in names)
+    ]
     assert not offenders, f"scipy.linalg imported at {offenders}"
+
+
+def test_no_module_level_scipy_import():
+    """scipy is imported only inside the functions that need it (Matrix Market I/O).
+
+    A module-level import of almost any scipy subpackage (scipy.sparse.csgraph
+    among them) pulls in scipy.linalg and with it scipy's OpenBLAS and thread
+    pool, whatever the importing module itself calls.
+    """
+    offenders = [
+        where
+        for where, names, in_function in _package_imports()
+        if not in_function and any(n == "scipy" or n.startswith("scipy.") for n in names)
+    ]
+    assert not offenders, f"module-level scipy import at {offenders}"
+
+
+_ONE_BLAS_PROBE = """
+import json, sys
+import laplace_mcp as lm
+import laplace_mcp.cli
+import laplace_mcp.sweep
+
+g = lm.generate_connected(lambda s: lm.gen_erdos_renyi(8, 0.5, s), 0)
+gw = lm.sample_weights(g, 0.1, 3.0, 1)
+S = lm.population_covariance(gw.laplacian())
+lm.solve_mcp(lm.ProblemData(S, lm.true_prior(gw), lm.PenaltyParams(0.05, 1.5)))
+maps = ""
+if sys.platform.startswith("linux"):
+    with open("/proc/self/maps") as fh:
+        maps = fh.read()
+print(json.dumps({"modules": sorted(sys.modules), "maps": maps}))
+"""
+
+
+def test_solver_process_loads_one_blas():
+    """Importing the package, its CLI and sweep and solving loads no scipy BLAS.
+
+    The static checks above read direct imports only; this one runs a tiny
+    solve in a fresh interpreter (this test process has scipy loaded already
+    through tests/util.py) and lists what it actually loaded.
+    """
+    src = str(Path(lm.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _ONE_BLAS_PROBE],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    probe = json.loads(out.stdout.strip().splitlines()[-1])
+    banned = ("scipy.linalg", "scipy.sparse", "scipy.sparse.csgraph")
+    loaded = [m for m in probe["modules"] if m in banned]
+    assert not loaded, f"solver process loaded {loaded}"
+    assert "scipy.libs/libscipy_openblas" not in probe["maps"], "scipy's OpenBLAS mapped"
