@@ -6,7 +6,7 @@ subproblems are handled through a semismooth Newton method on their duals, with
 an ADMM solver for the l1 (trace) penalized model as warm start and baseline.
 """
 
-from .admm import AdmmParams, admm_step, kkt_residuals, solve_l1
+from .admm import AdmmParams, solve_l1
 from .dca import DcaParams, DescentError, descent_check, solve_mcp
 from .graphs import (
     ConnectivityPrior,

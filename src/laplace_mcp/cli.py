@@ -225,6 +225,10 @@ def _cmd_solve(args):
             f"{sum(h['ssn_iterations'] for h in steps)} Newton steps, "
             f"{sum(h['ssn_cg_steps'] for h in steps)} CG steps"
         )
+        print(
+            f"polish: {sum(h['polish_steps'] for h in steps)} steps, "
+            f"{sum(h['polish_refused'] for h in steps)} refused"
+        )
     else:
         last = report.history[-1]
         print(

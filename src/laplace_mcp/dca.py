@@ -9,12 +9,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .admm import _ADMM_EPS_FLOOR, AdmmParams, solve_l1
-from .penalty import objective_value, stationarity
+from .graphs import laplacian_adjoint, weights_to_laplacian
+from .penalty import _projected_residual, objective_gradient, objective_value, stationarity
 from .report import SolveReport
 from .ssn import (
     CertificateError,
     SubproblemContext,
     _error_terms,
+    _pcg,
     _rule_bound,
     recover_primal,  # noqa: F401
     ssn_solve,
@@ -41,6 +43,18 @@ class DescentError(RuntimeError):
 _SIGMA0 = 1.0
 _RHO = 0.8
 _SIGMA_MIN = 1e-4
+
+# the projected-Newton polish of an accepted iterate: it starts below the
+# residual _POLISH_START and takes at most _POLISH_STEPS steps; CG gets at
+# most _POLISH_CG steps per direction; _POLISH_ARMIJO is the Armijo constant,
+# and t is halved at most _POLISH_BACKTRACKS times. After a refusal the
+# polish waits until the residual has fallen _POLISH_BACKOFF times.
+_POLISH_START = 1e-2
+_POLISH_STEPS = 6
+_POLISH_CG = 100
+_POLISH_ARMIJO = 1e-4
+_POLISH_BACKTRACKS = 30
+_POLISH_BACKOFF = 10.0
 
 
 @dataclass
@@ -119,6 +133,91 @@ class _StepTest:
         return cert, np.inf
 
 
+def _reduced_hessian(w, R, free, problem):
+    """Diagonal and matrix-free apply of the objective's Hessian in w on the
+    edges ``free`` (a mask), at w with R = (A* w + J)^{-1}.
+
+    The log-det part is v -> a(R A*(v) R) restricted to the free edges, whose
+    diagonal is a(R)^2 = ((b_e^T R b_e)^2)_e; the MCP adds -2/gamma on the
+    edges with w_e < gamma lam. The apply costs two n x n GEMMs and holds no
+    matrix larger than n x n.
+    """
+    lam, gamma = problem.params.lam, problem.params.gamma
+    sub = problem.prior.support(free.astype(float))
+    concave = (2.0 / gamma) * (w[free] < gamma * lam)
+
+    def apply(v):
+        return laplacian_adjoint(R @ weights_to_laplacian(v, sub) @ R, sub) - concave * v
+
+    return problem.a(R)[free] ** 2 - concave, apply
+
+
+@dataclass
+class _Polish:
+    """Outcome of :func:`_polish`: the final weights, their objective and
+    residual, the steps taken, and whether it ended on a refusal."""
+
+    w: np.ndarray
+    f: float
+    stationarity: float
+    steps: int
+    refused: bool
+
+
+def _polish(w, f, problem, eps):
+    """Projected Newton on the objective [Bertsekas 1982] from the accepted
+    iterate w of value f, for at most ``_POLISH_STEPS`` steps, stopping once
+    the stationarity residual is below eps.
+
+    At each step, with R = (A* w + J)^{-1} and g the objective's gradient,
+    the free set is F = {w > 0} | {g < 0}. Jacobi-preconditioned CG solves
+    H_F x = g_F on the reduced Hessian of :func:`_reduced_hessian` to
+    1e-2 min(1, sqrt(||g_F||)) ||g_F||, within ``_POLISH_CG`` steps, and
+    d = -x on F, 0 elsewhere. A projected Armijo search then takes
+    w+ = max(w + t d, 0) at the first t in 1, 1/2, ... with
+    f(w+) <= f + 1e-4 min(g^T (w+ - w), 0), so no step raises f. The polish
+    refuses, taking no further step, where a diagonal entry of H_F is <= 0
+    (an edge in the MCP's concave zone with small effective resistance), where
+    CG meets p^T H p <= 0, or where the search fails ``_POLISH_BACKTRACKS``
+    times; the steps taken before stay.
+    """
+    steps = 0
+    refused = False
+    while True:
+        R = np.linalg.inv(problem.astar(w) + problem.J)
+        g = objective_gradient(w, problem, "cgl-mcp", R)
+        residual = _projected_residual(g, w)
+        if residual < eps or steps == _POLISH_STEPS:
+            break
+        free = (w > 0) | (g < 0)
+        diag, hessian = _reduced_hessian(w, R, free, problem)
+        if diag.min() <= 0:
+            refused = True
+            break
+        g_free = g[free]
+        gnorm = float(np.linalg.norm(g_free))
+        target = 1e-2 * min(1.0, np.sqrt(gnorm)) * gnorm
+        x, _, curved = _pcg(hessian, g_free, diag, target, _POLISH_CG)
+        if not curved:
+            refused = True
+            break
+        d = np.zeros_like(w)
+        d[free] = -x
+        t = 1.0
+        for _ in range(_POLISH_BACKTRACKS):
+            w_new = np.maximum(w + t * d, 0.0)
+            f_new = objective_value(w_new, problem)
+            if f_new <= f + _POLISH_ARMIJO * min(float(g @ (w_new - w)), 0.0):
+                break
+            t *= 0.5
+        else:
+            refused = True
+            break
+        w, f = w_new, f_new
+        steps += 1
+    return _Polish(w, f, residual, steps, refused)
+
+
 @dataclass
 class _TraceStep:
     """Per-iteration arrays kept for certificate auditing (never serialized)."""
@@ -150,16 +249,34 @@ def solve_mcp(problem, params=None, keep_trace=False, start=None):
     Newton iteration cap ``ssn._MAX_NEWTON`` or on a stalled line search)
     ends the solve as ``"certificate_failed"``. Accepted steps must satisfy
     the quantified descent property (violations raise
-    :class:`DescentError`). Terminates on the relative successive change of the
-    weights or of the objective falling below eps. Each history entry records
-    the Newton iterations and CG steps of the step (``ssn_iterations``,
-    ``ssn_cg_steps``), how many rule evaluations it took (``cert_checks``,
-    one per Newton point), ``cert_retries`` (always 0), the certificate
-    (``delta_norm``, ``r``, ``bound``), the relative changes ``rel_w`` and
-    ``rel_f``, and the first-order ``stationarity`` residual of the accepted
-    weights (see :func:`laplace_mcp.penalty.stationarity`; it costs one A(.)
-    of the X2^{-1} the rule check already has). The report's
-    ``stationarity`` is that of its final weights.
+    :class:`DescentError`).
+
+    An accepted step whose stationarity residual is below 1e-2
+    (``_POLISH_START``) is polished by projected Newton on the objective
+    (see :func:`_polish`), which only lowers f; the next subproblem is
+    centred at the polished weights, and the prox argument Z carries over
+    unchanged. A polish that refuses hands back to the d.c. loop, and the
+    next polish waits until a step's residual is below a tenth of the
+    residual at the refusal (``_POLISH_BACKOFF``). The solve ends
+    ``"converged"`` once the residual of the current weights, polished or
+    not, is below eps, or, as a second exit, once the step's relative change
+    of the weights or of the objective is.
+
+    Each history entry records the Newton iterations and CG steps of the
+    step (``ssn_iterations``, ``ssn_cg_steps``), how many rule evaluations
+    it took (``cert_checks``, one per Newton point), ``cert_retries``
+    (always 0), the certificate (``delta_norm``, ``r``, ``bound``), the
+    relative changes ``rel_w`` and ``rel_f``, and the first-order
+    ``stationarity`` residual of the accepted weights (see
+    :func:`laplace_mcp.penalty.stationarity`; it costs one A(.) of the
+    X2^{-1} the rule check already has). Then the polish: ``polish_steps``,
+    ``polish_refused``, and the objective ``polish_f``, distance
+    ``polish_dw_norm`` from the step's start and residual
+    ``polish_stationarity`` of the polished weights, equal to ``f``,
+    ``dw_norm`` and ``stationarity`` where no polish step was taken. ``exit`` names the test that
+    ended a converged solve on its last entry (``"stationarity"``,
+    ``"rel_w"`` or ``"rel_f"``) and is None elsewhere. The report's
+    ``objective`` and ``stationarity`` are those of its final weights.
     ``warm_start`` summarizes the ADMM stage: its termination, iterations,
     final KKT residual, tolerance ``eps``, ``wall_time_s`` and final ``sigma``.
     A disconnected prior or a degenerate covariance raises ValueError before
@@ -176,6 +293,7 @@ def solve_mcp(problem, params=None, keep_trace=False, start=None):
     f_prev = objective_value(w, problem)
     sigma = _SIGMA0
     Z = None
+    polish_gate = _POLISH_START
     history = []
     trace = [] if keep_trace else None
     termination = "max_outer"
@@ -197,6 +315,20 @@ def solve_mcp(problem, params=None, keep_trace=False, start=None):
         rel_f = (
             abs(f_next - f_prev) / (1.0 + abs(f_prev)) if np.isfinite(f_prev) else float("inf")
         )
+        if params.eps <= test.stationarity < polish_gate:
+            polish = _polish(w_next, f_next, problem, params.eps)
+            if polish.refused:
+                polish_gate = min(polish_gate, polish.stationarity / _POLISH_BACKOFF)
+        else:
+            polish = _Polish(w_next, f_next, test.stationarity, 0, False)
+        if polish.stationarity < params.eps:
+            exit_test = "stationarity"
+        elif rel_w < params.eps:
+            exit_test = "rel_w"
+        elif rel_f < params.eps:
+            exit_test = "rel_f"
+        else:
+            exit_test = None
         history.append(
             {
                 "k": k,
@@ -216,14 +348,20 @@ def solve_mcp(problem, params=None, keep_trace=False, start=None):
                 "rel_w": rel_w,
                 "rel_f": rel_f,
                 "stationarity": test.stationarity,
+                "polish_steps": polish.steps,
+                "polish_refused": polish.refused,
+                "polish_f": polish.f,
+                "polish_dw_norm": float(np.linalg.norm(polish.w - w)),
+                "polish_stationarity": polish.stationarity,
+                "exit": exit_test,
             }
         )
         if keep_trace:
             trace.append(_TraceStep(w.copy(), w_next.copy(), res.E.copy(), sigma))
-        w = w_next
-        f_prev = f_next
+        w = polish.w
+        f_prev = polish.f
         Z = ctx.cost_matrix + res.Y
-        if rel_w < params.eps or rel_f < params.eps:
+        if exit_test is not None:
             termination = "converged"
             break
         sigma = max(sigma * _RHO, _SIGMA_MIN)
@@ -248,7 +386,9 @@ def solve_mcp(problem, params=None, keep_trace=False, start=None):
         history=history,
         config=config,
         stationarity=(
-            history[-1]["stationarity"] if history else stationarity(w, problem, "cgl-mcp")
+            history[-1]["polish_stationarity"]
+            if history
+            else stationarity(w, problem, "cgl-mcp")
         ),
         warm_start={
             "termination": warm.termination,

@@ -1,9 +1,11 @@
 """Minimax concave penalty, its difference-of-convex split, and the penalized
 negative log-likelihood objective.
 
-A penalty enters the solvers only through its value and the gradient of the
+A penalty enters the d.c. loop only through its value and the gradient of the
 smooth convex part h of its split lam|x| - h(x), so other separable non-convex
-penalties can slot in by providing the same two functions.
+penalties can slot in by providing the same two functions; the
+projected-Newton polish also reads the MCP's curvature, -1/gamma inside
+|x| < gamma lam (``dca._reduced_hessian``).
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ __all__ = [
     "dc_smooth_grad",
     "dc_smooth_grad_matrix",
     "objective_value",
+    "objective_gradient",
     "stationarity",
 ]
 
@@ -71,8 +74,17 @@ def objective_value(w, problem):
     """Penalized objective -log det(Theta + J) + <S, Theta> + P(Theta) at Theta
     built from the edge weights w.
 
-    Returns +inf instead of raising when w is infeasible or Theta + J has an
-    eigenvalue below 1e-12.
+    The log-determinant comes from a Cholesky factor L of Theta + J, as twice
+    the summed log of its diagonal. Returns +inf instead of raising when w is
+    infeasible, when the factorization fails, or when a pivot L_ii^2 is below
+    1e-12. Every pivot squared is at least the smallest eigenvalue, so each
+    matrix with a pivot below the floor has an eigenvalue below it too, and
+    singular matrices, such as those of a disconnected support, meet it at
+    their vanishing pivot. The verdict differs from an eigenvalue floor at
+    1e-12 only on positive definite matrices whose smallest eigenvalue lies
+    below 1e-12 while every pivot squared stays above it: one edge on two
+    nodes with weight 3e-13 has eigenvalues 6e-13 and 1 and last pivot
+    squared 1.2e-12, and gets its finite value here.
     """
     w = np.asarray(w, dtype=float).reshape(-1)
     if w.shape[0] != problem.m:
@@ -80,24 +92,38 @@ def objective_value(w, problem):
     if not np.all(np.isfinite(w)) or np.any(w < 0):
         return float("inf")
     theta = problem.astar(w)
-    vals = np.linalg.eigvalsh(theta + problem.J)
-    if vals[0] < 1e-12:
+    try:
+        pivots = np.linalg.cholesky(theta + problem.J).diagonal()
+    except np.linalg.LinAlgError:
+        return float("inf")
+    if pivots.min() ** 2 < 1e-12:
         return float("inf")
     # <S, A*w> = <A(S), w>; P(Theta) counts each edge entry twice (ij and ji).
     penalty = 2.0 * float(np.sum(mcp_value(w, problem.params)))
-    return float(-np.log(vals).sum() + problem.a_of_S @ w + penalty)
+    return float(-2.0 * np.log(pivots).sum() + problem.a_of_S @ w + penalty)
+
+
+def objective_gradient(w, problem, model, X_inv):
+    """Gradient in w of the objective of ``model`` ("cgl-mcp" or "cgl-l1"):
+    g = -A(X^{-1}) + A(S) + p'(w), X = A* w + J, with ``X_inv`` = X^{-1} and
+    p'(w) = 2 (lam - h'(w)) = 2 max(lam - w/gamma, 0) for MCP and 2 lam for
+    the l1 trace term."""
+    lam = problem.params.lam
+    if model == "cgl-mcp":
+        penalty_grad = 2.0 * (lam - dc_smooth_grad(w, problem.params))
+    else:
+        penalty_grad = 2.0 * lam
+    return problem.a_of_S - problem.a(X_inv) + penalty_grad
 
 
 def stationarity(w, problem, model, X_inv=None):
     """First-order stationarity residual ||Pi(g)||/(1 + ||w||) at w >= 0 of
     the objective of ``model`` ("cgl-mcp" or "cgl-l1").
 
-    g = -A(X^{-1}) + A(S) + p'(w), X = A* w + J, is the gradient in w, with
-    p'(w) = 2 (lam - h'(w)) = 2 max(lam - w/gamma, 0) for MCP and 2 lam for
-    the l1 trace term. Pi keeps g_e where w_e > 0 and min(g_e, 0) elsewhere,
-    so the residual vanishes exactly at a critical point. ``X_inv`` is
-    X^{-1} when the caller has it; otherwise X is inverted here, and a
-    singular X gives +inf.
+    g is :func:`objective_gradient`. Pi keeps g_e where w_e > 0 and
+    min(g_e, 0) elsewhere, so the residual vanishes exactly at a critical
+    point. ``X_inv`` is (A* w + J)^{-1} when the caller has it; otherwise it
+    is inverted here, and a singular matrix gives +inf.
     """
     w = np.asarray(w, dtype=float).reshape(-1)
     if X_inv is None:
@@ -105,11 +131,12 @@ def stationarity(w, problem, model, X_inv=None):
             X_inv = np.linalg.inv(problem.astar(w) + problem.J)
         except np.linalg.LinAlgError:
             return float("inf")
-    lam = problem.params.lam
-    if model == "cgl-mcp":
-        penalty_grad = 2.0 * (lam - dc_smooth_grad(w, problem.params))
-    else:
-        penalty_grad = 2.0 * lam
-    g = problem.a_of_S - problem.a(X_inv) + penalty_grad
+    g = objective_gradient(w, problem, model, X_inv)
+    return _projected_residual(g, w)
+
+
+def _projected_residual(g, w):
+    """||Pi(g)||/(1 + ||w||), Pi keeping g_e where w_e > 0 and min(g_e, 0)
+    elsewhere."""
     g = np.where(w > 0, g, np.minimum(g, 0.0))
     return float(np.linalg.norm(g) / (1.0 + np.linalg.norm(w)))

@@ -179,8 +179,9 @@ def _jacobi_diagonal(cache, active, sigma, ridge):
 def _pcg(T, b, diag, target, max_steps):
     """Jacobi-preconditioned conjugate gradients for T x = b from x = 0, in
     the dtype of ``b``. Stops once the recursive residual norm reaches
-    ``target``, after ``max_steps`` steps, or on a non-positive curvature.
-    Returns x and the number of steps."""
+    ``target``, after ``max_steps`` steps, or on a non-positive curvature
+    p^T T p <= 0. Returns x, the number of steps, and whether every
+    curvature met was positive."""
     x = np.zeros_like(b)
     r = b.copy()
     z = r / diag
@@ -192,7 +193,7 @@ def _pcg(T, b, diag, target, max_steps):
         Tp = T(p)
         pTp = float(np.vdot(p, Tp))
         if pTp <= 0:
-            break
+            return x, steps, False
         alpha = rz / pTp
         x += alpha * p
         r -= alpha * Tp
@@ -202,7 +203,7 @@ def _pcg(T, b, diag, target, max_steps):
         rz_new = float(np.vdot(r, z))
         p = z + (rz_new / rz) * p
         rz = rz_new
-    return x, steps
+    return x, steps, True
 
 
 def _newton_direction(point, ctx, mask, gnorm, excess):
@@ -242,7 +243,7 @@ def _newton_direction(point, ctx, mask, gnorm, excess):
     r, rnorm = g, gnorm
     steps = 0
     while steps < _MAX_CG:
-        dD, k = _pcg(
+        dD, k, _ = _pcg(
             T, (r / rnorm).astype(diag.dtype), diag, target / rnorm, _MAX_CG - steps
         )
         steps += k

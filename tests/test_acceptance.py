@@ -278,11 +278,15 @@ class TestCriterion5:
         for history in groups:
             for h in history:
                 checked += 1
-                if not descent_check(h["f_prev"], h["f"], h["sigma"], h["dw_norm"]):
+                descent = descent_check(h["f_prev"], h["f"], h["sigma"], h["dw_norm"])
+                # the polish never raises f: the same slack, no sigma term
+                polished = descent_check(h["f"], h["polish_f"], 1.0, 0.0)
+                if not (descent and polished):
                     failed += 1
         _report(
             5,
-            "quantified descent holds at 100% of accepted iterations (slack 1e-9)",
+            "quantified descent holds, and the polish never raises f, at 100% of "
+            "accepted iterations (slack 1e-9)",
             checked > 0 and failed == 0,
             f"{checked} iterations across {len(groups)} runs",
         )

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from laplace_mcp.dca import descent_check, solve_mcp
 from laplace_mcp.penalty import dc_smooth_grad_matrix
 from laplace_mcp.ssn import SubproblemContext, check_stop_condition, subproblem_error_vector
 
-from util import make_problem, scan_then_golden, stationarity_oracle
+from util import incidence_matrix, make_problem, scan_then_golden, stationarity_oracle
 
 
 def cost_matrix(w, problem):
@@ -219,8 +220,18 @@ class TestSolveMcp:
             assert "ssn_status" not in h and "ssn_unconverged" not in h
             assert h["cert_retries"] == 0
             assert h["ssn_cg_steps"] >= h["ssn_iterations"]
+            if h["polish_steps"] == 0:
+                assert h["polish_f"] == h["f"]
+                assert h["polish_dw_norm"] == h["dw_norm"]
+                assert h["polish_stationarity"] == h["stationarity"]
+        # the next step starts from the polished point
+        for h, h_next in zip(report.history, report.history[1:]):
+            assert h_next["f_prev"] == h["polish_f"]
+        assert [h["exit"] for h in report.history[:-1]] == [None] * (len(report.history) - 1)
+        assert report.history[-1]["exit"] == "stationarity"
+        assert report.objective == report.history[-1]["polish_f"]
         back = lm.SolveReport.from_dict(json.loads(json.dumps(report.to_dict())))
-        for key in ("ssn_cg_steps", "cert_checks"):
+        for key in ("ssn_cg_steps", "cert_checks", "polish_steps", "polish_refused", "exit"):
             assert [h[key] for h in back.history] == [h[key] for h in report.history]
 
     def test_certified_steps_recomputed(self):
@@ -282,15 +293,20 @@ class TestSolveMcp:
     def test_stationarity_recorded(self):
         problem, _, _ = make_problem(n=10, p=0.4, seed=6, lam=0.05, k=5000 * 10)
         report = solve_mcp(problem, lm.DcaParams(eps=1e-6), keep_trace=True)
-        for h, step in zip(report.history, report.trace):
+        # each step's subproblem is centred at the polished weights of the
+        # step before; the last step's polished weights are the output
+        polished = [step.w_prev for step in report.trace[1:]] + [report.w]
+        assert any(h["polish_steps"] > 0 for h in report.history)
+        for h, step, w_polish in zip(report.history, report.trace, polished):
             want = stationarity_oracle(step.w_next, problem, "cgl-mcp")
             assert h["stationarity"] == pytest.approx(want, rel=1e-8)
-        assert report.stationarity == report.history[-1]["stationarity"] < 1e-3
+            want = stationarity_oracle(w_polish, problem, "cgl-mcp")
+            assert h["polish_stationarity"] == pytest.approx(want, rel=1e-8)
+        assert report.stationarity == report.history[-1]["polish_stationarity"] < 1e-6
         back = lm.SolveReport.from_dict(json.loads(json.dumps(report.to_dict())))
         assert back.stationarity == report.stationarity
-        assert [h["stationarity"] for h in back.history] == [
-            h["stationarity"] for h in report.history
-        ]
+        for key in ("stationarity", "polish_stationarity"):
+            assert [h[key] for h in back.history] == [h[key] for h in report.history]
 
     def test_node_permutation_equivariance(self):
         # a coarse prior leaves half the candidate edges at zero weight, so the
@@ -343,6 +359,110 @@ class TestSolveMcp:
         assert report.warm_start["eps"] == 1e-4
         assert report.warm_start["wall_time_s"] <= report.wall_time_s
         assert report.warm_start["sigma"] > 0
+
+
+def full_prior_problem(n, lam, seed=3):
+    """An ER instance on the full prior, with the true weights (zero off the
+    true graph) as a start whose objective is finite."""
+    base, gw, _ = make_problem(n=n, p=0.3, seed=seed, lam=lam, k=5000 * n)
+    prior = lm.perturb_connectivity(lm.true_prior(gw), "full")
+    problem = lm.ProblemData(base.S, prior, base.params)
+    index = {e: i for i, e in enumerate(map(tuple, problem.prior.edges.tolist()))}
+    w = np.zeros(problem.m)
+    for e, x in zip(map(tuple, gw.edges.tolist()), gw.weights):
+        w[index[e]] = x
+    return problem, w
+
+
+class TestPolish:
+    @pytest.mark.parametrize("n, seed", [(6, 0), (9, 1), (12, 2)])
+    def test_hessian_apply_matches_dense(self, n, seed):
+        # B_F^T R B_F o B_F^T R B_F, minus 2/gamma on the concave diagonal
+        problem, w0 = full_prior_problem(n, 0.5, seed)
+        rng = np.random.default_rng(seed)
+        w = np.where(rng.random(problem.m) < 0.3, 0.0, w0 + rng.uniform(0, 1.5, problem.m))
+        R = np.linalg.inv(problem.astar(w) + problem.J)
+        g = lm.penalty.objective_gradient(w, problem, "cgl-mcp", R)
+        free = (w > 0) | (g < 0)
+        assert 0 < free.sum() < problem.m
+        B = incidence_matrix(problem.prior).toarray()[:, free]
+        P = B.T @ R @ B
+        concave = w[free] < problem.params.gamma * problem.params.lam
+        assert 0 < concave.sum() < free.sum()
+        H = P * P - np.diag((2.0 / problem.params.gamma) * concave)
+        diag, apply = dca._reduced_hessian(w, R, free, problem)
+        np.testing.assert_allclose(diag, np.diag(H), rtol=1e-12, atol=0)
+        for _ in range(3):
+            v = rng.standard_normal(free.sum())
+            want = H @ v
+            assert np.linalg.norm(apply(v) - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("lam, shift", [(0.0, 0.0), (0.1, 0.0), (0.5, 0.5)])
+    def test_steps_never_raise_f(self, monkeypatch, lam, shift):
+        # at lam = 0.5 the start w + 0.5 takes one step, then refuses
+        problem, w = full_prior_problem(10, lam)
+        w = np.where(w > 0, w + shift, 0.0)
+        f = lm.objective_value(w, problem)
+        values = [f]
+        for cap in range(1, dca._POLISH_STEPS + 1):
+            monkeypatch.setattr(dca, "_POLISH_STEPS", cap)
+            out = dca._polish(w, f, problem, 1e-12)
+            assert out.f == lm.objective_value(out.w, problem)
+            assert np.all(out.w >= 0)
+            values.append(out.f)
+            if out.steps < cap:
+                break
+        assert len(values) > 2
+        assert all(b <= a for a, b in zip(values, values[1:]))
+
+    def test_single_edge_refuses_on_nonpositive_curvature(self, monkeypatch):
+        # one edge on two nodes: b^T R b = 1/w, so inside the concave zone
+        # w < gamma lam the second derivative is 1/w^2 - 2/gamma, which
+        # changes sign at w = sqrt(gamma/2), about 0.866 at gamma = 1.5
+        g = lm.EdgeGraph(2, [(0, 1)], weights=[1.0])
+        S = lm.population_covariance(g.laplacian())
+        problem = lm.ProblemData(S, lm.true_prior(g), lm.PenaltyParams(1.0, 1.5))
+        monkeypatch.setattr(dca, "_POLISH_STEPS", 1)
+        for w0 in (0.3, 0.6, 0.85, 0.87, 1.0, 1.4):
+            w = np.array([w0])
+            R = np.linalg.inv(problem.astar(w) + problem.J)
+            diag, _ = dca._reduced_hessian(w, R, np.array([True]), problem)
+            curvature = 1.0 / w0**2 - 2.0 / 1.5
+            assert diag[0] == pytest.approx(curvature, rel=1e-12)
+            out = dca._polish(w, lm.objective_value(w, problem), problem, 1e-12)
+            assert out.refused == (curvature <= 0)
+            assert out.steps == (curvature > 0)
+
+    def test_memory_stays_linear_in_the_edges(self):
+        # a dense |F| x |F| Hessian on the n=40 full prior (m=780) would take
+        # m^2 = 608400 words; the matrix-free polish needs O(n^2 + m)
+        problem, w = full_prior_problem(40, 0.0)
+        f = lm.objective_value(w, problem)
+        dca._polish(w, f, problem, 1e-12)
+        tracemalloc.start()
+        try:
+            out = dca._polish(w, f, problem, 1e-12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.steps > 0
+        assert peak <= 16 * 8 * (problem.n**2 + problem.m)
+
+    def test_backoff_after_refusal(self):
+        # a refusal at residual s holds the polish off until a step's
+        # residual is below s/10
+        problem, gw, _ = make_problem(n=12, p=0.3, seed=2, lam=0.5, k=5000 * 12)
+        problem = lm.ProblemData(
+            problem.S, lm.perturb_connectivity(lm.true_prior(gw), "full"), problem.params
+        )
+        report = solve_mcp(problem, lm.DcaParams(eps=1e-6))
+        assert sum(h["polish_refused"] for h in report.history) >= 2
+        gate = dca._POLISH_START
+        for h in report.history:
+            ran = h["polish_steps"] > 0 or h["polish_refused"]
+            assert ran == (1e-6 <= h["stationarity"] < gate)
+            if h["polish_refused"]:
+                gate = min(gate, h["polish_stationarity"] / 10)
 
 
 class TestDcaParams:

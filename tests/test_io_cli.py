@@ -320,6 +320,12 @@ class TestCliSolveEval:
             newton = sum(h["ssn_iterations"] for h in steps)
             cg = sum(h["ssn_cg_steps"] for h in steps)
             assert f"work: {len(steps)} outer steps, {newton} Newton steps, {cg} CG steps" in out
+            polish = sum(h["polish_steps"] for h in steps)
+            refused = sum(h["polish_refused"] for h in steps)
+            assert f"\npolish: {polish} steps, {refused} refused\n" in out
+            assert polish > 0
+            assert steps[-1]["exit"] in ("stationarity", "rel_w", "rel_f")
+            assert all(h["exit"] is None for h in steps[:-1])
         else:
             last = rep.history[-1]
             assert last["aa_steps"] > 0
@@ -482,7 +488,7 @@ class TestCliSolveEval:
 class TestDegenerateInputs:
     """Solves of the n=12 ER instance (p=0.3, seed 13) at lambda=0.05 from
     degenerate data: a constant column and k < n samples solve, and one
-    sample on the full prior ends with a named status, not a traceback."""
+    sample on the full prior reaches a critical point."""
 
     @pytest.fixture()
     def instance(self, tmp_path):
@@ -529,12 +535,14 @@ class TestDegenerateInputs:
         assert self.solve(tmp_path, self.sampled(tmp_path, L, 1), graph) == (0, "converged")
 
     def test_one_sample_full_prior_named_status(self, tmp_path, instance):
-        # the weights grow to about 1e3 and rel_w decays slowly; the outer cap
-        # ends this solve, and any other non-converged status is as valid
+        # the weights grow to about 1e3 and rel_w decays slowly, so the d.c.
+        # loop alone ran to the outer cap; the polish reaches a critical point
         _, L = instance
-        rc, termination = self.solve(tmp_path, self.sampled(tmp_path, L, 1), "full")
-        assert rc == 2
-        assert termination in ("max_outer", "certificate_failed")
+        source = self.sampled(tmp_path, L, 1)
+        assert self.solve(tmp_path, source, "full") == (0, "converged")
+        report = lio.load_report(tmp_path / "r.json")
+        assert report.stationarity < report.config["eps"]
+        assert report.history[-1]["exit"] == "stationarity"
 
 
 class TestCliSweep:

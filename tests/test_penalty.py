@@ -170,6 +170,31 @@ class TestObjective:
         assert np.isinf(lm.objective_value(-np.ones(problem.m), problem))
         assert np.isinf(lm.objective_value(np.zeros(problem.m), problem))
 
+    def test_disconnected_support_gives_inf(self):
+        # Theta + J is singular when the support leaves node 2 alone
+        g = lm.EdgeGraph(3, [(0, 1), (0, 2), (1, 2)])
+        problem = lm.ProblemData(np.eye(3), g, P15)
+        assert np.isinf(lm.objective_value(np.array([1.0, 0.0, 0.0]), problem))
+        assert np.isfinite(lm.objective_value(np.array([1.0, 0.0, 1.0]), problem))
+
+    @pytest.mark.parametrize("w", [1e-13, 2e-13, 3e-13, 4e-13, 6e-13, 1e-6])
+    def test_cholesky_floor_on_one_edge(self, w):
+        # one edge on two nodes: Theta + J has eigenvalues 2w and 1, and the
+        # Cholesky pivots squared 1/2 + w and 2w/(1/2 + w); +inf comes from
+        # the pivot floor 1e-12, so 3e-13 and 4e-13 are finite although their
+        # smallest eigenvalue is below 1e-12 (the documented difference)
+        g = lm.EdgeGraph(2, [(0, 1)])
+        S = np.array([[0.5, 0.1], [0.1, 0.5]])
+        problem = lm.ProblemData(S, g, P15)
+        value = lm.objective_value(np.array([w]), problem)
+        if 2 * w / (0.5 + w) < 1e-12:
+            assert np.isinf(value)
+        else:
+            theta = lm.weights_to_laplacian(np.array([w]), g)
+            expected = -np.log(2 * w) + np.vdot(S, theta) + 2 * float(mcp_value(w, P15))
+            # the last pivot cancels to about 1e-16/(2w) relative
+            assert value == pytest.approx(expected, abs=1e-3)
+
 
 class TestPenaltyParams:
     def test_validation(self):
