@@ -7,7 +7,7 @@ an ADMM solver for the l1 (trace) penalized model as warm start and baseline.
 """
 
 from .admm import AdmmParams, solve_l1
-from .dca import DcaParams, DescentError, descent_check, solve_mcp
+from .dca import DcaParams, DescentError, solve_mcp
 from .graphs import (
     ConnectivityPrior,
     EdgeGraph,
@@ -34,16 +34,6 @@ from .metrics import detected_edges, f1_score, recovery_error
 from .penalty import PenaltyParams, objective_value
 from .problem import ProblemData
 from .report import SolveReport
-from .ssn import (
-    CertificateError,
-    SubproblemContext,
-    check_stop_condition,
-    dual_gradient,
-    dual_jacobian_apply,
-    dual_value,
-    recover_primal,
-    ssn_solve,
-    subproblem_error_vector,
-)
+from .ssn import CertificateError
 
 __version__ = "0.1.0"

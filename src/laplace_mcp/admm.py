@@ -36,9 +36,6 @@ _ADAPT_HI = 10.0
 # the KKT residuals are recorded in the history every _HISTORY_EVERY
 # iterations, at the first and at the last
 _HISTORY_EVERY = 50
-# the l1 warm start of the d.c. loop runs to max(eps, _ADMM_EPS_FLOOR): the
-# loop only starts from it. Solves tighter than this are Anderson-accelerated
-_ADMM_EPS_FLOOR = 1e-4
 # Anderson memory: the number of difference pairs kept
 _AA_MEMORY = 3
 
@@ -50,7 +47,7 @@ class AdmmParams:
     a cold start's penalty ``_SIGMA0`` (1), the penalty schedule
     ``_ADAPT_EVERY``, ``_ADAPT_LO`` and ``_ADAPT_HI`` (see :func:`solve_l1`),
     the history stride ``_HISTORY_EVERY`` (50), and the Anderson memory
-    ``_AA_MEMORY`` (3), used below ``eps`` = ``_ADMM_EPS_FLOOR`` (1e-4).
+    ``_AA_MEMORY`` (3).
     """
 
     eps: float = 1e-5
@@ -200,7 +197,9 @@ class _Anderson:
     dF, dR of F(z) and r, the next point is F(z) - dF g, where
     g = argmin ||r - dR g|| is solved on the Gram matrix dR^T dR, which
     gains one row per step. The differences, the last residual and dF g are
-    float32; points, residual norms and g are float64.
+    float32; points, residual norms and g are float64. The float32 products
+    run with underflow ignored, even where it is set to raise: a product
+    that underflows to 0 is harmless.
 
     :meth:`next_point` takes each step's output and returns the input of
     the next step: the output itself (the plain step) or an extrapolated
@@ -282,7 +281,8 @@ class _Anderson:
             self.cols = min(self.cols + 1, _AA_MEMORY)
             self.slot = (s + 1) % _AA_MEMORY
             k = self.cols
-            g = self.dR[:k] @ self.dR[s]
+            with np.errstate(under="ignore"):
+                g = self.dR[:k] @ self.dR[s]
             self.gram[s, :k] = g
             self.gram[:k, s] = g
         self.last = f
@@ -293,15 +293,17 @@ class _Anderson:
         if not self.candidate:
             return out
         k = self.cols
-        rhs = self.dR[:k] @ self.r_prev
-        gamma = np.linalg.lstsq(self.gram[:k, :k], rhs, rcond=None)[0]
-        # dF g entry by entry: a BLAS product could round Y_ij and Y_ji
-        # differently, and the prox needs Y symmetric. It goes to the dR row
-        # that the next difference overwrites, which nothing reads until then
         step = self.dR[self.slot]
-        np.multiply(self.dF[0], float(gamma[0]), out=step)
-        for j in range(1, k):
-            step += self.dF[j] * float(gamma[j])
+        with np.errstate(under="ignore"):
+            rhs = self.dR[:k] @ self.r_prev
+            gamma = np.linalg.lstsq(self.gram[:k, :k], rhs, rcond=None)[0]
+            # dF g entry by entry: a BLAS product could round Y_ij and Y_ji
+            # differently, and the prox needs Y symmetric. It goes to the dR
+            # row that the next difference overwrites, which nothing reads
+            # until then
+            np.multiply(self.dF[0], float(gamma[0]), out=step)
+            for j in range(1, k):
+                step += self.dF[j] * float(gamma[j])
         for dst, src, st in zip(self._split(z), f, self._split(step)):
             np.subtract(src, st, out=dst)
         self.steps += 1
@@ -330,8 +332,7 @@ def solve_l1(problem, params=None, start=None):
     10, say) leaves sigma alone while eta_p lags, for about 160 iterations of
     the Table-2 instance.
 
-    Solves tighter than the warm-start floor ``_ADMM_EPS_FLOOR`` (1e-4) are
-    Anderson-accelerated (type II, memory ``_AA_MEMORY``, see
+    The loop is Anderson-accelerated (type II, memory ``_AA_MEMORY``, see
     :class:`_Anderson`): while sigma and the support of w > 0 stay as they
     were at the previous iterate, the next step starts from the
     extrapolation F(z) - dF g of the last outputs instead of the last output
@@ -344,11 +345,7 @@ def solve_l1(problem, params=None, start=None):
     output, so the stop, the history and ``admm_state`` keep their meaning,
     and ``iteration`` counts steps, rejected candidates included. Each
     history entry carries the cumulative ``aa_steps`` (candidates) and
-    ``aa_rejected``. The MCP warm start runs at eps >= 1e-4 and stays plain:
-    at small lambda the d.c. loop can stop on rel_f after one step and keep
-    the error of whichever 1e-4 point ADMM returned, and with acceleration
-    there a chained sweep cell and its cold solve differed by up to 3e-3 in
-    rel_err, against 4.8e-4 for the plain loop.
+    ``aa_rejected``.
 
     A disconnected prior, and at lam = 0 a degenerate covariance, raise
     ValueError before the first iteration (see
@@ -359,7 +356,7 @@ def solve_l1(problem, params=None, start=None):
     t0 = time.perf_counter()
     gram = problem.gram_solver
     state = _start_state(problem, start)
-    aa = _Anderson(problem) if params.eps < _ADMM_EPS_FLOOR else None
+    aa = _Anderson(problem)
     point = state
     history = []
     termination = "max_iter"
@@ -375,8 +372,8 @@ def solve_l1(problem, params=None, start=None):
             "eta_d": res.eta_d,
             "eta_g": res.eta_g,
             "sigma": state.sigma,
-            "aa_steps": aa.steps if aa else 0,
-            "aa_rejected": aa.rejected if aa else 0,
+            "aa_steps": aa.steps,
+            "aa_rejected": aa.rejected,
         }
 
     for it in range(1, params.max_iter + 1):
@@ -394,7 +391,7 @@ def solve_l1(problem, params=None, start=None):
         if it % _ADAPT_EVERY == 0:
             ratio = eta_p / max(eta_d, 1e-30)
             state.sigma *= min(max(math.sqrt(ratio), _ADAPT_LO), _ADAPT_HI)
-        point = aa.next_point(state) if aa and it < params.max_iter else state
+        point = aa.next_point(state) if it < params.max_iter else state
     config = {
         "model": "cgl-l1",
         "lam": problem.params.lam,

@@ -209,7 +209,8 @@ def _cmd_solve(args):
         io.save_report(args.out, report)
     warm = report.warm_start
     warm_note = (
-        f", warm start {warm['iterations']} ADMM iterations in {warm['wall_time_s']:.2f}s"
+        f", warm start {warm['iterations']} ADMM iterations ({warm['aa_steps']} accelerated, "
+        f"{warm['aa_rejected']} rejected) in {warm['wall_time_s']:.2f}s"
         if warm
         else ""
     )

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admm import _ADMM_EPS_FLOOR, AdmmParams, solve_l1
+from .admm import AdmmParams, solve_l1
 from .graphs import laplacian_adjoint, weights_to_laplacian
 from .penalty import _projected_residual, objective_gradient, objective_value, stationarity
 from .report import SolveReport
@@ -43,6 +43,9 @@ class DescentError(RuntimeError):
 _SIGMA0 = 1.0
 _RHO = 0.8
 _SIGMA_MIN = 1e-4
+# the l1 warm start runs to max(eps, _ADMM_EPS_FLOOR): the loop only starts
+# from it
+_ADMM_EPS_FLOOR = 1e-4
 
 # the projected-Newton polish of an accepted iterate: it starts below the
 # residual _POLISH_START and takes at most _POLISH_STEPS steps; CG gets at
@@ -62,11 +65,12 @@ class DcaParams:
     """Outer-loop parameters; the penalty comes from ``ProblemData.params``.
 
     sigma starts at ``_SIGMA0`` (1.0) and shrinks by ``_RHO`` (0.8) each
-    iteration until it reaches ``_SIGMA_MIN`` (1e-4). The l1 warm start runs to
-    tolerance max(eps, ``admm._ADMM_EPS_FLOOR``), that is max(eps, 1e-4),
-    for at most ``admm_max_iter`` (at least 1) iterations; the d.c. loop
-    only starts from it, and its descent argument does not depend on how
-    accurate that start is. ``max_outer`` is non-negative. The Newton caps
+    iteration until it reaches ``_SIGMA_MIN`` (1e-4). The l1 warm start, the
+    Anderson-accelerated ADMM of :func:`solve_l1`, runs to tolerance
+    max(eps, ``_ADMM_EPS_FLOOR``), that is max(eps, 1e-4), for at most
+    ``admm_max_iter`` (at least 1) iterations; the d.c. loop only starts from
+    it, and its descent argument does not depend on how accurate that start
+    is. ``max_outer`` is non-negative. The Newton caps
     are the module constants ``ssn._MAX_NEWTON`` and ``ssn._MAX_CG``.
     """
 
@@ -278,7 +282,9 @@ def solve_mcp(problem, params=None, keep_trace=False, start=None):
     ``"rel_w"`` or ``"rel_f"``) and is None elsewhere. The report's
     ``objective`` and ``stationarity`` are those of its final weights.
     ``warm_start`` summarizes the ADMM stage: its termination, iterations,
-    final KKT residual, tolerance ``eps``, ``wall_time_s`` and final ``sigma``.
+    final KKT residual, tolerance ``eps``, ``wall_time_s``, final ``sigma``,
+    and the cumulative ``aa_steps`` and ``aa_rejected`` of its Anderson
+    acceleration.
     A disconnected prior or a degenerate covariance raises ValueError before
     the warm start (see :meth:`ProblemData.check_solvable`).
     """
@@ -397,6 +403,8 @@ def solve_mcp(problem, params=None, keep_trace=False, start=None):
             "eps": admm_params.eps,
             "wall_time_s": warm.wall_time_s,
             "sigma": warm.admm_state.sigma,
+            "aa_steps": warm.history[-1]["aa_steps"],
+            "aa_rejected": warm.history[-1]["aa_rejected"],
         },
         trace=trace,
         admm_state=warm.admm_state,

@@ -346,17 +346,6 @@ class TestOnDemandGap:
         assert rep.converged == (max_iter == 20000)
         assert history[-1]["aa_steps"] > 0
 
-    def test_plain_at_floor_matches_plain_loop(self):
-        # at the warm-start floor no step is accelerated: the library loop is
-        # the plain one, iterate for iterate
-        problem, _, _ = make_problem(n=10, p=0.4, seed=9, lam=0.05, k=5000 * 10)
-        params = lm.AdmmParams(eps=admm._ADMM_EPS_FLOOR)
-        state, history, iterations = reference_solve_l1(problem, params, accelerate=False)
-        rep = lm.solve_l1(problem, params)
-        assert rep.w.tobytes() == state.w.tobytes()
-        assert rep.history[-1] == history[-1]
-        assert rep.history[-1]["iteration"] == iterations
-
 
 class TestAnderson:
     @pytest.mark.parametrize("k", [None, 5000 * 12], ids=["exact", "sampled"])
@@ -370,22 +359,27 @@ class TestAnderson:
         assert rep.history[-1]["aa_steps"] > 0
         assert rep.objective == pytest.approx(kkt_residuals(state, problem).pobj, rel=1e-10)
 
-    def test_mcp_warm_start_is_plain(self, monkeypatch):
-        # the d.c. loop keeps whichever 1e-4 point the warm start returns, so
-        # that point must be the plain loop's
+    def test_mcp_warm_start_is_accelerated(self):
+        # the warm start is the accelerated l1 solve at the floor, bit for bit
         problem, _, _ = make_problem(n=10, p=0.4, seed=9, lam=0.05, k=5000 * 10)
+        rep = lm.solve_mcp(problem, lm.DcaParams(max_outer=0))
+        l1 = lm.solve_l1(problem, lm.AdmmParams(eps=1e-4))
+        assert rep.warm_start["aa_steps"] == l1.history[-1]["aa_steps"] > 0
+        assert rep.warm_start["aa_rejected"] == l1.history[-1]["aa_rejected"]
+        assert rep.warm_start["iterations"] == l1.history[-1]["iteration"]
+        for key in ("x", "theta", "w", "Y", "zeta"):
+            assert getattr(rep.admm_state, key).tobytes() == getattr(l1.admm_state, key).tobytes()
+        assert rep.admm_state.sigma == l1.admm_state.sigma
 
-        def refuse(problem):
-            raise AssertionError("the MCP warm start built an Anderson accelerator")
-
-        monkeypatch.setattr(admm, "_Anderson", refuse)
-        rep = lm.solve_mcp(problem, lm.DcaParams(eps=1e-8))
-        state, _, iterations = reference_solve_l1(
-            problem, lm.AdmmParams(eps=admm._ADMM_EPS_FLOOR), accelerate=False
-        )
-        assert rep.warm_start["iterations"] == iterations
-        assert rep.admm_state.w.tobytes() == state.w.tobytes()
-        assert rep.admm_state.Y.tobytes() == state.Y.tobytes()
+    def test_strict_float_settings(self):
+        # at lam = 1e6 float32 differences and their products underflow to 0,
+        # which must not raise where underflow is an error
+        problem, _, _ = make_problem(n=12, p=0.3, seed=0, lam=1e6)
+        with np.errstate(all="raise"):
+            rep = lm.solve_l1(problem, lm.AdmmParams(eps=1e-5, max_iter=2000))
+        assert rep.termination in ("converged", "max_iter")
+        assert rep.history[-1]["aa_steps"] > 0
+        assert np.all(np.isfinite(rep.w))
 
     def test_bad_candidate_rejected(self, monkeypatch):
         problem, _, _ = make_problem(n=12, p=0.3, seed=0, k=5000 * 12)
@@ -423,15 +417,25 @@ class TestAnderson:
         back = lm.SolveReport.from_dict(json.loads(json.dumps(rep.to_dict())))
         assert back.history == rep.history
 
-    def test_grid_tail(self):
+    @staticmethod
+    def grid_problem():
         # the grid's small Fiedler value (0.076 at n=144) gives plain ADMM a
-        # long linear tail: 1452 iterations
+        # long linear tail
         cfg = SweepConfig(ensemble="grid", n=144, scenario="true", seeds=[0])
         inst = make_instance(cfg, 0)
-        problem = lm.ProblemData(inst.S, inst.prior, lm.PenaltyParams(0.01, 1.5))
-        rep = lm.solve_l1(problem, lm.AdmmParams(eps=1e-6))
+        return lm.ProblemData(inst.S, inst.prior, lm.PenaltyParams(0.01, 1.5))
+
+    def test_grid_tail(self):
+        # plain: 1452 iterations
+        rep = lm.solve_l1(self.grid_problem(), lm.AdmmParams(eps=1e-6))
         assert rep.converged
         assert rep.history[-1]["iteration"] < 500
+
+    def test_grid_tail_mcp_warm_start(self):
+        # plain: 391 iterations to the warm-start tolerance 1e-4
+        rep = lm.solve_mcp(self.grid_problem(), lm.DcaParams(max_outer=0))
+        assert rep.warm_start["termination"] == "converged"
+        assert rep.warm_start["iterations"] < 200
 
     def test_badly_scaled_covariance_tail(self):
         # plain ADMM takes 9773 iterations on S x 1e3

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,6 +150,9 @@ class TestReportJson:
         assert back.warm_start == report.warm_start
         assert back.warm_start["wall_time_s"] > 0
         assert back.warm_start["sigma"] == report.admm_state.sigma
+        steps, rejected = back.warm_start["aa_steps"], back.warm_start["aa_rejected"]
+        assert (steps, rejected) == (report.warm_start["aa_steps"], report.warm_start["aa_rejected"])
+        assert isinstance(steps, int) and 0 <= rejected <= steps
         l1 = lm.solve_l1(problem)
         lio.save_report(path, l1)
         config = lio.load_report(path).config
@@ -172,6 +177,22 @@ class TestReportJson:
             params = lm.DcaParams
         assert set(config) == fields | other
         assert {f.name for f in dataclasses.fields(params)} == fields
+
+
+class TestPackageNamespace:
+    # solver internals stay in their modules
+    INTERNAL = (
+        "SubproblemContext", "ssn_solve", "recover_primal", "dual_value", "dual_gradient",
+        "dual_jacobian_apply", "subproblem_error_vector", "check_stop_condition",
+        "descent_check",
+    )
+
+    def test_exports_readme_names_only(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        example = readme.split("## Library use", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+        used = set(re.findall(r"\blm\.(\w+)", example))
+        assert used and all(hasattr(lm, name) for name in used), used
+        assert not [name for name in self.INTERNAL if hasattr(lm, name)]
 
 
 class TestCliGen:
@@ -326,6 +347,12 @@ class TestCliSolveEval:
             assert polish > 0
             assert steps[-1]["exit"] in ("stationarity", "rel_w", "rel_f")
             assert all(h["exit"] is None for h in steps[:-1])
+            warm = rep.warm_start
+            assert warm["aa_steps"] > 0
+            assert (
+                f", warm start {warm['iterations']} ADMM iterations ({warm['aa_steps']} "
+                f"accelerated, {warm['aa_rejected']} rejected) in "
+            ) in out
         else:
             last = rep.history[-1]
             assert last["aa_steps"] > 0

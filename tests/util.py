@@ -82,14 +82,12 @@ def reference_solve_l1(problem, params, accelerate=True):
     """The ADMM loop of :func:`laplace_mcp.solve_l1` with all three KKT
     residuals at every iteration: returns the final state, the history and
     the iteration count. With ``accelerate`` it takes the library's
-    Anderson steps where ``solve_l1`` does (eps below the warm-start floor);
-    without, it is the plain loop, the oracle of the accelerated solver."""
+    Anderson steps; without, it is the plain loop, the oracle of the
+    accelerated solver."""
     from laplace_mcp import admm
 
     state = point = admm.initial_state(problem)
-    aa = None
-    if accelerate and params.eps < admm._ADMM_EPS_FLOOR:
-        aa = admm._Anderson(problem)
+    aa = admm._Anderson(problem) if accelerate else None
     history = []
     iterations = params.max_iter
     for it in range(1, params.max_iter + 1):
