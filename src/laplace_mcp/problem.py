@@ -62,8 +62,6 @@ class ProblemData:
         self.J.setflags(write=False)
         self.a_of_S = laplacian_adjoint(S, prior)
         self.a_of_S.setflags(write=False)
-        self._gram = None
-        self._shifted_S = None
 
     def astar(self, w):
         return weights_to_laplacian(w, self.prior)
@@ -71,20 +69,16 @@ class ProblemData:
     def a(self, X):
         return laplacian_adjoint(X, self.prior)
 
-    @property
+    @cached_property
     def gram_solver(self):
-        if self._gram is None:
-            self._gram = GramSolver(self.prior)
-        return self._gram
+        return GramSolver(self.prior)
 
-    @property
+    @cached_property
     def shifted_S(self):
         """S + lam I, the effective data matrix of the trace-penalized model."""
-        if self._shifted_S is None:
-            M = self.S + self.params.lam * np.eye(self.n)
-            M.setflags(write=False)
-            self._shifted_S = M
-        return self._shifted_S
+        M = self.S + self.params.lam * np.eye(self.n)
+        M.setflags(write=False)
+        return M
 
     @cached_property
     def _connected(self):

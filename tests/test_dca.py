@@ -14,6 +14,13 @@ from laplace_mcp.ssn import SubproblemContext, check_stop_condition, subproblem_
 from util import incidence_matrix, make_problem, scan_then_golden, stationarity_oracle
 
 
+HISTORY_KEYS = {
+    "k", "f", "f_prev", "sigma", "dw_norm", "ssn_iterations", "ssn_cg_steps",
+    "cert_retries", "delta_norm", "r", "bound", "stationarity", "polish_steps",
+    "polish_refused", "polish_f", "polish_dw_norm", "polish_stationarity",
+}
+
+
 def cost_matrix(w, problem):
     return SubproblemContext(problem, 1.0, w).cost_matrix
 
@@ -217,7 +224,7 @@ class TestSolveMcp:
         report = solve_mcp(problem, lm.DcaParams(eps=1e-6))
         assert report.history
         for h in report.history:
-            assert "ssn_status" not in h and "ssn_unconverged" not in h
+            assert set(h) == HISTORY_KEYS
             assert h["cert_retries"] == 0
             assert h["ssn_cg_steps"] >= h["ssn_iterations"]
             if h["polish_steps"] == 0:
@@ -227,12 +234,13 @@ class TestSolveMcp:
         # the next step starts from the polished point
         for h, h_next in zip(report.history, report.history[1:]):
             assert h_next["f_prev"] == h["polish_f"]
-        assert [h["exit"] for h in report.history[:-1]] == [None] * (len(report.history) - 1)
-        assert report.history[-1]["exit"] == "stationarity"
+        # converged means the residual of the final weights is below eps
+        assert report.termination == "converged"
+        assert all(h["polish_stationarity"] >= 1e-6 for h in report.history[:-1])
+        assert report.stationarity == report.history[-1]["polish_stationarity"] < 1e-6
         assert report.objective == report.history[-1]["polish_f"]
         back = lm.SolveReport.from_dict(json.loads(json.dumps(report.to_dict())))
-        for key in ("ssn_cg_steps", "cert_checks", "polish_steps", "polish_refused", "exit"):
-            assert [h[key] for h in back.history] == [h[key] for h in report.history]
+        assert back.history == report.history
 
     def test_certified_steps_recomputed(self):
         # every step's certificate, recomputed from the trace alone, matches
@@ -251,21 +259,22 @@ class TestSolveMcp:
 
     def test_one_newton_run_per_step(self, monkeypatch):
         # an instance whose steps once needed Newton runs past a gradient
-        # tolerance: the certificate alone ends each step's single run
-        calls = []
+        # tolerance: the certificate alone ends each step's single run, and
+        # the step's acceptance test runs once per Newton point
+        runs = []
         real = dca.ssn_solve
 
-        def spy(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def spy(ctx, Y0, accept):
+            checks = []
+            res = real(ctx, Y0, lambda point: checks.append(point) or accept(point))
+            runs.append((len(checks), res.iterations))
+            return res
 
         monkeypatch.setattr(dca, "ssn_solve", spy)
         problem, _, _ = make_problem(n=10, p=0.3, seed=0, lam=0.1, k=5000 * 10)
         report = solve_mcp(problem, lm.DcaParams(eps=1e-6))
         assert report.termination == "converged"
-        assert len(calls) == len(report.history)
-        for h in report.history:
-            assert h["cert_checks"] == h["ssn_iterations"] + 1
+        assert runs == [(h["ssn_iterations"] + 1, h["ssn_iterations"]) for h in report.history]
 
     def test_newton_runs_start_at_the_last_prox_argument(self, monkeypatch):
         # run k >= 1 starts at Y = Z - K_k, where Z = K_{k-1} + Y_{k-1} is the
@@ -343,7 +352,7 @@ class TestSolveMcp:
         assert report.warm_start is not None
         assert report.warm_start["termination"] == "converged"
         keys = ("f", "sigma", "dw_norm", "ssn_iterations", "ssn_cg_steps")
-        for key in keys + ("cert_checks", "cert_retries", "r"):
+        for key in keys + ("cert_retries", "r"):
             assert key in report.history[0]
         back = lm.SolveReport.from_dict(json.loads(json.dumps(report.to_dict())))
         assert [h["ssn_cg_steps"] for h in back.history] == [
@@ -399,7 +408,8 @@ class TestPolish:
 
     @pytest.mark.parametrize("lam, shift", [(0.0, 0.0), (0.1, 0.0), (0.5, 0.5)])
     def test_steps_never_raise_f(self, monkeypatch, lam, shift):
-        # at lam = 0.5 the start w + 0.5 takes one step, then refuses
+        # at lam = 0.5 the start w + 0.5 takes all six steps, holding two
+        # concave-zone edges with a nonpositive diagonal fixed from the second
         problem, w = full_prior_problem(10, lam)
         w = np.where(w > 0, w + shift, 0.0)
         f = lm.objective_value(w, problem)
@@ -448,21 +458,44 @@ class TestPolish:
         assert out.steps > 0
         assert peak <= 16 * 8 * (problem.n**2 + problem.m)
 
-    def test_backoff_after_refusal(self):
-        # a refusal at residual s holds the polish off until a step's
-        # residual is below s/10
-        problem, gw, _ = make_problem(n=12, p=0.3, seed=2, lam=0.5, k=5000 * 12)
+    def test_nonpositive_curvature_edge_held_fixed(self, monkeypatch):
+        # a triangle whose light edge (0, 1) sits in the concave zone
+        # w < gamma lam = 1.5 parallel to a heavy path, so its effective
+        # resistance is small and its diagonal entry is <= 0; the other two
+        # edges, outside the zone, have positive diagonals
+        g = lm.EdgeGraph(3, [(0, 1), (0, 2), (1, 2)], weights=[1.0, 1.0, 1.0])
+        S = lm.population_covariance(g.laplacian())
+        problem = lm.ProblemData(S, lm.true_prior(g), lm.PenaltyParams(1.0, 1.5))
+        w = np.array([0.1, 5.0, 5.0])
+        R = np.linalg.inv(problem.astar(w) + problem.J)
+        diag, _ = dca._reduced_hessian(w, R, np.ones(3, dtype=bool), problem)
+        assert diag[0] <= 0 < diag[1:].min()
+        monkeypatch.setattr(dca, "_POLISH_STEPS", 1)
+        f = lm.objective_value(w, problem)
+        out = dca._polish(w, f, problem, 1e-12)
+        assert out.steps == 1 and not out.refused
+        assert out.w[0] == w[0]
+        assert np.all(out.w[1:] != w[1:])
+        assert out.f < f
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_full_prior_solves_never_refuse(self, seed):
+        # on these instances concave-zone edges in transit to 0 have a
+        # nonpositive diagonal; held fixed, they leave the polish free to
+        # finish each solve on the residual
+        problem, gw, _ = make_problem(n=12, p=0.3, seed=seed, lam=0.05, k=5000 * 12)
         problem = lm.ProblemData(
             problem.S, lm.perturb_connectivity(lm.true_prior(gw), "full"), problem.params
         )
         report = solve_mcp(problem, lm.DcaParams(eps=1e-6))
-        assert sum(h["polish_refused"] for h in report.history) >= 2
-        gate = dca._POLISH_START
+        assert report.termination == "converged"
+        assert report.stationarity < 1e-6
+        assert sum(h["polish_steps"] for h in report.history) > 0
+        assert not any(h["polish_refused"] for h in report.history)
+        # the polish runs on every step with eps <= residual < _POLISH_START
         for h in report.history:
-            ran = h["polish_steps"] > 0 or h["polish_refused"]
-            assert ran == (1e-6 <= h["stationarity"] < gate)
-            if h["polish_refused"]:
-                gate = min(gate, h["polish_stationarity"] / 10)
+            ran = h["polish_steps"] > 0
+            assert ran == (1e-6 <= h["stationarity"] < dca._POLISH_START)
 
 
 class TestDcaParams:
