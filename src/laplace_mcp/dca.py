@@ -134,22 +134,26 @@ class _StepTest:
 
 
 def _reduced_hessian(w, R, free, problem):
-    """Diagonal and matrix-free apply of the objective's Hessian in w on the
-    edges ``free`` (a mask), at w with R = (A* w + J)^{-1}.
+    """The edges of the mask ``free`` whose diagonal entry of the objective's
+    Hessian in w is positive, as a mask, with that diagonal and a matrix-free
+    apply of the Hessian on them, at w with R = (A* w + J)^{-1}.
 
-    The log-det part is v -> a(R A*(v) R) restricted to the free edges, whose
+    The log-det part is v -> a(R A*(v) R) restricted to the kept edges, whose
     diagonal is a(R)^2 = ((b_e^T R b_e)^2)_e; the MCP adds -2/gamma on the
     edges with w_e < gamma lam. The apply costs two n x n GEMMs and holds no
     matrix larger than n x n.
     """
     lam, gamma = problem.params.lam, problem.params.gamma
+    concave = (2.0 / gamma) * (w < gamma * lam)
+    diag = problem.a(R) ** 2 - concave
+    free = free & (diag > 0)
     sub = problem.prior.support(free.astype(float))
-    concave = (2.0 / gamma) * (w[free] < gamma * lam)
+    concave = concave[free]
 
     def apply(v):
         return laplacian_adjoint(R @ weights_to_laplacian(v, sub) @ R, sub) - concave * v
 
-    return problem.a(R)[free] ** 2 - concave, apply
+    return free, diag[free], apply
 
 
 @dataclass
@@ -191,12 +195,10 @@ def _polish(w, f, problem, eps):
         residual = _projected_residual(g, w)
         if residual < eps or steps == _POLISH_STEPS:
             break
-        free = (w > 0) | (g < 0)
-        free[free] = _reduced_hessian(w, R, free, problem)[0] > 0
+        free, diag, hessian = _reduced_hessian(w, R, (w > 0) | (g < 0), problem)
         if not free.any():
             refused = True
             break
-        diag, hessian = _reduced_hessian(w, R, free, problem)
         g_free = g[free]
         gnorm = float(np.linalg.norm(g_free))
         target = 1e-2 * min(1.0, np.sqrt(gnorm)) * gnorm

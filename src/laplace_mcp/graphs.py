@@ -137,25 +137,19 @@ class ConnectivityPrior:
     tag: str
 
 
-def _float_array(x):
-    """``x`` as a float64 array, or as given if it is float32 already."""
-    x = np.asarray(x)
-    return x if x.dtype == np.float32 else x.astype(float, copy=False)
-
-
 def weights_to_laplacian(w, graph):
     """Map an edge-weight vector to the symmetric matrix B Diag(w) B^T.
 
     Off-diagonal (i, j) is -w_(ij) on edges and 0 elsewhere; the diagonal
     holds weighted degrees, so every row sums to zero. For w >= 0 the result
-    is a combinatorial graph Laplacian. float32 input gives a float32 result.
+    is a combinatorial graph Laplacian.
     """
-    w = _float_array(w).reshape(-1)
+    w = np.asarray(w, dtype=float).reshape(-1)
     if w.shape[0] != graph.m:
         raise ValueError(f"expected {graph.m} weights, got {w.shape[0]}")
     n = graph.n
     ei, ej = graph.edges[:, 0], graph.edges[:, 1]
-    theta = np.zeros(n * n, dtype=w.dtype)
+    theta = np.zeros(n * n)
     theta[graph._flat_ij] = -w
     theta[graph._flat_ji] = -w
     theta[:: n + 1] = np.bincount(ei, w, n) + np.bincount(ej, w, n)
@@ -165,10 +159,9 @@ def weights_to_laplacian(w, graph):
 def laplacian_adjoint(X, graph):
     """Adjoint of ``weights_to_laplacian``: the vector diag(B^T X B).
 
-    Component (i, j) equals X_ii + X_jj - 2 X_ij for symmetric X. float32
-    input gives a float32 result.
+    Component (i, j) equals X_ii + X_jj - 2 X_ij for symmetric X.
     """
-    X = _float_array(X)
+    X = np.asarray(X, dtype=float)
     if X.shape != (graph.n, graph.n):
         raise ValueError(f"expected a {graph.n}x{graph.n} matrix, got {X.shape}")
     ei, ej = graph.edges[:, 0], graph.edges[:, 1]

@@ -10,7 +10,7 @@ the other's spinning ones. One library keeps one pool active.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,11 +55,6 @@ class EigCache:
     gamma: np.ndarray
     base: np.ndarray
 
-    def astype(self, dtype):
-        """The same decomposition with ``U`` and ``gamma`` in ``dtype``;
-        :func:`prox_logdet_dderiv` computes in that precision."""
-        return replace(self, U=self.U.astype(dtype), gamma=self.gamma.astype(dtype))
-
     def matches(self, X, rtol=1e-12):
         X = np.asarray(X, dtype=float)
         if X.shape != self.base.shape:
@@ -92,9 +87,8 @@ def prox_logdet(X, sigma):
 
 def prox_logdet_dderiv(cache, H):
     """Directional derivative of the log-det prox at the cached base point:
-    U [gamma o (U^T H U)] U^T. Linear and symmetric in H; computed and
-    returned in the dtype of ``cache.U``."""
-    H = np.asarray(H, dtype=cache.U.dtype)
+    U [gamma o (U^T H U)] U^T. Linear and symmetric in H."""
+    H = np.asarray(H, dtype=float)
     if H.shape != cache.base.shape:
         raise ValueError("dimension mismatch with the cached base point")
     M = cache.U.T @ H @ cache.U

@@ -146,15 +146,12 @@ def dual_jacobian_apply(Y, H, ctx, mask, cache=None):
 
 def _newton_operator(cache, active, sigma, ridge):
     """The map H -> (prox'(H) + A*(mask o A(H)))/sigma + ridge H, the negated
-    Jacobian plus a ridge, in the dtype of ``cache``; ``active`` is the support
-    of the mask in the prior, weighted by the mask."""
-    dtype = cache.U.dtype
-    weights = active.weights.astype(dtype)
+    Jacobian plus a ridge; ``active`` is the support of the mask in the
+    prior, weighted by the mask."""
 
     def apply(H):
-        H = np.asarray(H, dtype=dtype)
         d = prox_logdet_dderiv(cache, H)
-        p = weights_to_laplacian(weights * laplacian_adjoint(H, active), active)
+        p = weights_to_laplacian(active.weights * laplacian_adjoint(H, active), active)
         return (d + p) / sigma + ridge * H
 
     return apply
@@ -177,11 +174,11 @@ def _jacobi_diagonal(cache, active, sigma, ridge):
 
 
 def _pcg(T, b, diag, target, max_steps):
-    """Jacobi-preconditioned conjugate gradients for T x = b from x = 0, in
-    the dtype of ``b``. Stops once the recursive residual norm reaches
-    ``target``, after ``max_steps`` steps, or on a non-positive curvature
-    p^T T p <= 0. Returns x, the number of steps, and whether every
-    curvature met was positive."""
+    """Jacobi-preconditioned conjugate gradients for T x = b from x = 0.
+    Stops once the recursive residual norm reaches ``target``, after
+    ``max_steps`` steps, or on a non-positive curvature p^T T p <= 0.
+    Returns x, the number of steps, and whether every curvature met was
+    positive."""
     x = np.zeros_like(b)
     r = b.copy()
     z = r / diag
@@ -210,22 +207,15 @@ def _newton_direction(point, ctx, mask, gnorm, excess):
     """Inexact Newton direction and the number of CG steps it took.
 
     Solves T D = g, T the negated Jacobian plus a tiny ridge with the
-    projection part applied on the active edges only, to the float64 contract
+    projection part applied on the active edges only, by one
+    Jacobi-preconditioned CG run (:func:`_pcg`) to the residual
     ||T D - g|| <= min(_ETA_BAR, max(gnorm^(1+_FORCING_TAU),
-    _RULE_MARGIN gnorm/excess)). ``excess`` is ||delta|| over the bound of the
-    inexactness rule at the point (+inf when the rule was not what failed).
-    delta is linear in E = -g to first order, so a residual below
-    _RULE_MARGIN/excess of ||g|| moves delta by less than the rule can see.
-
-    Jacobi-preconditioned CG runs in float32 (operator, preconditioner and
-    iterates) on the float64 residual r scaled to unit norm, and its
-    correction, scaled back, is added to a float64 D; one float64 apply then
-    recomputes the true residual r = g - T D. The scaling keeps float32 from
-    underflowing on a tiny r. If r misses the target, another round solves for
-    the rest (mixed-precision iterative refinement); a round that fails to
-    halve ||r|| hands the rest of the direction to CG with the float64
-    operator. The step count covers the CG steps of both precisions, not the
-    residual checks, and all rounds share the ``_MAX_CG`` cap.
+    _RULE_MARGIN gnorm/excess)), as CG's recursion tracks it, within
+    ``_MAX_CG`` steps. ``excess`` is
+    ||delta|| over the bound of the inexactness rule at the point (+inf when
+    the rule was not what failed). delta is linear in E = -g to first order,
+    so a residual below _RULE_MARGIN/excess of ||g|| moves delta by less than
+    the rule can see.
     """
     target = min(
         _ETA_BAR, max(gnorm ** (1.0 + _FORCING_TAU), _RULE_MARGIN * gnorm / excess)
@@ -233,29 +223,10 @@ def _newton_direction(point, ctx, mask, gnorm, excess):
     g = point.grad
     if gnorm <= target:
         return g.copy(), 0
-    ridge = _CG_RIDGE
     active = ctx.problem.prior.support(mask)
-    T64 = _newton_operator(point.cache, active, ctx.sigma, ridge)
-    T = _newton_operator(point.cache.astype(np.float32), active, ctx.sigma, ridge)
-    diag64 = _jacobi_diagonal(point.cache, active, ctx.sigma, ridge)
-    diag = diag64.astype(np.float32)
-    D = np.zeros_like(g)
-    r, rnorm = g, gnorm
-    steps = 0
-    while steps < _MAX_CG:
-        dD, k, _ = _pcg(
-            T, (r / rnorm).astype(diag.dtype), diag, target / rnorm, _MAX_CG - steps
-        )
-        steps += k
-        D += rnorm * dD.astype(D.dtype)
-        if T is T64:
-            break
-        r = g - T64(D)
-        last, rnorm = rnorm, float(np.linalg.norm(r))
-        if rnorm <= target:
-            break
-        if rnorm > 0.5 * last:
-            T, diag = T64, diag64
+    T = _newton_operator(point.cache, active, ctx.sigma, _CG_RIDGE)
+    diag = _jacobi_diagonal(point.cache, active, ctx.sigma, _CG_RIDGE)
+    D, steps, _ = _pcg(T, g, diag, target, _MAX_CG)
     return D, steps
 
 
@@ -264,8 +235,8 @@ class SsnResult:
     """Final multiplier Y, residual matrix E = -grad, the recovered weights
     ``w_hat`` = project_nonneg(w_ref + A(Y)/sigma) (the ``w`` of
     :func:`recover_primal` at Y), and run diagnostics; ``cg_steps`` totals
-    the CG steps of every Newton direction of the run, float32 and float64
-    alike (the float64 residual checks are not CG steps).
+    the CG steps of every Newton direction of the run, one Newton-operator
+    apply each.
 
     ``status`` says why the run stopped: ``"certified"`` (the ``accept``
     test passed at Y, and ``certificate`` is its result), ``"max_iter"`` or

@@ -11,7 +11,14 @@ from laplace_mcp.dca import descent_check, solve_mcp
 from laplace_mcp.penalty import dc_smooth_grad_matrix
 from laplace_mcp.ssn import SubproblemContext, check_stop_condition, subproblem_error_vector
 
-from util import incidence_matrix, make_problem, scan_then_golden, stationarity_oracle
+from util import (
+    incidence_matrix,
+    lbfgsb_min,
+    make_problem,
+    mcp_objective,
+    scan_then_golden,
+    stationarity_oracle,
+)
 
 
 HISTORY_KEYS = {
@@ -84,6 +91,36 @@ class TestSolveMcp:
         est = lm.detected_edges(report.w, problem.prior.edges)
         assert lm.f1_score(est, gw.edges) == 1.0
         assert lm.recovery_error(report.theta(), L) < 0.05
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_critical_point_matches_lbfgsb(self, seed):
+        # independent oracle: L-BFGS-B on the MCP objective from the same l1
+        # warm start reaches the same critical point
+        problem, _, _ = make_problem(n=12, p=0.3, seed=seed, lam=0.05, k=60000)
+        eps = 1e-8
+        report = solve_mcp(problem, lm.DcaParams(eps=eps))
+        assert report.converged
+        assert stationarity_oracle(report.w, problem, "cgl-mcp") < 2 * eps
+        ref = lbfgsb_min(lambda w: mcp_objective(w, problem), report.admm_state.w)
+        assert np.linalg.norm(report.w - ref.x) <= 1e-5 * np.linalg.norm(ref.x)
+        assert report.objective == pytest.approx(ref.fun, rel=1e-12)
+
+    def test_cg_steps_count_newton_operator_applies(self, monkeypatch):
+        # every CG step applies the Newton operator once, and nothing else in
+        # the solve takes the prox directional derivative
+        calls = []
+        real = ssn.prox_logdet_dderiv
+
+        def counted(cache, H):
+            calls.append(1)
+            return real(cache, H)
+
+        monkeypatch.setattr(ssn, "prox_logdet_dderiv", counted)
+        problem, _, _ = make_problem(n=12, p=0.3, seed=0, lam=0.05, k=60000)
+        report = solve_mcp(problem, lm.DcaParams(eps=1e-8))
+        cg_steps = sum(h["ssn_cg_steps"] for h in report.history)
+        assert cg_steps > 0
+        assert len(calls) == cg_steps
 
     def test_descent_property_every_iteration(self):
         problem, _, _ = make_problem(n=15, p=0.3, seed=5, lam=0.05, k=5000 * 15)
@@ -386,10 +423,15 @@ def full_prior_problem(n, lam, seed=3):
 class TestPolish:
     @pytest.mark.parametrize("n, seed", [(6, 0), (9, 1), (12, 2)])
     def test_hessian_apply_matches_dense(self, n, seed):
-        # B_F^T R B_F o B_F^T R B_F, minus 2/gamma on the concave diagonal
+        # B_F^T R B_F o B_F^T R B_F, minus 2/gamma on the concave diagonal,
+        # on the free edges whose diagonal entry is positive; the weights are
+        # scaled so that the kept edges hold concave and convex ones, and some
+        # free edges are dropped
         problem, w0 = full_prior_problem(n, 0.5, seed)
         rng = np.random.default_rng(seed)
-        w = np.where(rng.random(problem.m) < 0.3, 0.0, w0 + rng.uniform(0, 1.5, problem.m))
+        w = np.where(
+            rng.random(problem.m) < 0.3, 0.0, 0.35 * (w0 + rng.uniform(0, 1.5, problem.m))
+        )
         R = np.linalg.inv(problem.astar(w) + problem.J)
         g = lm.penalty.objective_gradient(w, problem, "cgl-mcp", R)
         free = (w > 0) | (g < 0)
@@ -397,12 +439,16 @@ class TestPolish:
         B = incidence_matrix(problem.prior).toarray()[:, free]
         P = B.T @ R @ B
         concave = w[free] < problem.params.gamma * problem.params.lam
-        assert 0 < concave.sum() < free.sum()
         H = P * P - np.diag((2.0 / problem.params.gamma) * concave)
-        diag, apply = dca._reduced_hessian(w, R, free, problem)
+        kept, diag, apply = dca._reduced_hessian(w, R, free, problem)
+        assert np.array_equal(kept[free], np.diag(H) > 0)
+        assert not kept[~free].any()
+        keep = kept[free]
+        assert 0 < concave[keep].sum() < keep.sum() < free.sum()
+        H = H[np.ix_(keep, keep)]
         np.testing.assert_allclose(diag, np.diag(H), rtol=1e-12, atol=0)
         for _ in range(3):
-            v = rng.standard_normal(free.sum())
+            v = rng.standard_normal(keep.sum())
             want = H @ v
             assert np.linalg.norm(apply(v) - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -436,9 +482,10 @@ class TestPolish:
         for w0 in (0.3, 0.6, 0.85, 0.87, 1.0, 1.4):
             w = np.array([w0])
             R = np.linalg.inv(problem.astar(w) + problem.J)
-            diag, _ = dca._reduced_hessian(w, R, np.array([True]), problem)
+            kept, diag, _ = dca._reduced_hessian(w, R, np.array([True]), problem)
             curvature = 1.0 / w0**2 - 2.0 / 1.5
-            assert diag[0] == pytest.approx(curvature, rel=1e-12)
+            assert kept[0] == (curvature > 0)
+            assert diag == pytest.approx(np.array([curvature])[kept], rel=1e-12)
             out = dca._polish(w, lm.objective_value(w, problem), problem, 1e-12)
             assert out.refused == (curvature <= 0)
             assert out.steps == (curvature > 0)
@@ -468,8 +515,9 @@ class TestPolish:
         problem = lm.ProblemData(S, lm.true_prior(g), lm.PenaltyParams(1.0, 1.5))
         w = np.array([0.1, 5.0, 5.0])
         R = np.linalg.inv(problem.astar(w) + problem.J)
-        diag, _ = dca._reduced_hessian(w, R, np.ones(3, dtype=bool), problem)
-        assert diag[0] <= 0 < diag[1:].min()
+        kept, diag, _ = dca._reduced_hessian(w, R, np.ones(3, dtype=bool), problem)
+        assert kept.tolist() == [False, True, True]
+        assert diag.min() > 0
         monkeypatch.setattr(dca, "_POLISH_STEPS", 1)
         f = lm.objective_value(w, problem)
         out = dca._polish(w, f, problem, 1e-12)

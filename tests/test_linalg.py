@@ -120,16 +120,6 @@ class TestProxDerivative:
             _, cache = lm.prox_logdet(X, float(rng.choice([0.1, 1.0, 10.0])))
             assert cache.gamma.min() > 0.0 and cache.gamma.max() < 1.0
 
-    def test_float32_copy(self):
-        X = random_symmetric(5, np.random.default_rng(7), scale=3.0)
-        _, cache = lm.prox_logdet(X, 0.7)
-        low = cache.astype(np.float32)
-        assert low.U.dtype == low.gamma.dtype == np.float32
-        assert low.gamma.tobytes() == cache.gamma.astype(np.float32).tobytes()
-        assert low.base is cache.base and low.d is cache.d
-        H = random_symmetric(5, np.random.default_rng(8))
-        assert lm.prox_logdet_dderiv(low, H).dtype == np.float32
-
     def test_linear_and_symmetric(self):
         rng = np.random.default_rng(6)
         _, cache = lm.prox_logdet(random_symmetric(5, rng), 2.0)

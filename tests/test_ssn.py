@@ -311,9 +311,9 @@ class TestRuleFloor:
         assert fewer >= 2
 
     def test_tiny_gradient_scales_exactly(self):
-        # each CG round solves for r/||r||, so a gradient scaled by 2^-80,
-        # whose squares underflow in float32, gives the direction scaled by
-        # 2^-80 in the same CG steps
+        # CG is linear in the gradient and scaling by a power of two is exact
+        # far above float64 underflow, so a gradient scaled by 2^-80 gives the
+        # direction scaled by 2^-80 in the same CG steps
         ctx, _ = random_context(n=8, seed=72, sigma=0.5)
         point = run_points(ctx)[0]
         mask = lm.clarke_diag(point.c)
@@ -332,95 +332,7 @@ class TestRuleFloor:
         assert np.array_equal(D, 2.0**-80 * D_big)
 
 
-def skew_float32_operator(monkeypatch, scale):
-    """Scale the float32 Newton operator by ``scale``, leaving the float64 one
-    as it is; returns the list of dtypes of the PCG rounds that follow."""
-    real_operator, real_pcg = ssn._newton_operator, ssn._pcg
-    rounds = []
-
-    def operator(cache, active, sigma, ridge):
-        T = real_operator(cache, active, sigma, ridge)
-        if cache.U.dtype == np.float64:
-            return T
-        return lambda H: scale * T(H)
-
-    def pcg(T, b, diag, target, max_steps):
-        rounds.append(b.dtype)
-        return real_pcg(T, b, diag, target, max_steps)
-
-    monkeypatch.setattr(ssn, "_newton_operator", operator)
-    monkeypatch.setattr(ssn, "_pcg", pcg)
-    return rounds
-
-
-class TestMixedPrecisionDirection:
-    def newton_point(self, seed):
-        ctx, _ = random_context(n=8, seed=seed, sigma=0.5)
-        Y = random_symmetric(8, np.random.default_rng(seed + 1), scale=0.3)
-        point = _dual_eval(Y, ctx)
-        return ctx, Y, point, lm.clarke_diag(point.c)
-
-    def true_residual(self, ctx, Y, point, mask, D):
-        T_D = -dual_jacobian_apply(Y, D, ctx, mask, point.cache) + ssn._CG_RIDGE * D
-        return float(np.linalg.norm(T_D - point.grad))
-
-    @pytest.mark.parametrize("mask_kind", MASK_KINDS)
-    def test_float32_apply_matches_float64(self, mask_kind):
-        rng = np.random.default_rng(90)
-        for seed in range(3):
-            ctx, _ = random_context(n=8, seed=91 + seed, sigma=0.6)
-            Y = random_symmetric(8, rng, scale=0.3)
-            _, cache = lm.prox_logdet(ctx.base_point(Y), ctx.sigma)
-            mask = make_mask(mask_kind, ctx.problem.m, rng)
-            active = ctx.problem.prior.support(mask)
-            T32 = ssn._newton_operator(cache.astype(np.float32), active, ctx.sigma, 0.0)
-            H = random_symmetric(8, rng)
-            out = T32(H.astype(np.float32))
-            assert out.dtype == np.float32
-            ref = -dual_jacobian_apply(Y, H, ctx, mask, cache)
-            assert np.linalg.norm(out - ref) <= 1e-6 * np.linalg.norm(ref)
-
-    def test_one_float32_round_when_exact(self, monkeypatch):
-        rounds = skew_float32_operator(monkeypatch, 1.0)
-        ctx, Y, point, mask = self.newton_point(95)
-        gnorm = float(np.linalg.norm(point.grad))
-        D, _ = _newton_direction(point, ctx, mask, gnorm, np.inf)
-        assert rounds == [np.float32]
-        target = forcing_target(gnorm)
-        assert self.true_residual(ctx, Y, point, mask, D) <= target
-
-    def test_refinement_meets_float64_target(self, monkeypatch):
-        # a 30% operator error leaves about 0.23 of the residual per round:
-        # float32 rounds alone must reach the target
-        rounds = skew_float32_operator(monkeypatch, 1.3)
-        for seed in (96, 97):
-            rounds.clear()
-            ctx, Y, point, mask = self.newton_point(seed)
-            gnorm = float(np.linalg.norm(point.grad))
-            D, steps = _newton_direction(point, ctx, mask, gnorm, np.inf)
-            assert len(rounds) >= 2
-            assert set(rounds) == {np.dtype(np.float32)}
-            assert steps < ssn._MAX_CG
-            target = forcing_target(gnorm)
-            assert self.true_residual(ctx, Y, point, mask, D) <= target
-            assert np.array_equal(D, D.T)
-
-    def test_float64_fallback_meets_target(self, monkeypatch):
-        # a 4x operator error leaves 3/4 of the residual, less than halved:
-        # the direction must be finished by the float64 operator
-        rounds = skew_float32_operator(monkeypatch, 4.0)
-        ctx, Y, point, mask = self.newton_point(98)
-        gnorm = float(np.linalg.norm(point.grad))
-        D, steps = _newton_direction(point, ctx, mask, gnorm, np.inf)
-        assert rounds == [np.float32, np.float64]
-        assert steps < ssn._MAX_CG
-        target = forcing_target(gnorm)
-        assert self.true_residual(ctx, Y, point, mask, D) <= target * (1.0 + 1e-9)
-        assert D.dtype == np.float64
-        assert np.array_equal(D, D.T)
-
-
-def test_float32_stays_inside_the_newton_cg():
+def test_newton_cg_is_float64():
     ctx, _ = random_context(n=8, seed=99)
     Y = random_symmetric(8, np.random.default_rng(100), scale=0.3)
     P, cache = lm.prox_logdet(ctx.base_point(Y), ctx.sigma)
@@ -429,6 +341,13 @@ def test_float32_stays_inside_the_newton_cg():
     assert lm.prox_logdet_dderiv(cache, H32).dtype == np.float64
     mask = lm.clarke_diag(ctx.projection_point(Y))
     assert dual_jacobian_apply(Y, H32, ctx, mask, cache).dtype == np.float64
+    active = ctx.problem.prior.support(mask)
+    T = ssn._newton_operator(cache, active, ctx.sigma, ssn._CG_RIDGE)
+    assert T(H32).dtype == np.float64
+    graph = ctx.problem.prior
+    w32 = np.ones(graph.m, dtype=np.float32)
+    assert lm.weights_to_laplacian(w32, graph).dtype == np.float64
+    assert lm.laplacian_adjoint(H32, graph).dtype == np.float64
     res = ssn_solve(ctx, None, grad_below(1e-8))
     assert res.cg_steps > 0
     assert res.Y.dtype == res.E.dtype == res.w_hat.dtype == np.float64

@@ -56,16 +56,25 @@ def logdet_objective(w, problem, K, ctx=None):
     return value, grad
 
 
-def stationarity_oracle(w, problem, model):
-    """||Pi(g)||/(1 + ||w||) with g the gradient of the ``model`` objective
-    from :func:`logdet_objective` (K = S + lam I for l1, K = S plus the MCP
-    derivative 2 max(lam - w/gamma, 0) for MCP); Pi keeps g_e where w_e > 0
-    and min(g_e, 0) elsewhere."""
+def mcp_objective(w, problem):
+    """Value and gradient in w >= 0 of the MCP model's objective
+    -log det(A* w + J) + <S, A* w> + 2 sum_e MCP(w_e), each edge weight
+    sitting in two off-diagonal entries of A* w; the penalty's derivative
+    on w >= 0 is max(lam - w/gamma, 0)."""
     params = problem.params
-    K = problem.shifted_S if model == "cgl-l1" else problem.S
-    g = logdet_objective(w, problem, K)[1]
-    if model == "cgl-mcp":
-        g = g + 2.0 * np.maximum(params.lam - w / params.gamma, 0.0)
+    value, grad = logdet_objective(w, problem, problem.S)
+    value += 2.0 * float(mcp_value(w, params).sum())
+    return value, grad + 2.0 * np.maximum(params.lam - w / params.gamma, 0.0)
+
+
+def stationarity_oracle(w, problem, model):
+    """||Pi(g)||/(1 + ||w||) with g the gradient of the ``model`` objective:
+    :func:`logdet_objective` with K = S + lam I for l1, :func:`mcp_objective`
+    for MCP; Pi keeps g_e where w_e > 0 and min(g_e, 0) elsewhere."""
+    if model == "cgl-l1":
+        g = logdet_objective(w, problem, problem.shifted_S)[1]
+    else:
+        g = mcp_objective(w, problem)[1]
     g = np.where(w > 0, g, np.minimum(g, 0.0))
     return float(np.linalg.norm(g) / (1.0 + np.linalg.norm(w)))
 
