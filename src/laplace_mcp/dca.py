@@ -174,18 +174,24 @@ def _polish(w, f, problem, eps):
     the stationarity residual is below eps.
 
     At each step, with R = (A* w + J)^{-1} and g the objective's gradient,
-    the free set is F = {w > 0} | {g < 0}. Jacobi-preconditioned CG solves
-    H_F x = g_F on the reduced Hessian of :func:`_reduced_hessian` to
-    1e-2 min(1, sqrt(||g_F||)) ||g_F||, within ``_POLISH_CG`` steps, and
-    d = -x on F, 0 elsewhere. F leaves out every edge whose diagonal entry of
-    the reduced Hessian is <= 0 (an edge in the MCP's concave zone with small
-    effective resistance): such an edge keeps its weight for the step, and
-    the d.c. loop still moves it. A projected Armijo search then takes
+    the free set is F = {w > 0} | {g < 0}. F splits into the kept edges,
+    whose diagonal entry of the reduced Hessian of :func:`_reduced_hessian`
+    is positive, and the held ones (an edge in the MCP's concave zone with
+    small effective resistance). On the kept edges Jacobi-preconditioned CG
+    solves H x = g to 1e-2 min(1, sqrt(||g||)) ||g||, within ``_POLISH_CG``
+    steps, and d = -x. Where CG meets p^T H p <= 0 it stops, and d is minus
+    its iterate so far, or -g/diag(H) if that was its first step. Along a
+    held edge the objective is concave [More & Sorensen 1979], so a held
+    edge with w_e > 0 and g_e > 0 is pushed toward 0 along d_e = -w_e; the
+    other held edges keep their weight. A projected Armijo search then takes
     w+ = max(w + t d, 0) at the first t in 1, 1/2, ... with
-    f(w+) <= f + 1e-4 min(g^T (w+ - w), 0), so no step raises f. The polish
-    refuses, taking no further step, where F is empty, where CG meets
-    p^T H p <= 0, or where the search fails ``_POLISH_BACKTRACKS`` times; the
-    steps taken before stay.
+    f(w+) <= f + 1e-4 min(g^T (w+ - w), 0), so no step raises f.
+
+    The polish ends without a refusal once the gradient on the kept edges is
+    below 1e-2 eps and no held edge is pushed: what is left of the residual
+    sits on held edges that no step moves, and the d.c. loop takes over. It
+    refuses, taking no further step, where no edge is kept or where the
+    search fails ``_POLISH_BACKTRACKS`` times; the steps taken before stay.
     """
     steps = 0
     refused = False
@@ -195,19 +201,25 @@ def _polish(w, f, problem, eps):
         residual = _projected_residual(g, w)
         if residual < eps or steps == _POLISH_STEPS:
             break
-        free, diag, hessian = _reduced_hessian(w, R, (w > 0) | (g < 0), problem)
-        if not free.any():
+        kept, diag, hessian = _reduced_hessian(w, R, (w > 0) | (g < 0), problem)
+        if not kept.any():
             refused = True
             break
-        g_free = g[free]
-        gnorm = float(np.linalg.norm(g_free))
-        target = 1e-2 * min(1.0, np.sqrt(gnorm)) * gnorm
-        x, _, curved = _pcg(hessian, g_free, diag, target, _POLISH_CG)
-        if not curved:
-            refused = True
+        push = ~kept & (w > 0) & (g > 0)
+        g_kept = g[kept]
+        gnorm = float(np.linalg.norm(g_kept))
+        solved = gnorm < 1e-2 * eps
+        if solved and not push.any():
             break
         d = np.zeros_like(w)
-        d[free] = -x
+        d[push] = -w[push]
+        if not solved:
+            target = 1e-2 * min(1.0, np.sqrt(gnorm)) * gnorm
+            x, _ = _pcg(hessian, g_kept, diag, target, _POLISH_CG)
+            if not x.any():
+                # CG met p^T H p <= 0 on its first step
+                x = g_kept / diag
+            d[kept] = -x
         t = 1.0
         for _ in range(_POLISH_BACKTRACKS):
             w_new = np.maximum(w + t * d, 0.0)
@@ -258,12 +270,15 @@ def solve_mcp(problem, params=None, keep_trace=False, start=None):
 
     An accepted step whose stationarity residual is below 1e-2
     (``_POLISH_START``) is polished by projected Newton on the objective
-    (see :func:`_polish`), which only lowers f; the next subproblem is
-    centred at the polished weights, and the prox argument Z carries over
-    unchanged. A polish that refuses hands back to the d.c. loop. The solve
-    ends ``"converged"`` once, and only once, the stationarity residual of
-    the current weights, polished or not, is below eps; a solve whose
-    residual never gets there ends ``"max_outer"``.
+    (see :func:`_polish`), which only lowers f: Newton on the edges with
+    positive curvature, concave-zone edges with nonpositive curvature and a
+    positive gradient pushed toward 0, and a stop once the Newton edges are
+    solved. The next subproblem is centred at the polished weights, and the
+    prox argument Z carries over unchanged. A polish that ends, or refuses
+    (no edge with positive curvature, or a failed line search), hands back
+    to the d.c. loop. The solve ends ``"converged"`` once, and only once,
+    the stationarity residual of the current weights, polished or not, is
+    below eps; a solve whose residual never gets there ends ``"max_outer"``.
 
     Each history entry records the Newton iterations and CG steps of the
     step (``ssn_iterations``, ``ssn_cg_steps``), ``cert_retries`` (always

@@ -176,9 +176,9 @@ def _jacobi_diagonal(cache, active, sigma, ridge):
 def _pcg(T, b, diag, target, max_steps):
     """Jacobi-preconditioned conjugate gradients for T x = b from x = 0.
     Stops once the recursive residual norm reaches ``target``, after
-    ``max_steps`` steps, or on a non-positive curvature p^T T p <= 0.
-    Returns x, the number of steps, and whether every curvature met was
-    positive."""
+    ``max_steps`` steps, or on a non-positive curvature p^T T p <= 0, where x
+    is the iterate built so far (0 if that was the first step). Returns x and
+    the number of steps."""
     x = np.zeros_like(b)
     r = b.copy()
     z = r / diag
@@ -190,7 +190,7 @@ def _pcg(T, b, diag, target, max_steps):
         Tp = T(p)
         pTp = float(np.vdot(p, Tp))
         if pTp <= 0:
-            return x, steps, False
+            break
         alpha = rz / pTp
         x += alpha * p
         r -= alpha * Tp
@@ -200,7 +200,7 @@ def _pcg(T, b, diag, target, max_steps):
         rz_new = float(np.vdot(r, z))
         p = z + (rz_new / rz) * p
         rz = rz_new
-    return x, steps, True
+    return x, steps
 
 
 def _newton_direction(point, ctx, mask, gnorm, excess):
@@ -226,8 +226,7 @@ def _newton_direction(point, ctx, mask, gnorm, excess):
     active = ctx.problem.prior.support(mask)
     T = _newton_operator(point.cache, active, ctx.sigma, _CG_RIDGE)
     diag = _jacobi_diagonal(point.cache, active, ctx.sigma, _CG_RIDGE)
-    D, steps, _ = _pcg(T, g, diag, target, _MAX_CG)
-    return D, steps
+    return _pcg(T, g, diag, target, _MAX_CG)
 
 
 @dataclass

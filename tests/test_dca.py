@@ -454,8 +454,8 @@ class TestPolish:
 
     @pytest.mark.parametrize("lam, shift", [(0.0, 0.0), (0.1, 0.0), (0.5, 0.5)])
     def test_steps_never_raise_f(self, monkeypatch, lam, shift):
-        # at lam = 0.5 the start w + 0.5 takes all six steps, holding two
-        # concave-zone edges with a nonpositive diagonal fixed from the second
+        # at lam = 0.5 the start w + 0.5 takes all six steps; the second
+        # pushes two concave-zone edges with a nonpositive diagonal to 0
         problem, w = full_prior_problem(10, lam)
         w = np.where(w > 0, w + shift, 0.0)
         f = lm.objective_value(w, problem)
@@ -505,11 +505,13 @@ class TestPolish:
         assert out.steps > 0
         assert peak <= 16 * 8 * (problem.n**2 + problem.m)
 
-    def test_nonpositive_curvature_edge_held_fixed(self, monkeypatch):
+    def test_nonpositive_curvature_edge_pushed_down(self, monkeypatch):
         # a triangle whose light edge (0, 1) sits in the concave zone
         # w < gamma lam = 1.5 parallel to a heavy path, so its effective
         # resistance is small and its diagonal entry is <= 0; the other two
-        # edges, outside the zone, have positive diagonals
+        # edges, outside the zone, have positive diagonals. The objective is
+        # concave along the light edge and rises with it, so the polish pushes
+        # it toward 0 while Newton moves the other two
         g = lm.EdgeGraph(3, [(0, 1), (0, 2), (1, 2)], weights=[1.0, 1.0, 1.0])
         S = lm.population_covariance(g.laplacian())
         problem = lm.ProblemData(S, lm.true_prior(g), lm.PenaltyParams(1.0, 1.5))
@@ -518,32 +520,86 @@ class TestPolish:
         kept, diag, _ = dca._reduced_hessian(w, R, np.ones(3, dtype=bool), problem)
         assert kept.tolist() == [False, True, True]
         assert diag.min() > 0
+        assert lm.penalty.objective_gradient(w, problem, "cgl-mcp", R)[0] > 0
         monkeypatch.setattr(dca, "_POLISH_STEPS", 1)
         f = lm.objective_value(w, problem)
         out = dca._polish(w, f, problem, 1e-12)
         assert out.steps == 1 and not out.refused
-        assert out.w[0] == w[0]
+        assert 0 <= out.w[0] < w[0]
         assert np.all(out.w[1:] != w[1:])
         assert out.f < f
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_full_prior_solves_never_refuse(self, seed):
-        # on these instances concave-zone edges in transit to 0 have a
-        # nonpositive diagonal; held fixed, they leave the polish free to
-        # finish each solve on the residual
-        problem, gw, _ = make_problem(n=12, p=0.3, seed=seed, lam=0.05, k=5000 * 12)
-        problem = lm.ProblemData(
-            problem.S, lm.perturb_connectivity(lm.true_prior(gw), "full"), problem.params
+    def test_negative_curvature_on_the_first_cg_step(self, monkeypatch):
+        # every edge is kept, but the first CG direction, the Jacobi-scaled
+        # gradient g/diag, has p^T H p <= 0: the polish steps along -g/diag
+        problem, _ = full_prior_problem(4, 0.5, 5)
+        rng = np.random.default_rng(46)
+        w = np.where(rng.random(problem.m) < 0.7, rng.uniform(0, 1, problem.m), 0.0)
+        R = np.linalg.inv(problem.astar(w) + problem.J)
+        g = lm.penalty.objective_gradient(w, problem, "cgl-mcp", R)
+        kept, diag, hessian = dca._reduced_hessian(w, R, (w > 0) | (g < 0), problem)
+        assert kept.all()
+        p = g / diag
+        assert p @ hessian(p) <= 0
+        monkeypatch.setattr(dca, "_POLISH_STEPS", 1)
+        f = lm.objective_value(w, problem)
+        out = dca._polish(w, f, problem, 1e-12)
+        assert out.steps == 1 and not out.refused
+        assert out.f < f
+        assert any(
+            np.array_equal(out.w, np.maximum(w - 0.5**k * p, 0.0))
+            for k in range(dca._POLISH_BACKTRACKS)
         )
-        report = solve_mcp(problem, lm.DcaParams(eps=1e-6))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_full_prior_solves_never_refuse(self, monkeypatch, seed):
+        # on these instances concave-zone edges in transit to 0 have a
+        # nonpositive diagonal; pushed down where the gradient is positive,
+        # they leave the polish free to finish each solve on the residual
+        eps = 1e-6
+        rhs = []
+
+        def pcg(T, b, diag, target, max_steps):
+            rhs.append(float(np.linalg.norm(b)))
+            return ssn._pcg(T, b, diag, target, max_steps)
+
+        monkeypatch.setattr(dca, "_pcg", pcg)
+        problem, _ = full_prior_problem(12, 0.05, seed)
+        report = solve_mcp(problem, lm.DcaParams(eps=eps))
         assert report.termination == "converged"
-        assert report.stationarity < 1e-6
+        assert report.stationarity < eps
         assert sum(h["polish_steps"] for h in report.history) > 0
         assert not any(h["polish_refused"] for h in report.history)
         # the polish runs on every step with eps <= residual < _POLISH_START
         for h in report.history:
             ran = h["polish_steps"] > 0
-            assert ran == (1e-6 <= h["stationarity"] < dca._POLISH_START)
+            assert ran == (eps <= h["stationarity"] < dca._POLISH_START)
+        # once the gradient on the kept edges is below 1e-2 eps, another
+        # Newton step cannot help: the polish ends, or pushes held edges
+        # without a CG call
+        assert rhs and min(rhs) >= 1e-2 * eps
+
+    def test_negative_curvature_instance_converges(self, monkeypatch):
+        # on this instance CG in the polish meets p^T H p <= 0 (the reduced
+        # Hessian is indefinite although every kept diagonal is positive);
+        # the polish steps along the CG iterate instead of refusing
+        curvatures = []
+        pcg = ssn._pcg
+
+        def spy(T, b, diag, target, max_steps):
+            def apply(v):
+                Tv = T(v)
+                curvatures.append(float(v @ Tv))
+                return Tv
+
+            return pcg(apply, b, diag, target, max_steps)
+
+        monkeypatch.setattr(dca, "_pcg", spy)
+        report = solve_mcp(full_prior_problem(12, 0.5, 2)[0], lm.DcaParams(eps=1e-6))
+        assert min(curvatures) <= 0
+        assert report.termination == "converged"
+        assert report.stationarity < 1e-6
+        assert not any(h["polish_refused"] for h in report.history)
 
 
 class TestDcaParams:
