@@ -2,8 +2,9 @@
 
 Solves the non-convex MCP-penalized maximum-likelihood model over the cone of
 graph Laplacians by an inexact proximal difference-of-convex loop whose convex
-subproblems are handled through a semismooth Newton method on their duals, with
-an ADMM solver for the l1 (trace) penalized model as warm start and baseline.
+subproblems are handled through a semismooth Newton method on their duals,
+warm-started by projected Newton on the l1 (trace) penalized model, whose
+ADMM solver is the l1 baseline.
 """
 
 from .admm import AdmmParams, solve_l1

@@ -1,5 +1,6 @@
-"""ADMM for the trace-penalized (l1) Laplacian likelihood model. Serves as the
-standalone l1 baseline and as the warm start for the non-convex solver."""
+"""ADMM for the trace-penalized (l1) Laplacian likelihood model: the standalone
+l1 baseline. The non-convex solver warm-starts by projected Newton on the same
+model instead (``dca._warm_start``)."""
 
 from __future__ import annotations
 

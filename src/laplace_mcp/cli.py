@@ -90,9 +90,8 @@ def _build_parser():
     solve.add_argument(
         "--max-iter",
         type=int,
-        default=20000,
-        help="ADMM iteration cap: the whole cgl-l1 solve, and the l1 warm start "
-        "of cgl-mcp",
+        help="ADMM iteration cap of a cgl-l1 solve (default 20000); cgl-mcp runs "
+        "no ADMM and rejects it",
     )
     solve.add_argument("--out", help="report JSON output path")
 
@@ -175,6 +174,11 @@ def _resolve_prior(spec, n):
 
 
 def _cmd_solve(args):
+    if args.model == "cgl-mcp" and args.max_iter is not None:
+        raise ValueError(
+            "--max-iter must be left unset for --model cgl-mcp: it caps the ADMM of "
+            "cgl-l1, and the cgl-mcp warm start is projected Newton, which runs no ADMM"
+        )
     if args.cov:
         S = io.read_covariance(args.cov)
     else:
@@ -187,16 +191,10 @@ def _cmd_solve(args):
         raise ValueError("lambda must be non-negative")
     problem = ProblemData(S, prior, PenaltyParams(args.lam, args.gamma))
     if args.model == "cgl-mcp":
-        report = solve_mcp(
-            problem,
-            DcaParams(
-                eps=args.eps,
-                max_outer=args.max_outer,
-                admm_max_iter=args.max_iter,
-            ),
-        )
+        report = solve_mcp(problem, DcaParams(eps=args.eps, max_outer=args.max_outer))
     else:
-        report = solve_l1(problem, AdmmParams(eps=args.eps, max_iter=args.max_iter))
+        max_iter = AdmmParams.max_iter if args.max_iter is None else args.max_iter
+        report = solve_l1(problem, AdmmParams(eps=args.eps, max_iter=max_iter))
     report.config.update(
         {
             "cov": args.cov,
@@ -209,8 +207,8 @@ def _cmd_solve(args):
         io.save_report(args.out, report)
     warm = report.warm_start
     warm_note = (
-        f", warm start {warm['iterations']} ADMM iterations ({warm['aa_steps']} accelerated, "
-        f"{warm['aa_rejected']} rejected) in {warm['wall_time_s']:.2f}s"
+        f", warm start {warm['steps']} projected-Newton steps ({warm['cg_steps']} CG "
+        f"steps) in {warm['wall_time_s']:.2f}s"
         if warm
         else ""
     )

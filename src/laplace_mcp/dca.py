@@ -1,5 +1,6 @@
-"""Outer inexact proximal difference-of-convex loop: ADMM warm start, certificate
-gated subproblem steps, the sigma schedule, and termination."""
+"""Outer inexact proximal difference-of-convex loop: a projected-Newton l1 warm
+start, certificate gated subproblem steps, the sigma schedule, the
+projected-Newton polish, and termination."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admm import AdmmParams, solve_l1
+from .admm import solve_l1  # noqa: F401
 from .graphs import laplacian_adjoint, weights_to_laplacian
 from .penalty import _projected_residual, objective_gradient, objective_value, stationarity
 from .report import SolveReport
@@ -43,14 +44,17 @@ class DescentError(RuntimeError):
 _SIGMA0 = 1.0
 _RHO = 0.8
 _SIGMA_MIN = 1e-4
-# the l1 warm start runs to max(eps, _ADMM_EPS_FLOOR): the loop only starts
+# the l1 warm start takes at most _WARM_STEPS projected-Newton steps and stops
+# once the Newton decrement is below _WARM_DECREMENT: the loop only starts
 # from it
-_ADMM_EPS_FLOOR = 1e-4
+_WARM_STEPS = 50
+_WARM_DECREMENT = 1e-4
 
 # the projected-Newton polish of an accepted iterate: it runs on every step
 # whose residual is below _POLISH_START and takes at most _POLISH_STEPS
 # steps; CG gets at most _POLISH_CG steps per direction; _POLISH_ARMIJO is
-# the Armijo constant, and t is halved at most _POLISH_BACKTRACKS times
+# the Armijo constant, and t is halved at most _POLISH_BACKTRACKS times. The
+# warm start shares the CG cap and the search
 _POLISH_START = 1e-2
 _POLISH_STEPS = 6
 _POLISH_CG = 100
@@ -63,26 +67,23 @@ class DcaParams:
     """Outer-loop parameters; the penalty comes from ``ProblemData.params``.
 
     sigma starts at ``_SIGMA0`` (1.0) and shrinks by ``_RHO`` (0.8) each
-    iteration until it reaches ``_SIGMA_MIN`` (1e-4). The l1 warm start, the
-    Anderson-accelerated ADMM of :func:`solve_l1`, runs to tolerance
-    max(eps, ``_ADMM_EPS_FLOOR``), that is max(eps, 1e-4), for at most
-    ``admm_max_iter`` (at least 1) iterations; the d.c. loop only starts from
-    it, and its descent argument does not depend on how accurate that start
-    is. ``max_outer`` is non-negative. The Newton caps
-    are the module constants ``ssn._MAX_NEWTON`` and ``ssn._MAX_CG``.
+    iteration until it reaches ``_SIGMA_MIN`` (1e-4). The l1 warm start
+    (:func:`_warm_start`) has no settings: projected Newton stops at the
+    Newton decrement ``_WARM_DECREMENT`` (1e-4) or after ``_WARM_STEPS`` (50)
+    steps; the d.c. loop only starts from it, and its descent argument does
+    not depend on how accurate that start is. ``max_outer`` is non-negative.
+    The Newton caps are the module constants ``ssn._MAX_NEWTON`` and
+    ``ssn._MAX_CG``.
     """
 
     eps: float = 1e-6
     max_outer: int = 500
-    admm_max_iter: int = 20000
 
     def __post_init__(self):
         if self.eps <= 0:
             raise ValueError("eps must be positive")
         if self.max_outer < 0:
             raise ValueError(f"max_outer must be non-negative, got {self.max_outer}")
-        if self.admm_max_iter < 1:
-            raise ValueError(f"admm_max_iter must be at least 1, got {self.admm_max_iter}")
 
 
 def descent_check(f_prev, f_next, sigma, dw_norm):
@@ -133,18 +134,23 @@ class _StepTest:
         return cert, np.inf
 
 
-def _reduced_hessian(w, R, free, problem):
-    """The edges of the mask ``free`` whose diagonal entry of the objective's
-    Hessian in w is positive, as a mask, with that diagonal and a matrix-free
-    apply of the Hessian on them, at w with R = (A* w + J)^{-1}.
+def _reduced_hessian(w, R, free, problem, model="cgl-mcp"):
+    """The edges of the mask ``free`` whose diagonal entry of the Hessian in w
+    of the objective of ``model`` ("cgl-mcp" or "cgl-l1") is positive, as a
+    mask, with that diagonal and a matrix-free apply of the Hessian on them,
+    at w with R = (A* w + J)^{-1}.
 
     The log-det part is v -> a(R A*(v) R) restricted to the kept edges, whose
-    diagonal is a(R)^2 = ((b_e^T R b_e)^2)_e; the MCP adds -2/gamma on the
-    edges with w_e < gamma lam. The apply costs two n x n GEMMs and holds no
-    matrix larger than n x n.
+    diagonal is a(R)^2 = ((b_e^T R b_e)^2)_e > 0; the MCP adds -2/gamma on
+    the edges with w_e < gamma lam, and the l1 trace term adds nothing, so
+    for l1 every free edge is kept. The apply costs two n x n GEMMs and holds
+    no matrix larger than n x n.
     """
     lam, gamma = problem.params.lam, problem.params.gamma
-    concave = (2.0 / gamma) * (w < gamma * lam)
+    if model == "cgl-mcp":
+        concave = (2.0 / gamma) * (w < gamma * lam)
+    else:
+        concave = np.zeros_like(w)
     diag = problem.a(R) ** 2 - concave
     free = free & (diag > 0)
     sub = problem.prior.support(free.astype(float))
@@ -154,6 +160,98 @@ def _reduced_hessian(w, R, free, problem):
         return laplacian_adjoint(R @ weights_to_laplacian(v, sub) @ R, sub) - concave * v
 
     return free, diag[free], apply
+
+
+def _newton_solve(hessian, g_kept, diag):
+    """x with H x about g on the kept edges, and the CG steps it took:
+    Jacobi-preconditioned CG to 1e-2 min(1, sqrt(||g||)) ||g|| within
+    ``_POLISH_CG`` steps. Where CG meets p^T H p <= 0 it stops at its iterate
+    so far, or x = g/diag(H) if that was its first step."""
+    gnorm = float(np.linalg.norm(g_kept))
+    target = 1e-2 * min(1.0, np.sqrt(gnorm)) * gnorm
+    x, steps = _pcg(hessian, g_kept, diag, target, _POLISH_CG)
+    if not x.any():
+        # CG met p^T H p <= 0 on its first step
+        x = g_kept / diag
+    return x, steps
+
+
+def _armijo(w, f, g, d, problem, model):
+    """Projected Armijo search on the objective of ``model`` from w of value f
+    with gradient g along d: w+ = max(w + t d, 0) at the first t in 1, 1/2,
+    ... with f(w+) <= f + ``_POLISH_ARMIJO`` min(g^T (w+ - w), 0), so no step
+    raises f. Returns (w+, f(w+)), or None after ``_POLISH_BACKTRACKS``
+    failed halvings."""
+    t = 1.0
+    for _ in range(_POLISH_BACKTRACKS):
+        w_new = np.maximum(w + t * d, 0.0)
+        f_new = objective_value(w_new, problem, model)
+        if f_new <= f + _POLISH_ARMIJO * min(float(g @ (w_new - w)), 0.0):
+            return w_new, f_new
+        t *= 0.5
+    return None
+
+
+def _warm_start(problem):
+    """The l1 warm start of :func:`solve_mcp`: projected Newton [Bertsekas
+    1982] on the l1 (trace) objective, which is smooth and convex on w >= 0.
+
+    It starts from the best constant weights w = c 1, c = (n - 1) /
+    (<A(S), 1> + 2 lam m), the minimizer of the objective over constant
+    weights (log det(c L + J) = (n - 1) log c + const); c > 0 because
+    :meth:`ProblemData.check_solvable` rejects MCP data with a(S) <= 0 on an
+    edge. Each step takes, with R = (A* w + J)^{-1} and g the l1 gradient,
+    the free set F = {w > 0} | {g < 0}, solves H x = g on F as the polish
+    does (:func:`_newton_solve`, :func:`_reduced_hessian`; H is positive
+    definite there), and searches along d_F = -x (:func:`_armijo`). It stops
+    ``"converged"`` once the Newton decrement g_F^T x / 2 is below
+    ``_WARM_DECREMENT``, a value unchanged under (S, lam, w) ->
+    (c S, c lam, w / c); otherwise it ends ``"max_iter"`` after
+    ``_WARM_STEPS`` steps or ``"linesearch_failed"`` on a failed search,
+    at the last iterate.
+
+    Returns the weights and the report's ``warm_start``: ``termination``,
+    ``steps``, ``cg_steps`` (the last decrement's CG solve included), the
+    last ``decrement`` and ``wall_time_s``.
+    """
+    t0 = time.perf_counter()
+    lam = problem.params.lam
+    c = (problem.n - 1) / (float(problem.a_of_S.sum()) + 2.0 * lam * problem.m)
+    w = np.full(problem.m, c)
+    f = objective_value(w, problem, "cgl-l1")
+    steps = cg_steps = 0
+    while True:
+        R = np.linalg.inv(problem.astar(w) + problem.J)
+        g = objective_gradient(w, problem, "cgl-l1", R)
+        free, diag, hessian = _reduced_hessian(w, R, (w > 0) | (g < 0), problem, "cgl-l1")
+        g_free = g[free]
+        x, k = _newton_solve(hessian, g_free, diag)
+        cg_steps += k
+        decrement = 0.5 * float(g_free @ x)
+        if decrement < _WARM_DECREMENT:
+            termination = "converged"
+            break
+        if steps == _WARM_STEPS:
+            termination = "max_iter"
+            break
+        d = np.zeros_like(w)
+        d[free] = -x
+        step = _armijo(w, f, g, d, problem, "cgl-l1")
+        if step is None:
+            termination = "linesearch_failed"
+            break
+        w, f = step
+        steps += 1
+    return w, {
+        "termination": termination,
+        # no ADMM runs in the warm start; the field stays while the
+        # benchmark's span check still reads it
+        "iterations": 0,
+        "steps": steps,
+        "cg_steps": cg_steps,
+        "decrement": decrement,
+        "wall_time_s": time.perf_counter() - t0,
+    }
 
 
 @dataclass
@@ -177,15 +275,12 @@ def _polish(w, f, problem, eps):
     the free set is F = {w > 0} | {g < 0}. F splits into the kept edges,
     whose diagonal entry of the reduced Hessian of :func:`_reduced_hessian`
     is positive, and the held ones (an edge in the MCP's concave zone with
-    small effective resistance). On the kept edges Jacobi-preconditioned CG
-    solves H x = g to 1e-2 min(1, sqrt(||g||)) ||g||, within ``_POLISH_CG``
-    steps, and d = -x. Where CG meets p^T H p <= 0 it stops, and d is minus
-    its iterate so far, or -g/diag(H) if that was its first step. Along a
-    held edge the objective is concave [More & Sorensen 1979], so a held
-    edge with w_e > 0 and g_e > 0 is pushed toward 0 along d_e = -w_e; the
-    other held edges keep their weight. A projected Armijo search then takes
-    w+ = max(w + t d, 0) at the first t in 1, 1/2, ... with
-    f(w+) <= f + 1e-4 min(g^T (w+ - w), 0), so no step raises f.
+    small effective resistance). On the kept edges d = -x, x from
+    :func:`_newton_solve`. Along a held edge the objective is concave
+    [More & Sorensen 1979], so a held edge with w_e > 0 and g_e > 0 is
+    pushed toward 0 along d_e = -w_e; the other held edges keep their
+    weight. The projected Armijo search of :func:`_armijo` then takes the
+    step, so no step raises f.
 
     The polish ends without a refusal once the gradient on the kept edges is
     below 1e-2 eps and no held edge is pushed: what is left of the residual
@@ -207,30 +302,18 @@ def _polish(w, f, problem, eps):
             break
         push = ~kept & (w > 0) & (g > 0)
         g_kept = g[kept]
-        gnorm = float(np.linalg.norm(g_kept))
-        solved = gnorm < 1e-2 * eps
+        solved = float(np.linalg.norm(g_kept)) < 1e-2 * eps
         if solved and not push.any():
             break
         d = np.zeros_like(w)
         d[push] = -w[push]
         if not solved:
-            target = 1e-2 * min(1.0, np.sqrt(gnorm)) * gnorm
-            x, _ = _pcg(hessian, g_kept, diag, target, _POLISH_CG)
-            if not x.any():
-                # CG met p^T H p <= 0 on its first step
-                x = g_kept / diag
-            d[kept] = -x
-        t = 1.0
-        for _ in range(_POLISH_BACKTRACKS):
-            w_new = np.maximum(w + t * d, 0.0)
-            f_new = objective_value(w_new, problem)
-            if f_new <= f + _POLISH_ARMIJO * min(float(g @ (w_new - w)), 0.0):
-                break
-            t *= 0.5
-        else:
+            d[kept] = -_newton_solve(hessian, g_kept, diag)[0]
+        step = _armijo(w, f, g, d, problem, "cgl-mcp")
+        if step is None:
             refused = True
             break
-        w, f = w_new, f_new
+        w, f = step
         steps += 1
     return _Polish(w, f, residual, steps, refused)
 
@@ -245,12 +328,13 @@ class _TraceStep:
     sigma: float
 
 
-def solve_mcp(problem, params=None, keep_trace=False, start=None):
+def solve_mcp(problem, params=None, keep_trace=False):
     """Solve the MCP-penalized Laplacian model by the inexact proximal d.c. loop.
 
-    Step 0 warm-starts from the l1 model via ADMM, itself started from zero or
-    from the :class:`AdmmState` ``start`` (see :func:`solve_l1`); the final
-    ADMM iterate is kept as the report's ``admm_state``. Each outer step
+    Step 0 warm-starts from the l1 model by projected Newton from the best
+    constant weights (see :func:`_warm_start`); the loop only starts from
+    it, and a warm start that ends at its step cap or on a failed search
+    hands over its last iterate. Each outer step
     builds the subproblem at (sigma_k, w_k) and maximizes its dual by
     semismooth Newton, which stops at the first Newton point whose recovered
     weights pass the acceptance test: the inexactness rule
@@ -291,22 +375,18 @@ def solve_mcp(problem, params=None, keep_trace=False, start=None):
     ``polish_stationarity`` of the polished weights, equal to ``f``,
     ``dw_norm`` and ``stationarity`` where no polish step was taken. The
     report's ``objective`` and ``stationarity`` are those of its final
-    weights.
-    ``warm_start`` summarizes the ADMM stage: its termination, iterations,
-    final KKT residual, tolerance ``eps``, ``wall_time_s``, final ``sigma``,
-    and the cumulative ``aa_steps`` and ``aa_rejected`` of its Anderson
-    acceleration.
+    weights, and its ``admm_state`` is None.
+    ``warm_start`` summarizes the warm start: its ``termination``
+    (``"converged"``, ``"max_iter"`` or ``"linesearch_failed"``), projected
+    Newton ``steps``, ``cg_steps``, final Newton ``decrement`` and
+    ``wall_time_s``; ``iterations``, the ADMM count, is always 0.
     A disconnected prior or a degenerate covariance raises ValueError before
     the warm start (see :meth:`ProblemData.check_solvable`).
     """
     params = params or DcaParams()
     problem.check_solvable("cgl-mcp")
     t0 = time.perf_counter()
-    admm_params = AdmmParams(
-        eps=max(params.eps, _ADMM_EPS_FLOOR), max_iter=params.admm_max_iter
-    )
-    warm = solve_l1(problem, admm_params, start=start)
-    w = np.asarray(warm.w, dtype=float)
+    w, warm = _warm_start(problem)
     f_prev = objective_value(w, problem)
     sigma = _SIGMA0
     Z = None
@@ -369,9 +449,7 @@ def solve_mcp(problem, params=None, keep_trace=False, start=None):
         "gamma": problem.params.gamma,
         "eps": params.eps,
         "max_outer": params.max_outer,
-        "admm_max_iter": params.admm_max_iter,
         "prior_tag": problem.prior_tag,
-        "warm_start_initial_point": warm.config["initial_point"],
     }
     return SolveReport(
         model="cgl-mcp",
@@ -388,16 +466,6 @@ def solve_mcp(problem, params=None, keep_trace=False, start=None):
             if history
             else stationarity(w, problem, "cgl-mcp")
         ),
-        warm_start={
-            "termination": warm.termination,
-            "iterations": warm.history[-1]["iteration"],
-            "kkt_residual": max(warm.history[-1][key] for key in ("eta_p", "eta_d", "eta_g")),
-            "eps": admm_params.eps,
-            "wall_time_s": warm.wall_time_s,
-            "sigma": warm.admm_state.sigma,
-            "aa_steps": warm.history[-1]["aa_steps"],
-            "aa_rejected": warm.history[-1]["aa_rejected"],
-        },
+        warm_start=warm,
         trace=trace,
-        admm_state=warm.admm_state,
     )

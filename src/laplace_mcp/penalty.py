@@ -70,9 +70,10 @@ def dc_smooth_grad_matrix(theta, params):
     return G
 
 
-def objective_value(w, problem):
-    """Penalized objective -log det(Theta + J) + <S, Theta> + P(Theta) at Theta
-    built from the edge weights w.
+def objective_value(w, problem, model="cgl-mcp"):
+    """Objective of ``model`` ("cgl-mcp" or "cgl-l1"), -log det(Theta + J) +
+    <S, Theta> + P(Theta) at Theta built from the edge weights w, with P the
+    MCP or the l1 trace term lam sum_{i != j} |Theta_ij| = 2 lam sum(w).
 
     The log-determinant comes from a Cholesky factor L of Theta + J, as twice
     the summed log of its diagonal. Returns +inf instead of raising when w is
@@ -99,7 +100,10 @@ def objective_value(w, problem):
     if pivots.min() ** 2 < 1e-12:
         return float("inf")
     # <S, A*w> = <A(S), w>; P(Theta) counts each edge entry twice (ij and ji).
-    penalty = 2.0 * float(np.sum(mcp_value(w, problem.params)))
+    if model == "cgl-mcp":
+        penalty = 2.0 * float(np.sum(mcp_value(w, problem.params)))
+    else:
+        penalty = 2.0 * problem.params.lam * float(np.sum(w))
     return float(-2.0 * np.log(pivots).sum() + problem.a_of_S @ w + penalty)
 
 

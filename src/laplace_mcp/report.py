@@ -20,9 +20,9 @@ class SolveReport:
     :func:`laplace_mcp.penalty.stationarity`); ``config`` echoes the fully
     resolved run configuration so the run can be reproduced from the report
     alone. ``trace`` carries in-memory arrays for
-    certificate auditing and ``admm_state`` the final ADMM iterate (an
-    ``AdmmState``, the warm start of a later ``start=``); neither is
-    serialized.
+    certificate auditing and ``admm_state`` the final ADMM iterate of an l1
+    solve (an ``AdmmState``, the warm start of a later ``start=``; None for
+    MCP); neither is serialized.
     """
 
     model: str

@@ -21,6 +21,7 @@ from util import (
 )
 
 
+WARM_START_KEYS = {"termination", "iterations", "steps", "cg_steps", "decrement", "wall_time_s"}
 HISTORY_KEYS = {
     "k", "f", "f_prev", "sigma", "dw_norm", "ssn_iterations", "ssn_cg_steps",
     "cert_retries", "delta_norm", "r", "bound", "stationarity", "polish_steps",
@@ -94,14 +95,16 @@ class TestSolveMcp:
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_critical_point_matches_lbfgsb(self, seed):
-        # independent oracle: L-BFGS-B on the MCP objective from the same l1
-        # warm start reaches the same critical point
+        # independent oracle: L-BFGS-B on the MCP objective from an l1
+        # solution by ADMM, a start the solve itself never sees, reaches the
+        # same critical point
         problem, _, _ = make_problem(n=12, p=0.3, seed=seed, lam=0.05, k=60000)
         eps = 1e-8
         report = solve_mcp(problem, lm.DcaParams(eps=eps))
         assert report.converged
         assert stationarity_oracle(report.w, problem, "cgl-mcp") < 2 * eps
-        ref = lbfgsb_min(lambda w: mcp_objective(w, problem), report.admm_state.w)
+        start = lm.solve_l1(problem, lm.AdmmParams(eps=1e-4)).w
+        ref = lbfgsb_min(lambda w: mcp_objective(w, problem), start)
         assert np.linalg.norm(report.w - ref.x) <= 1e-5 * np.linalg.norm(ref.x)
         assert report.objective == pytest.approx(ref.fun, rel=1e-12)
 
@@ -234,8 +237,9 @@ class TestSolveMcp:
     def test_huge_lambda_ends_with_named_status(self, monkeypatch):
         # near the dual optimum (K + Y)/sigma cancels, so an asymmetric Newton
         # direction used to fail the symmetry check of the eigensolver; the
-        # caps only shorten the run (the defaults end the same way in ~7 s,
-        # most of it in the ADMM warm start)
+        # CG cap only shortens the run (the defaults end the same way, most
+        # of the time in Newton runs at their caps; the warm start takes 3
+        # projected-Newton steps)
         runs = []
         real = dca.ssn_solve
 
@@ -246,9 +250,8 @@ class TestSolveMcp:
         monkeypatch.setattr(dca, "ssn_solve", spy)
         monkeypatch.setattr(ssn, "_MAX_CG", 50)
         problem, _, _ = make_problem(n=12, p=0.3, seed=0, lam=1e6)
-        params = lm.DcaParams(admm_max_iter=2000)
         with np.errstate(all="raise"):
-            report = solve_mcp(problem, params)
+            report = solve_mcp(problem)
         assert report.termination in ("converged", "max_outer", "certificate_failed")
         # a step that fails gives up after its one Newton run
         failed = report.termination == "certificate_failed"
@@ -386,8 +389,11 @@ class TestSolveMcp:
         problem, _, _ = make_problem(n=8, p=0.5, seed=12, lam=0.05, k=5000 * 8)
         report = solve_mcp(problem, lm.DcaParams(eps=1e-6))
         assert report.model == "cgl-mcp"
-        assert report.warm_start is not None
+        assert report.admm_state is None
+        assert set(report.warm_start) == WARM_START_KEYS
         assert report.warm_start["termination"] == "converged"
+        assert report.warm_start["iterations"] == 0
+        assert report.warm_start["wall_time_s"] <= report.wall_time_s
         keys = ("f", "sigma", "dw_norm", "ssn_iterations", "ssn_cg_steps")
         for key in keys + ("cert_retries", "r"):
             assert key in report.history[0]
@@ -399,12 +405,69 @@ class TestSolveMcp:
         assert report.config["eps"] == 1e-6
         assert np.isfinite(report.objective)
 
-    def test_warm_start_tolerance_floor(self):
-        problem, _, _ = make_problem(n=8, p=0.5, seed=12, lam=0.05, k=5000 * 8)
+
+def scaled_problem(prior, c):
+    """The n=12 instance with S and lam multiplied by c, on the true or the
+    full prior; its weights scale by 1/c."""
+    base, gw, _ = make_problem(n=12, p=0.3, seed=0, lam=0.05, k=60000)
+    graph = lm.true_prior(gw)
+    if prior == "full":
+        graph = lm.perturb_connectivity(graph, "full")
+    return lm.ProblemData(c * base.S, graph, lm.PenaltyParams(c * 0.05, 1.5))
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("prior", ["true", "full"])
+    def test_scale_invariance(self, prior):
+        # (S, lam, w) -> (c S, c lam, w / c) scales the gradient by c and the
+        # Hessian and its Jacobi diagonal by c^2, so the Newton decrement and
+        # the Jacobi-preconditioned CG iterates carry over; only the CG
+        # target 1e-2 min(1, sqrt(||g||)) ||g|| depends on the units of g,
+        # which moves where CG stops
+        ref = solve_mcp(scaled_problem(prior, 1.0), lm.DcaParams(max_outer=0))
+        assert ref.warm_start["termination"] == "converged"
+        for c in (1e-6, 1e-3, 1e3):
+            report = solve_mcp(scaled_problem(prior, c), lm.DcaParams(max_outer=0))
+            assert report.warm_start["termination"] == "converged"
+            assert report.warm_start["steps"] == ref.warm_start["steps"]
+            assert np.linalg.norm(c * report.w - ref.w) <= 1e-3 * np.linalg.norm(ref.w)
+
+    @pytest.mark.parametrize("prior", ["true", "full"])
+    def test_objective_descends_to_the_l1_minimum(self, prior, monkeypatch):
+        problem = scaled_problem(prior, 1.0)
+        values = []
+        for cap in range(dca._WARM_STEPS + 1):
+            monkeypatch.setattr(dca, "_WARM_STEPS", cap)
+            w, warm = dca._warm_start(problem)
+            assert warm["steps"] <= cap
+            values.append(lm.objective_value(w, problem, "cgl-l1"))
+            if warm["termination"] == "converged":
+                break
+        assert warm["termination"] == "converged" and warm["steps"] == cap > 0
+        assert all(b <= a for a, b in zip(values, values[1:]))
+        best = lm.solve_l1(problem, lm.AdmmParams(eps=1e-8)).objective
+        assert abs(values[-1] - best) < 1e-4
+
+    def test_cap_hands_over_the_last_iterate(self, monkeypatch):
+        problem = scaled_problem("full", 1.0)
+        monkeypatch.setattr(dca, "_WARM_STEPS", 2)
         report = solve_mcp(problem, lm.DcaParams(eps=1e-6))
-        assert report.warm_start["eps"] == 1e-4
-        assert report.warm_start["wall_time_s"] <= report.wall_time_s
-        assert report.warm_start["sigma"] > 0
+        assert report.warm_start["termination"] == "max_iter"
+        assert report.warm_start["steps"] == 2
+        assert report.warm_start["decrement"] >= dca._WARM_DECREMENT
+        assert report.converged
+
+    def test_scaled_full_prior_converges(self):
+        # S x 1e3 and lam x 1e3 on the full prior: from the ADMM warm start
+        # the first Newton run found no certificate, and the solve ended
+        # "certificate_failed" after 0 outer steps. At this scale eps asks
+        # the polish for decreases near the rounding of f, so the steps after
+        # the first are not pinned here
+        eps = 1e-6
+        problem = scaled_problem("full", 1e3)
+        report = solve_mcp(problem, lm.DcaParams(eps=eps))
+        assert report.termination == "converged"
+        assert stationarity_oracle(report.w, problem, "cgl-mcp") < 2 * eps
 
 
 def full_prior_problem(n, lam, seed=3):
@@ -611,7 +674,8 @@ class TestDcaParams:
 
     @pytest.mark.parametrize("cap", [0, -1])
     def test_admm_cap_below_one_rejected(self, cap):
-        with pytest.raises(ValueError, match="admm_max_iter"):
+        # the solve runs no ADMM, so an ADMM cap is no field at any value
+        with pytest.raises(TypeError, match="admm_max_iter"):
             lm.DcaParams(admm_max_iter=cap)
 
     def test_negative_outer_cap_rejected(self):

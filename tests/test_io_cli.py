@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import laplace_mcp as lm
+from laplace_mcp import dca
 from laplace_mcp import io as lio
 from laplace_mcp.cli import main
 
@@ -146,13 +147,13 @@ class TestReportJson:
         assert back.termination == report.termination
         np.testing.assert_allclose(back.w, report.w, rtol=1e-15)
         assert back.config == report.config
-        assert back.config["admm_max_iter"] == 20000
         assert back.warm_start == report.warm_start
         assert back.warm_start["wall_time_s"] > 0
-        assert back.warm_start["sigma"] == report.admm_state.sigma
-        steps, rejected = back.warm_start["aa_steps"], back.warm_start["aa_rejected"]
-        assert (steps, rejected) == (report.warm_start["aa_steps"], report.warm_start["aa_rejected"])
-        assert isinstance(steps, int) and 0 <= rejected <= steps
+        assert back.warm_start["termination"] == "converged"
+        steps, cg_steps = back.warm_start["steps"], back.warm_start["cg_steps"]
+        assert isinstance(steps, int) and isinstance(cg_steps, int)
+        assert 0 <= steps <= cg_steps
+        assert back.warm_start["decrement"] < dca._WARM_DECREMENT
         l1 = lm.solve_l1(problem)
         lio.save_report(path, l1)
         config = lio.load_report(path).config
@@ -172,8 +173,8 @@ class TestReportJson:
             params = lm.AdmmParams
         else:
             config = lm.solve_mcp(problem).config
-            fields = {"eps", "max_outer", "admm_max_iter"}
-            other = {"model", "lam", "gamma", "prior_tag", "warm_start_initial_point"}
+            fields = {"eps", "max_outer"}
+            other = {"model", "lam", "gamma", "prior_tag"}
             params = lm.DcaParams
         assert set(config) == fields | other
         assert {f.name for f in dataclasses.fields(params)} == fields
@@ -348,10 +349,10 @@ class TestCliSolveEval:
             assert rep.termination == "converged"
             assert rep.stationarity < rep.config["eps"]
             warm = rep.warm_start
-            assert warm["aa_steps"] > 0
+            assert warm["steps"] > 0
             assert (
-                f", warm start {warm['iterations']} ADMM iterations ({warm['aa_steps']} "
-                f"accelerated, {warm['aa_rejected']} rejected) in "
+                f", warm start {warm['steps']} projected-Newton steps "
+                f"({warm['cg_steps']} CG steps) in "
             ) in out
         else:
             last = rep.history[-1]
@@ -365,7 +366,7 @@ class TestCliSolveEval:
         "model, flag, value, field",
         [
             ("cgl-l1", "--max-iter", "0", "max_iter"),
-            ("cgl-mcp", "--max-iter", "0", "admm_max_iter"),
+            ("cgl-mcp", "--max-iter", "0", "--max-iter"),
             ("cgl-mcp", "--max-outer", "-1", "max_outer"),
         ],
     )
@@ -449,20 +450,22 @@ class TestCliSolveEval:
         )
         assert rc == 2
 
-    def test_max_iter_caps_the_mcp_warm_start(self, tmp_path, instance):
+    def test_max_iter_rejected_for_mcp(self, tmp_path, instance, capsys):
+        # cgl-mcp runs no ADMM, so any ADMM cap is a usage error, not ignored
         graph, cov = instance
         report = tmp_path / "r.json"
-        main(
+        rc = main(
             [
                 "solve", "--model", "cgl-mcp", "--cov", str(cov),
                 "--connectivity", str(graph), "--lambda", "0.05",
                 "--max-iter", "3", "--out", str(report),
             ]
         )
-        rep = lio.load_report(report)
-        assert rep.warm_start["termination"] == "max_iter"
-        assert rep.warm_start["iterations"] == 3
-        assert rep.config["admm_max_iter"] == 3
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error: --max-iter must be left unset for --model cgl-mcp" in err
+        assert "projected Newton" in err
+        assert not report.exists()
 
     def test_degenerate_data_rejected(self, tmp_path, capsys):
         X = np.random.default_rng(0).standard_normal((400, 6))
