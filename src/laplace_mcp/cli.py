@@ -121,7 +121,8 @@ def _build_parser():
         type=int,
         default=1,
         help="seed chains run at once (each chain solves its lambda grid in "
-        "descending order); default 1, as more threads compete with BLAS's own",
+        "descending order); default 1: more threads compete with a multithreaded "
+        "BLAS, and pay with one BLAS thread (OPENBLAS_NUM_THREADS=1)",
     )
     sweep.add_argument("--out", required=True, help="CSV output path")
 

@@ -1,6 +1,6 @@
-"""Outer inexact proximal difference-of-convex loop: a projected-Newton l1 warm
-start, certificate gated subproblem steps, the sigma schedule, the
-projected-Newton polish, and termination."""
+"""Outer inexact proximal difference-of-convex loop: certificate gated
+subproblem steps, the sigma schedule and termination, with one projected-Newton
+loop serving as the l1 warm start and as the polish of accepted steps."""
 
 from __future__ import annotations
 
@@ -52,9 +52,9 @@ _WARM_DECREMENT = 1e-4
 
 # the projected-Newton polish of an accepted iterate: it runs on every step
 # whose residual is below _POLISH_START and takes at most _POLISH_STEPS
-# steps; CG gets at most _POLISH_CG steps per direction; _POLISH_ARMIJO is
-# the Armijo constant, and t is halved at most _POLISH_BACKTRACKS times. The
-# warm start shares the CG cap and the search
+# steps. Both runs of projected Newton give CG at most _POLISH_CG steps per
+# direction; _POLISH_ARMIJO is the Armijo constant, and t is halved at most
+# _POLISH_BACKTRACKS times
 _POLISH_START = 1e-2
 _POLISH_STEPS = 6
 _POLISH_CG = 100
@@ -67,13 +67,11 @@ class DcaParams:
     """Outer-loop parameters; the penalty comes from ``ProblemData.params``.
 
     sigma starts at ``_SIGMA0`` (1.0) and shrinks by ``_RHO`` (0.8) each
-    iteration until it reaches ``_SIGMA_MIN`` (1e-4). The l1 warm start
-    (:func:`_warm_start`) has no settings: projected Newton stops at the
-    Newton decrement ``_WARM_DECREMENT`` (1e-4) or after ``_WARM_STEPS`` (50)
-    steps; the d.c. loop only starts from it, and its descent argument does
-    not depend on how accurate that start is. ``max_outer`` is non-negative.
-    The Newton caps are the module constants ``ssn._MAX_NEWTON`` and
-    ``ssn._MAX_CG``.
+    iteration until it reaches ``_SIGMA_MIN`` (1e-4). The l1 warm start and
+    the polish have no settings (see :func:`_warm_start` and
+    :func:`_polish`); the d.c. loop's descent argument does not depend on how
+    accurate the start is. ``max_outer`` is non-negative. The Newton caps
+    are the module constants ``ssn._MAX_NEWTON`` and ``ssn._MAX_CG``.
     """
 
     eps: float = 1e-6
@@ -162,160 +160,149 @@ def _reduced_hessian(w, R, free, problem, model="cgl-mcp"):
     return free, diag[free], apply
 
 
-def _newton_solve(hessian, g_kept, diag):
-    """x with H x about g on the kept edges, and the CG steps it took:
-    Jacobi-preconditioned CG to 1e-2 min(1, sqrt(||g||)) ||g|| within
-    ``_POLISH_CG`` steps. Where CG meets p^T H p <= 0 it stops at its iterate
-    so far, or x = g/diag(H) if that was its first step."""
-    gnorm = float(np.linalg.norm(g_kept))
-    target = 1e-2 * min(1.0, np.sqrt(gnorm)) * gnorm
-    x, steps = _pcg(hessian, g_kept, diag, target, _POLISH_CG)
-    if not x.any():
-        # CG met p^T H p <= 0 on its first step
-        x = g_kept / diag
-    return x, steps
+@dataclass
+class _Newton:
+    """Outcome of :func:`_projected_newton`: the final weights, their objective
+    and residual, the steps and CG steps taken, the last Newton decrement
+    (None before the first direction) and how the loop ended (None where it
+    did not run)."""
+
+    w: np.ndarray
+    f: float
+    stationarity: float
+    steps: int = 0
+    cg_steps: int = 0
+    decrement: float | None = None
+    termination: str | None = None
+
+    @property
+    def refused(self):
+        return self.termination in ("refused", "linesearch_failed")
 
 
-def _armijo(w, f, g, d, problem, model):
-    """Projected Armijo search on the objective of ``model`` from w of value f
-    with gradient g along d: w+ = max(w + t d, 0) at the first t in 1, 1/2,
-    ... with f(w+) <= f + ``_POLISH_ARMIJO`` min(g^T (w+ - w), 0), so no step
-    raises f. Returns (w+, f(w+)), or None after ``_POLISH_BACKTRACKS``
-    failed halvings."""
-    t = 1.0
-    for _ in range(_POLISH_BACKTRACKS):
-        w_new = np.maximum(w + t * d, 0.0)
-        f_new = objective_value(w_new, problem, model)
-        if f_new <= f + _POLISH_ARMIJO * min(float(g @ (w_new - w)), 0.0):
-            return w_new, f_new
-        t *= 0.5
-    return None
+def _projected_newton(w, f, problem, model, eps, decrement_tol, max_steps):
+    """Projected Newton [Bertsekas 1982] on the objective of ``model`` from w
+    of value f, shared by the l1 warm start and the polish.
+
+    Each iteration, with R = (A* w + J)^{-1} and g the gradient, stops
+    ``"converged"`` once the stationarity residual is below eps, and
+    ``"max_iter"`` after ``max_steps`` steps, before any direction. The free
+    set F = {w > 0} | {g < 0} splits into the kept edges, whose diagonal
+    entry of the reduced Hessian of :func:`_reduced_hessian` is positive, and
+    the held ones (for the MCP, an edge in the concave zone with small
+    effective resistance; for l1 every free edge is kept); with no kept edge
+    it stops ``"refused"``. Along a held edge the objective is concave [More
+    & Sorensen 1979], so a held edge with w_e > 0 and g_e > 0 is pushed
+    toward 0 along d_e = -w_e; the other held edges keep their weight.
+
+    Where the kept gradient is at least 1e-2 eps, Jacobi-preconditioned CG
+    solves H x = g on the kept edges to 1e-2 min(1, sqrt(||g||)) ||g|| within
+    ``_POLISH_CG`` steps; where CG meets p^T H p <= 0 it stops at its iterate
+    so far, or x = g/diag(H) if that was its first step. The loop stops
+    ``"converged"`` once the Newton decrement g^T x / 2 is below
+    ``decrement_tol``, and otherwise sets d = -x on the kept edges. Below
+    1e-2 eps with no held edge pushed it stops ``"solved"``: the rest of the
+    residual sits on edges no step moves. The projected Armijo search takes
+    w+ = max(w + t d, 0) at the first t in 1, 1/2, ... with f(w+) <= f +
+    ``_POLISH_ARMIJO`` min(g^T (w+ - w), 0), so no step raises f; after
+    ``_POLISH_BACKTRACKS`` halvings it stops ``"linesearch_failed"``. The
+    steps taken before any stop stay.
+    """
+    steps = cg_steps = 0
+    decrement = None
+    while True:
+        R = np.linalg.inv(problem.astar(w) + problem.J)
+        g = objective_gradient(w, problem, model, R)
+        residual = _projected_residual(g, w)
+        if residual < eps:
+            termination = "converged"
+            break
+        if steps == max_steps:
+            termination = "max_iter"
+            break
+        kept, diag, hessian = _reduced_hessian(w, R, (w > 0) | (g < 0), problem, model)
+        if not kept.any():
+            termination = "refused"
+            break
+        push = ~kept & (w > 0) & (g > 0)
+        d = np.zeros_like(w)
+        d[push] = -w[push]
+        g_kept = g[kept]
+        gnorm = float(np.linalg.norm(g_kept))
+        if gnorm >= 1e-2 * eps:
+            target = 1e-2 * min(1.0, np.sqrt(gnorm)) * gnorm
+            x, k = _pcg(hessian, g_kept, diag, target, _POLISH_CG)
+            cg_steps += k
+            if not x.any():
+                # CG met p^T H p <= 0 on its first step
+                x = g_kept / diag
+            decrement = 0.5 * float(g_kept @ x)
+            if decrement < decrement_tol:
+                termination = "converged"
+                break
+            d[kept] = -x
+        elif not push.any():
+            termination = "solved"
+            break
+        t = 1.0
+        for _ in range(_POLISH_BACKTRACKS):
+            w_new = np.maximum(w + t * d, 0.0)
+            f_new = objective_value(w_new, problem, model)
+            if f_new <= f + _POLISH_ARMIJO * min(float(g @ (w_new - w)), 0.0):
+                break
+            t *= 0.5
+        else:
+            termination = "linesearch_failed"
+            break
+        w, f = w_new, f_new
+        steps += 1
+    return _Newton(w, f, residual, steps, cg_steps, decrement, termination)
 
 
 def _warm_start(problem):
-    """The l1 warm start of :func:`solve_mcp`: projected Newton [Bertsekas
-    1982] on the l1 (trace) objective, which is smooth and convex on w >= 0.
+    """The l1 warm start of :func:`solve_mcp`: :func:`_projected_newton` on
+    the l1 (trace) objective, which is smooth and convex on w >= 0, so every
+    free edge is kept and none is pushed.
 
     It starts from the best constant weights w = c 1, c = (n - 1) /
     (<A(S), 1> + 2 lam m), the minimizer of the objective over constant
     weights (log det(c L + J) = (n - 1) log c + const); c > 0 because
     :meth:`ProblemData.check_solvable` rejects MCP data with a(S) <= 0 on an
-    edge. Each step takes, with R = (A* w + J)^{-1} and g the l1 gradient,
-    the free set F = {w > 0} | {g < 0}, solves H x = g on F as the polish
-    does (:func:`_newton_solve`, :func:`_reduced_hessian`; H is positive
-    definite there), and searches along d_F = -x (:func:`_armijo`). It stops
-    ``"converged"`` once the Newton decrement g_F^T x / 2 is below
+    edge. It stops ``"converged"`` once the Newton decrement is below
     ``_WARM_DECREMENT``, a value unchanged under (S, lam, w) ->
     (c S, c lam, w / c); otherwise it ends ``"max_iter"`` after
     ``_WARM_STEPS`` steps or ``"linesearch_failed"`` on a failed search,
     at the last iterate.
 
     Returns the weights and the report's ``warm_start``: ``termination``,
-    ``steps``, ``cg_steps`` (the last decrement's CG solve included), the
-    last ``decrement`` and ``wall_time_s``.
+    ``steps``, ``cg_steps``, the last ``decrement`` (None if no direction was
+    computed) and ``wall_time_s``.
     """
     t0 = time.perf_counter()
     lam = problem.params.lam
     c = (problem.n - 1) / (float(problem.a_of_S.sum()) + 2.0 * lam * problem.m)
     w = np.full(problem.m, c)
     f = objective_value(w, problem, "cgl-l1")
-    steps = cg_steps = 0
-    while True:
-        R = np.linalg.inv(problem.astar(w) + problem.J)
-        g = objective_gradient(w, problem, "cgl-l1", R)
-        free, diag, hessian = _reduced_hessian(w, R, (w > 0) | (g < 0), problem, "cgl-l1")
-        g_free = g[free]
-        x, k = _newton_solve(hessian, g_free, diag)
-        cg_steps += k
-        decrement = 0.5 * float(g_free @ x)
-        if decrement < _WARM_DECREMENT:
-            termination = "converged"
-            break
-        if steps == _WARM_STEPS:
-            termination = "max_iter"
-            break
-        d = np.zeros_like(w)
-        d[free] = -x
-        step = _armijo(w, f, g, d, problem, "cgl-l1")
-        if step is None:
-            termination = "linesearch_failed"
-            break
-        w, f = step
-        steps += 1
-    return w, {
-        "termination": termination,
+    run = _projected_newton(w, f, problem, "cgl-l1", 0.0, _WARM_DECREMENT, _WARM_STEPS)
+    return run.w, {
+        "termination": run.termination,
         # no ADMM runs in the warm start; the field stays while the
         # benchmark's span check still reads it
         "iterations": 0,
-        "steps": steps,
-        "cg_steps": cg_steps,
-        "decrement": decrement,
+        "steps": run.steps,
+        "cg_steps": run.cg_steps,
+        "decrement": run.decrement,
         "wall_time_s": time.perf_counter() - t0,
     }
 
 
-@dataclass
-class _Polish:
-    """Outcome of :func:`_polish`: the final weights, their objective and
-    residual, the steps taken, and whether it ended on a refusal."""
-
-    w: np.ndarray
-    f: float
-    stationarity: float
-    steps: int
-    refused: bool
-
-
 def _polish(w, f, problem, eps):
-    """Projected Newton on the objective [Bertsekas 1982] from the accepted
-    iterate w of value f, for at most ``_POLISH_STEPS`` steps, stopping once
-    the stationarity residual is below eps.
-
-    At each step, with R = (A* w + J)^{-1} and g the objective's gradient,
-    the free set is F = {w > 0} | {g < 0}. F splits into the kept edges,
-    whose diagonal entry of the reduced Hessian of :func:`_reduced_hessian`
-    is positive, and the held ones (an edge in the MCP's concave zone with
-    small effective resistance). On the kept edges d = -x, x from
-    :func:`_newton_solve`. Along a held edge the objective is concave
-    [More & Sorensen 1979], so a held edge with w_e > 0 and g_e > 0 is
-    pushed toward 0 along d_e = -w_e; the other held edges keep their
-    weight. The projected Armijo search of :func:`_armijo` then takes the
-    step, so no step raises f.
-
-    The polish ends without a refusal once the gradient on the kept edges is
-    below 1e-2 eps and no held edge is pushed: what is left of the residual
-    sits on held edges that no step moves, and the d.c. loop takes over. It
-    refuses, taking no further step, where no edge is kept or where the
-    search fails ``_POLISH_BACKTRACKS`` times; the steps taken before stay.
-    """
-    steps = 0
-    refused = False
-    while True:
-        R = np.linalg.inv(problem.astar(w) + problem.J)
-        g = objective_gradient(w, problem, "cgl-mcp", R)
-        residual = _projected_residual(g, w)
-        if residual < eps or steps == _POLISH_STEPS:
-            break
-        kept, diag, hessian = _reduced_hessian(w, R, (w > 0) | (g < 0), problem)
-        if not kept.any():
-            refused = True
-            break
-        push = ~kept & (w > 0) & (g > 0)
-        g_kept = g[kept]
-        solved = float(np.linalg.norm(g_kept)) < 1e-2 * eps
-        if solved and not push.any():
-            break
-        d = np.zeros_like(w)
-        d[push] = -w[push]
-        if not solved:
-            d[kept] = -_newton_solve(hessian, g_kept, diag)[0]
-        step = _armijo(w, f, g, d, problem, "cgl-mcp")
-        if step is None:
-            refused = True
-            break
-        w, f = step
-        steps += 1
-    return _Polish(w, f, residual, steps, refused)
+    """:func:`_projected_newton` on the objective from the accepted iterate w
+    of value f, for at most ``_POLISH_STEPS`` steps, stopping once the
+    stationarity residual is below eps; no decrement ends it. It refuses
+    (``refused``) where no edge is kept or the search fails; otherwise the
+    d.c. loop takes over where it stops."""
+    return _projected_newton(w, f, problem, "cgl-mcp", eps, 0.0, _POLISH_STEPS)
 
 
 @dataclass
@@ -353,16 +340,13 @@ def solve_mcp(problem, params=None, keep_trace=False):
     :class:`DescentError`).
 
     An accepted step whose stationarity residual is below 1e-2
-    (``_POLISH_START``) is polished by projected Newton on the objective
-    (see :func:`_polish`), which only lowers f: Newton on the edges with
-    positive curvature, concave-zone edges with nonpositive curvature and a
-    positive gradient pushed toward 0, and a stop once the Newton edges are
-    solved. The next subproblem is centred at the polished weights, and the
-    prox argument Z carries over unchanged. A polish that ends, or refuses
-    (no edge with positive curvature, or a failed line search), hands back
-    to the d.c. loop. The solve ends ``"converged"`` once, and only once,
-    the stationarity residual of the current weights, polished or not, is
-    below eps; a solve whose residual never gets there ends ``"max_outer"``.
+    (``_POLISH_START``) is polished (see :func:`_polish`), which only lowers
+    f. The next subproblem is centred at the polished weights, and the prox
+    argument Z carries over unchanged. A polish that ends, or refuses, hands
+    back to the d.c. loop. The solve ends ``"converged"`` once, and only
+    once, the stationarity residual of the current weights, polished or not,
+    is below eps; a solve whose residual never gets there ends
+    ``"max_outer"``.
 
     Each history entry records the Newton iterations and CG steps of the
     step (``ssn_iterations``, ``ssn_cg_steps``), ``cert_retries`` (always
@@ -370,16 +354,13 @@ def solve_mcp(problem, params=None, keep_trace=False):
     first-order ``stationarity`` residual of the accepted weights (see
     :func:`laplace_mcp.penalty.stationarity`; it costs one A(.) of the
     X2^{-1} the rule check already has). Then the polish: ``polish_steps``,
-    ``polish_refused``, and the objective ``polish_f``, distance
-    ``polish_dw_norm`` from the step's start and residual
+    ``polish_cg_steps``, ``polish_refused``, and the objective ``polish_f``,
+    distance ``polish_dw_norm`` from the step's start and residual
     ``polish_stationarity`` of the polished weights, equal to ``f``,
     ``dw_norm`` and ``stationarity`` where no polish step was taken. The
     report's ``objective`` and ``stationarity`` are those of its final
-    weights, and its ``admm_state`` is None.
-    ``warm_start`` summarizes the warm start: its ``termination``
-    (``"converged"``, ``"max_iter"`` or ``"linesearch_failed"``), projected
-    Newton ``steps``, ``cg_steps``, final Newton ``decrement`` and
-    ``wall_time_s``; ``iterations``, the ADMM count, is always 0.
+    weights, and its ``admm_state`` is None. ``warm_start`` is the dict of
+    :func:`_warm_start`; its ``iterations``, the ADMM count, is always 0.
     A disconnected prior or a degenerate covariance raises ValueError before
     the warm start (see :meth:`ProblemData.check_solvable`).
     """
@@ -410,7 +391,7 @@ def solve_mcp(problem, params=None, keep_trace=False):
         if params.eps <= test.stationarity < _POLISH_START:
             polish = _polish(w_next, f_next, problem, params.eps)
         else:
-            polish = _Polish(w_next, f_next, test.stationarity, 0, False)
+            polish = _Newton(w_next, f_next, test.stationarity)
         history.append(
             {
                 "k": k,
@@ -428,6 +409,7 @@ def solve_mcp(problem, params=None, keep_trace=False):
                 "bound": cert.bound,
                 "stationarity": test.stationarity,
                 "polish_steps": polish.steps,
+                "polish_cg_steps": polish.cg_steps,
                 "polish_refused": polish.refused,
                 "polish_f": polish.f,
                 "polish_dw_norm": float(np.linalg.norm(polish.w - w)),

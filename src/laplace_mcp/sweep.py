@@ -55,8 +55,8 @@ class SweepConfig:
     weight_lo: float = 0.1
     weight_hi: float = 3.0
     threshold_rel: float = 1e-4
-    # seed chains solved at once; on top of BLAS's own threads a pool was
-    # slower than one chain at a time on 2 vCPU
+    # seed chains solved at once; on 2 vCPU a pool was slower than one chain
+    # at a time on top of multithreaded BLAS, and faster with one BLAS thread
     threads: int = 1
 
     def to_dict(self):

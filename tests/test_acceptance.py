@@ -1,8 +1,9 @@
 """Acceptance suite: end-to-end correctness and reproduction checks, one
 PASS/FAIL line per criterion. The benchmark-scale runs (criteria 7, 8) are
 shared through a module fixture whose per-step certificates feed criteria 5
-and 10. Criterion 7's cells are the warm-started lambda chains that
-``laplace-mcp sweep`` solves."""
+and 10. Criterion 7's cells are those of ``sweep.solve_chain``, which
+``laplace-mcp sweep`` solves: each seed's lambda grid in descending order,
+every MCP cell from its own l1 warm start."""
 
 import time
 from fractions import Fraction

@@ -25,8 +25,23 @@ WARM_START_KEYS = {"termination", "iterations", "steps", "cg_steps", "decrement"
 HISTORY_KEYS = {
     "k", "f", "f_prev", "sigma", "dw_norm", "ssn_iterations", "ssn_cg_steps",
     "cert_retries", "delta_norm", "r", "bound", "stationarity", "polish_steps",
-    "polish_refused", "polish_f", "polish_dw_norm", "polish_stationarity",
+    "polish_cg_steps", "polish_refused", "polish_f", "polish_dw_norm",
+    "polish_stationarity",
 }
+
+
+@pytest.fixture
+def pcg_calls(monkeypatch):
+    """The CG steps of each ``dca._pcg`` call, in call order."""
+    steps = []
+
+    def pcg(*args):
+        x, k = ssn._pcg(*args)
+        steps.append(k)
+        return x, k
+
+    monkeypatch.setattr(dca, "_pcg", pcg)
+    return steps
 
 
 def cost_matrix(w, problem):
@@ -443,7 +458,9 @@ class TestWarmStart:
             values.append(lm.objective_value(w, problem, "cgl-l1"))
             if warm["termination"] == "converged":
                 break
-        assert warm["termination"] == "converged" and warm["steps"] == cap > 0
+        # at its cap the warm start stops before computing a direction, so it
+        # converges one cap after its last step
+        assert warm["termination"] == "converged" and warm["steps"] == cap - 1 > 0
         assert all(b <= a for a, b in zip(values, values[1:]))
         best = lm.solve_l1(problem, lm.AdmmParams(eps=1e-8)).objective
         assert abs(values[-1] - best) < 1e-4
@@ -456,6 +473,12 @@ class TestWarmStart:
         assert report.warm_start["steps"] == 2
         assert report.warm_start["decrement"] >= dca._WARM_DECREMENT
         assert report.converged
+
+    def test_cap_computes_no_direction_it_cannot_take(self, monkeypatch, pcg_calls):
+        monkeypatch.setattr(dca, "_WARM_STEPS", 2)
+        _, warm = dca._warm_start(scaled_problem("full", 1.0))
+        assert warm["termination"] == "max_iter" and warm["steps"] == 2
+        assert len(pcg_calls) == 2 and sum(pcg_calls) == warm["cg_steps"]
 
     def test_scaled_full_prior_converges(self):
         # S x 1e3 and lam x 1e3 on the full prior: from the ADMM warm start
@@ -515,6 +538,29 @@ class TestPolish:
             want = H @ v
             assert np.linalg.norm(apply(v) - want) <= 1e-12 * np.linalg.norm(want)
 
+    @pytest.mark.parametrize("n, seed", [(6, 0), (9, 1), (12, 2)])
+    def test_l1_hessian_keeps_every_free_edge(self, n, seed):
+        # the l1 objective has no concave term: its reduced Hessian is
+        # P o P with P = B_F^T R B_F on all of F, so the warm start holds
+        # no edge and pushes none
+        problem, w0 = full_prior_problem(n, 0.5, seed)
+        rng = np.random.default_rng(seed)
+        w = np.where(rng.random(problem.m) < 0.3, 0.0, w0 + rng.uniform(0, 1.5, problem.m))
+        R = np.linalg.inv(problem.astar(w) + problem.J)
+        g = lm.penalty.objective_gradient(w, problem, "cgl-l1", R)
+        free = (w > 0) | (g < 0)
+        assert 0 < free.sum() < problem.m
+        B = incidence_matrix(problem.prior).toarray()[:, free]
+        P = B.T @ R @ B
+        H = P * P
+        kept, diag, apply = dca._reduced_hessian(w, R, free, problem, "cgl-l1")
+        assert np.array_equal(kept, free)
+        np.testing.assert_allclose(diag, np.diag(H), rtol=1e-12, atol=0)
+        for _ in range(3):
+            v = rng.standard_normal(free.sum())
+            want = H @ v
+            assert np.linalg.norm(apply(v) - want) <= 1e-12 * np.linalg.norm(want)
+
     @pytest.mark.parametrize("lam, shift", [(0.0, 0.0), (0.1, 0.0), (0.5, 0.5)])
     def test_steps_never_raise_f(self, monkeypatch, lam, shift):
         # at lam = 0.5 the start w + 0.5 takes all six steps; the second
@@ -552,6 +598,14 @@ class TestPolish:
             out = dca._polish(w, lm.objective_value(w, problem), problem, 1e-12)
             assert out.refused == (curvature <= 0)
             assert out.steps == (curvature > 0)
+
+    def test_cap_computes_no_direction_it_cannot_take(self, monkeypatch, pcg_calls):
+        problem, w = full_prior_problem(10, 0.5)
+        w = np.where(w > 0, w + 0.5, 0.0)
+        monkeypatch.setattr(dca, "_POLISH_STEPS", 1)
+        out = dca._polish(w, lm.objective_value(w, problem), problem, 1e-12)
+        assert out.termination == "max_iter" and out.steps == 1
+        assert len(pcg_calls) == 1 and sum(pcg_calls) == out.cg_steps
 
     def test_memory_stays_linear_in_the_edges(self):
         # a dense |F| x |F| Hessian on the n=40 full prior (m=780) would take
@@ -621,10 +675,13 @@ class TestPolish:
         # they leave the polish free to finish each solve on the residual
         eps = 1e-6
         rhs = []
+        cg_steps = []
 
         def pcg(T, b, diag, target, max_steps):
             rhs.append(float(np.linalg.norm(b)))
-            return ssn._pcg(T, b, diag, target, max_steps)
+            x, steps = ssn._pcg(T, b, diag, target, max_steps)
+            cg_steps.append(steps)
+            return x, steps
 
         monkeypatch.setattr(dca, "_pcg", pcg)
         problem, _ = full_prior_problem(12, 0.05, seed)
@@ -641,6 +698,9 @@ class TestPolish:
         # Newton step cannot help: the polish ends, or pushes held edges
         # without a CG call
         assert rhs and min(rhs) >= 1e-2 * eps
+        # every CG step of the warm start and the polish is reported
+        reported = report.warm_start["cg_steps"]
+        assert sum(cg_steps) == reported + sum(h["polish_cg_steps"] for h in report.history)
 
     def test_negative_curvature_instance_converges(self, monkeypatch):
         # on this instance CG in the polish meets p^T H p <= 0 (the reduced
