@@ -3,8 +3,9 @@
 Solves the non-convex MCP-penalized maximum-likelihood model over the cone of
 graph Laplacians by an inexact proximal difference-of-convex loop whose convex
 subproblems are handled through a semismooth Newton method on their duals,
-warm-started by projected Newton on the l1 (trace) penalized model, whose
-ADMM solver is the l1 baseline.
+warm-started by projected Newton on the l1 (trace) penalized model; the same
+projected Newton, certified by KKT residuals, solves that model as the l1
+baseline.
 """
 
 from .admm import AdmmParams, solve_l1

@@ -1,18 +1,20 @@
-"""ADMM for the trace-penalized (l1) Laplacian likelihood model: the standalone
-l1 baseline. The non-convex solver warm-starts by projected Newton on the same
-model instead (``dca._warm_start``)."""
+"""The trace-penalized (l1) Laplacian likelihood model, the standalone l1
+baseline: :func:`solve_l1` runs projected Newton on it (the loop of
+:mod:`laplace_mcp.newton`, which also gives the non-convex solver its l1 warm
+start) and certifies its weights by the relative KKT residuals of the
+four-block splitting (x, theta, w; Y, zeta). One ADMM step on that splitting,
+:func:`admm_step`, is kept with the residuals; no solver runs it."""
 
 from __future__ import annotations
 
-import dataclasses
-import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import project_nonneg, prox_logdet
-from .penalty import stationarity
+from .newton import _constant_start, _projected_newton
+from .penalty import _projected_residual
 from .report import SolveReport
 
 __all__ = [
@@ -25,31 +27,14 @@ __all__ = [
     "solve_l1",
 ]
 
-# dual step length, inside (0, (1 + sqrt(5))/2)
+# dual step length of an ADMM step, inside (0, (1 + sqrt(5))/2)
 _TAU = 1.618
-# penalty of a cold start
-_SIGMA0 = 1.0
-# every _ADAPT_EVERY iterations sigma is multiplied by sqrt(eta_p/eta_d)
-# clipped to [_ADAPT_LO, _ADAPT_HI]
-_ADAPT_EVERY = 10
-_ADAPT_LO = 0.1
-_ADAPT_HI = 10.0
-# the KKT residuals are recorded in the history every _HISTORY_EVERY
-# iterations, at the first and at the last
-_HISTORY_EVERY = 50
-# Anderson memory: the number of difference pairs kept
-_AA_MEMORY = 3
 
 
 @dataclass
 class AdmmParams:
-    """ADMM parameters: the relative KKT tolerance ``eps`` and the iteration
-    cap ``max_iter`` (at least 1). The dual step length is ``_TAU`` (1.618),
-    a cold start's penalty ``_SIGMA0`` (1), the penalty schedule
-    ``_ADAPT_EVERY``, ``_ADAPT_LO`` and ``_ADAPT_HI`` (see :func:`solve_l1`),
-    the history stride ``_HISTORY_EVERY`` (50), and the Anderson memory
-    ``_AA_MEMORY`` (3).
-    """
+    """Parameters of :func:`solve_l1`: the relative KKT tolerance ``eps``
+    and the cap ``max_iter`` (at least 1) on its projected-Newton steps."""
 
     eps: float = 1e-5
     max_iter: int = 20000
@@ -64,14 +49,14 @@ class AdmmParams:
 @dataclass
 class AdmmState:
     """One four-block iterate: splitting variables (x, theta, w) and dual
-    multipliers (Y, zeta), plus the current penalty sigma."""
+    multipliers (Y, zeta), plus the penalty sigma of an ADMM step from it."""
 
     x: np.ndarray
     theta: np.ndarray
     w: np.ndarray
     Y: np.ndarray
     zeta: np.ndarray
-    sigma: float
+    sigma: float = 1.0
 
 
 def initial_state(problem):
@@ -82,7 +67,6 @@ def initial_state(problem):
         w=np.zeros(m),
         Y=np.zeros((n, n)),
         zeta=np.zeros(m),
-        sigma=_SIGMA0,
     )
 
 
@@ -169,251 +153,88 @@ def kkt_residuals(state, problem):
     return KktResiduals(eta_p, eta_d, float(eta_g), pobj, dobj)
 
 
-def _start_state(problem, start):
-    """Zero iterate, or the iterate ``start`` (arrays shared, never written)."""
-    if start is None:
-        return initial_state(problem)
-    n, m = problem.n, problem.m
-    shapes = {"x": (m,), "theta": (n, n), "w": (m,), "Y": (n, n), "zeta": (m,)}
-    for name, shape in shapes.items():
-        got = np.shape(getattr(start, name))
-        if got != shape:
-            raise ValueError(
-                f"start.{name} has shape {got}, expected {shape} for n={n}, m={m}"
-            )
-    if not start.sigma > 0:
-        raise ValueError("start.sigma must be positive")
-    return dataclasses.replace(start, sigma=float(start.sigma))
+def _kkt_pair(problem):
+    """The stop residual of :func:`solve_l1`: at weights w with R = (A* w +
+    J)^{-1} and l1 gradient g, the largest relative KKT residual of the pair
+    x = w, theta = A* w, Y = R - K, zeta = -a(Y) = g (K = S + lam I), with
+    its record: the :class:`KktResiduals` and the stationarity residual of w.
 
-
-class _Anderson:
-    """Safeguarded type-II Anderson acceleration of the ADMM map F.
-
-    The step reads theta and w only through a(theta + Y/sigma) + w, so a
-    point is z = (Y, a(theta), w, zeta), n^2 + 3m numbers, and the step
-    input at z has theta = 0 and a(theta) + w in place of w. Keeping
-    a(theta) and w apart in z, rather than their sum, weighs them apart in
-    ||r||: on the ER n=250 benchmark instance the sum took 62 iterations
-    against 50. With r = F(z) - z and the last ``_AA_MEMORY`` differences
-    dF, dR of F(z) and r, the next point is F(z) - dF g, where
-    g = argmin ||r - dR g|| is solved on the Gram matrix dR^T dR, which
-    gains one row per step. The differences, the last residual and dF g are
-    float32; points, residual norms and g are float64. The float32 products
-    run with underflow ignored, even where it is set to raise: a product
-    that underflows to 0 is harmless.
-
-    :meth:`next_point` takes each step's output and returns the input of
-    the next step: the output itself (the plain step) or an extrapolated
-    point. It extrapolates only while sigma and the support of w > 0 stay
-    as they were at the previous output; a change clears the differences.
-    A candidate whose residual exceeds the residual of the point it was
-    extrapolated from is rejected: the differences are cleared and the next
-    step starts from the plain iterate that the candidate replaced.
-    ``steps`` counts candidates and ``rejected`` the rejected ones.
-
-    The last output is kept by reference, never copied, and every buffer
-    is allocated once: allocating per step made glibc return the heap top
-    and fault it back in, about 40k page faults per ER n=250 solve.
+    The pair is primal feasible, so eta_p is 0. eta_d measures g < 0, and,
+    since <R, A* w> = n - 1, the gap pobj - dobj is g^T w.
     """
+    K = problem.shifted_S
 
-    def __init__(self, problem):
-        self.problem = problem
-        n, m = problem.n, problem.m
-        self.zero = np.broadcast_to(0.0, (n, n))
-        size = n * n + 3 * m
-        # the last extrapolated point, then its residual
-        self.z = np.empty(size)
-        self.r_prev = np.empty(size, dtype=np.float32)
-        self.r_prev_norm = math.inf
-        self.dF = np.empty((_AA_MEMORY, size), dtype=np.float32)
-        self.dR = np.empty((_AA_MEMORY, size), dtype=np.float32)
-        self.gram = np.empty((_AA_MEMORY, _AA_MEMORY))
-        self.cols = self.slot = 0
-        # the last output F(z), in parts
-        self.last = None
-        self.sigma = self.support = None
-        self.has_prev = self.candidate = False
-        self.steps = self.rejected = 0
+    def residual(w, R, g):
+        Y = R - K
+        pair = AdmmState(x=w, theta=problem.astar(w), w=w, Y=Y, zeta=-problem.a(Y))
+        res = kkt_residuals(pair, problem)
+        return res.max, (res, _projected_residual(g, w))
 
-    def _split(self, v):
-        n2, m = self.problem.n ** 2, self.problem.m
-        return v[:n2], v[n2 : n2 + m], v[n2 + m : n2 + 2 * m], v[n2 + 2 * m :]
-
-    def _state(self, parts):
-        """The step input at a point (its x, which the step does not read,
-        is its w)."""
-        n = self.problem.n
-        Y, a_theta, w, zeta = parts
-        u = a_theta + w
-        return AdmmState(x=u, theta=self.zero, w=u, Y=Y.reshape(n, n), zeta=zeta, sigma=self.sigma)
-
-    def _clear(self):
-        self.cols = self.slot = 0
-        self.candidate = False
-
-    def next_point(self, out):
-        """The input of the step after the one that returned ``out``."""
-        f = (out.Y.reshape(-1), self.problem.a(out.theta), out.w, out.zeta)
-        support = out.w > 0
-        if out.sigma != self.sigma:
-            # a new map: start over from this output
-            self._clear()
-            self.has_prev = False
-            self.sigma, self.support, self.last = out.sigma, support, f
-            return out
-        # r = F(z) - z, where z is the last output unless it was extrapolated
-        z = self.z
-        base = self._split(z) if self.candidate else self.last
-        for dst, src, at in zip(self._split(z), f, base):
-            np.subtract(src, at, out=dst)
-        r_norm = float(np.linalg.norm(z))
-        if self.candidate and r_norm > self.r_prev_norm:
-            self.rejected += 1
-            self._clear()
-            return self._state(self.last)
-        if not np.array_equal(support, self.support):
-            self._clear()
-            self.support = support
-        elif self.has_prev:
-            s = self.slot
-            for dst, src, prev in zip(self._split(self.dF[s]), f, self.last):
-                np.subtract(src, prev, out=dst)
-            np.subtract(z, self.r_prev, out=self.dR[s])
-            self.cols = min(self.cols + 1, _AA_MEMORY)
-            self.slot = (s + 1) % _AA_MEMORY
-            k = self.cols
-            with np.errstate(under="ignore"):
-                g = self.dR[:k] @ self.dR[s]
-            self.gram[s, :k] = g
-            self.gram[:k, s] = g
-        self.last = f
-        self.has_prev = True
-        self.r_prev[:] = z
-        self.r_prev_norm = r_norm
-        self.candidate = self.cols > 0
-        if not self.candidate:
-            return out
-        k = self.cols
-        step = self.dR[self.slot]
-        with np.errstate(under="ignore"):
-            rhs = self.dR[:k] @ self.r_prev
-            gamma = np.linalg.lstsq(self.gram[:k, :k], rhs, rcond=None)[0]
-            # dF g entry by entry: a BLAS product could round Y_ij and Y_ji
-            # differently, and the prox needs Y symmetric. It goes to the dR
-            # row that the next difference overwrites, which nothing reads
-            # until then
-            np.multiply(self.dF[0], float(gamma[0]), out=step)
-            for j in range(1, k):
-                step += self.dF[j] * float(gamma[j])
-        for dst, src, st in zip(self._split(z), f, self._split(step)):
-            np.subtract(src, st, out=dst)
-        self.steps += 1
-        return self._state(self._split(z))
+    return residual
 
 
-def solve_l1(problem, params=None, start=None):
+def solve_l1(problem, params=None):
     """Solve the l1 (trace) penalized model to the relative KKT tolerance.
 
-    Starts from zero, or from ``start``, an :class:`AdmmState` such as the
-    ``admm_state`` of an earlier report on the same candidate edges (its
-    sigma is kept; it is not modified). A zero start with another penalty
-    ``s`` is ``dataclasses.replace(initial_state(problem), sigma=s)``.
-    The config echo ``initial_point`` says ``"zeros"`` or ``"given"``; the
-    start state itself is not recorded. Terminates when
-    max(eta_p, eta_d, eta_g) < eps, or with a cap-hit flag after ``max_iter``
-    iterations; the last iterate is returned either way and kept as the
-    report's ``admm_state``, and the report's ``stationarity`` measures its
-    weights. The duality gap costs two Cholesky factorizations, so it is
-    evaluated only when the feasibility residuals are already below eps and on
-    recorded iterations. Every ``_ADAPT_EVERY`` (10)
-    iterations sigma is multiplied by sqrt(eta_p/eta_d) clipped to
-    ``[_ADAPT_LO, _ADAPT_HI]`` ([0.1, 10]). This is residual balancing: eta_p scales roughly
-    as 1/sigma and eta_d as sigma, so the square root levels the two in one
-    step. There is no dead band: with one, a ratio that stays inside it (3 to
-    10, say) leaves sigma alone while eta_p lags, for about 160 iterations of
-    the Table-2 instance.
+    Runs projected Newton (``newton._projected_newton``) on the l1 objective,
+    which is smooth and convex on w >= 0, so every free edge is kept and none
+    is pushed. It starts from the best constant weights w = c 1, c = (n - 1)
+    / (<A(S), 1> + 2 lam m), the minimizer over constant weights. At each
+    iterate the stop residual is max(eta_p, eta_d, eta_g) of the primal-dual
+    pair that w defines (see :func:`kkt_residuals`); the residuals are
+    relative to 1 + ||zeta||, so they do not scale with the data, and the
+    solve ends ``"converged"`` only once they are below eps **and** the
+    Newton decrement, which does scale, is below eps too. Otherwise it ends
+    ``"max_iter"`` after ``max_iter`` steps, or ``"linesearch_failed"`` where
+    no step lowers the objective or, below its rounding, the residual (as
+    at lam = 1e6, where A* w + J is too ill-conditioned for the residuals to
+    reach eps); the last iterate is returned either way.
 
-    The loop is Anderson-accelerated (type II, memory ``_AA_MEMORY``, see
-    :class:`_Anderson`): while sigma and the support of w > 0 stay as they
-    were at the previous iterate, the next step starts from the
-    extrapolation F(z) - dF g of the last outputs instead of the last output
-    itself; otherwise the step is the plain one. A sigma change or a new
-    support clears the differences. A candidate whose fixed-point residual
-    ||F(z) - z|| exceeds that of the point it was extrapolated from is
-    rejected: the differences are cleared and the loop goes on from the
-    plain iterate the candidate replaced, at the cost of one step. Every
-    checked, recorded and returned iterate is still an :func:`admm_step`
-    output, so the stop, the history and ``admm_state`` keep their meaning,
-    and ``iteration`` counts steps, rejected candidates included. Each
-    history entry carries the cumulative ``aa_steps`` (candidates) and
-    ``aa_rejected``.
+    The history holds one entry per iterate, the start (``iteration`` 0)
+    and each step: ``pobj``, ``dobj``, ``eta_p``, ``eta_d`` and ``eta_g``
+    of its pair, and the CG steps taken so far (``cg_steps``). The report's
+    ``objective`` is the last entry's ``pobj``, and its ``stationarity`` the
+    first-order residual of its weights.
 
     A disconnected prior, and at lam = 0 a degenerate covariance, raise
-    ValueError before the first iteration (see
+    ValueError before the first step (see
     :meth:`ProblemData.check_solvable`).
     """
     params = params or AdmmParams()
     problem.check_solvable("cgl-l1")
     t0 = time.perf_counter()
-    gram = problem.gram_solver
-    state = _start_state(problem, start)
-    aa = _Anderson(problem)
-    point = state
-    history = []
-    termination = "max_iter"
-    iterations = params.max_iter
-    res = None
-
-    def entry(it):
-        return {
-            "iteration": it,
+    w, f = _constant_start(problem)
+    run = _projected_newton(
+        w, f, problem, "cgl-l1", params.eps, params.eps, params.max_iter, _kkt_pair(problem)
+    )
+    history = [
+        {
+            "iteration": steps,
             "pobj": res.pobj,
             "dobj": res.dobj,
             "eta_p": res.eta_p,
             "eta_d": res.eta_d,
             "eta_g": res.eta_g,
-            "sigma": state.sigma,
-            "aa_steps": aa.steps,
-            "aa_rejected": aa.rejected,
+            "cg_steps": cg_steps,
         }
-
-    for it in range(1, params.max_iter + 1):
-        state = admm_step(point, problem, gram)
-        eta_p, eta_d = _feasibility(state, problem)
-        recorded = it % _HISTORY_EVERY == 0 or it == 1
-        if recorded or it == params.max_iter or max(eta_p, eta_d) < params.eps:
-            res = kkt_residuals(state, problem)
-            if recorded:
-                history.append(entry(it))
-            if res.max < params.eps:
-                termination = "converged"
-                iterations = it
-                break
-        if it % _ADAPT_EVERY == 0:
-            ratio = eta_p / max(eta_d, 1e-30)
-            state.sigma *= min(max(math.sqrt(ratio), _ADAPT_LO), _ADAPT_HI)
-        point = aa.next_point(state) if it < params.max_iter else state
+        for steps, cg_steps, (res, _) in run.points
+    ]
     config = {
         "model": "cgl-l1",
         "lam": problem.params.lam,
         "eps": params.eps,
         "max_iter": params.max_iter,
-        "initial_point": "zeros" if start is None else "given",
         "prior_tag": problem.prior_tag,
     }
-    if not history or history[-1]["iteration"] != iterations:
-        history.append(entry(iterations))
     return SolveReport(
         model="cgl-l1",
         n=problem.n,
         edges=problem.prior.edges,
-        w=state.w,
-        objective=res.pobj,
-        termination=termination,
+        w=run.w,
+        objective=history[-1]["pobj"],
+        termination=run.termination,
         wall_time_s=time.perf_counter() - t0,
         history=history,
         config=config,
-        warm_start=None,
-        stationarity=stationarity(state.w, problem, "cgl-l1"),
-        admm_state=state,
+        stationarity=run.points[-1][2][1],
     )

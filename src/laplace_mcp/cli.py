@@ -1,6 +1,7 @@
 """Command-line surface: gen, solve, sweep, and eval subcommands.
 
-Exit codes: 0 success, 1 usage, input or IO error, 2 iteration cap hit,
+Exit codes: 0 success, 1 usage, input or IO error, 2 the solve ended
+unconverged (an iteration cap, a failed line search or no certified step),
 3 solver invariant violated (the quantified descent check failed).
 """
 
@@ -90,8 +91,8 @@ def _build_parser():
     solve.add_argument(
         "--max-iter",
         type=int,
-        help="ADMM iteration cap of a cgl-l1 solve (default 20000); cgl-mcp runs "
-        "no ADMM and rejects it",
+        help="cap on the projected-Newton steps of a cgl-l1 solve (default 20000); "
+        "cgl-mcp rejects it",
     )
     solve.add_argument("--out", help="report JSON output path")
 
@@ -177,8 +178,8 @@ def _resolve_prior(spec, n):
 def _cmd_solve(args):
     if args.model == "cgl-mcp" and args.max_iter is not None:
         raise ValueError(
-            "--max-iter must be left unset for --model cgl-mcp: it caps the ADMM of "
-            "cgl-l1, and the cgl-mcp warm start is projected Newton, which runs no ADMM"
+            "--max-iter must be left unset for --model cgl-mcp: it caps the "
+            "projected Newton steps of a cgl-l1 solve"
         )
     if args.cov:
         S = io.read_covariance(args.cov)
@@ -232,8 +233,7 @@ def _cmd_solve(args):
     else:
         last = report.history[-1]
         print(
-            f"work: {last['iteration']} ADMM iterations ({last['aa_steps']} accelerated, "
-            f"{last['aa_rejected']} rejected)"
+            f"work: {last['iteration']} projected-Newton steps ({last['cg_steps']} CG steps)"
         )
     return 0 if report.converged else 2
 

@@ -1,23 +1,24 @@
 """Outer inexact proximal difference-of-convex loop: certificate gated
-subproblem steps, the sigma schedule and termination, with one projected-Newton
-loop serving as the l1 warm start and as the polish of accepted steps."""
+subproblem steps, the sigma schedule and termination, with the projected-Newton
+loop of :mod:`laplace_mcp.newton` serving as the l1 warm start and as the polish
+of accepted steps."""
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .admm import solve_l1  # noqa: F401
-from .graphs import laplacian_adjoint, weights_to_laplacian
-from .penalty import _projected_residual, objective_gradient, objective_value, stationarity
+from .newton import _constant_start, _Newton, _projected_newton
+from .penalty import objective_value, stationarity
 from .report import SolveReport
 from .ssn import (
     CertificateError,
     SubproblemContext,
     _error_terms,
-    _pcg,
     _rule_bound,
     recover_primal,  # noqa: F401
     ssn_solve,
@@ -51,15 +52,9 @@ _WARM_STEPS = 50
 _WARM_DECREMENT = 1e-4
 
 # the projected-Newton polish of an accepted iterate: it runs on every step
-# whose residual is below _POLISH_START and takes at most _POLISH_STEPS
-# steps. Both runs of projected Newton give CG at most _POLISH_CG steps per
-# direction; _POLISH_ARMIJO is the Armijo constant, and t is halved at most
-# _POLISH_BACKTRACKS times
+# whose residual is below _POLISH_START and takes at most _POLISH_STEPS steps
 _POLISH_START = 1e-2
 _POLISH_STEPS = 6
-_POLISH_CG = 100
-_POLISH_ARMIJO = 1e-4
-_POLISH_BACKTRACKS = 30
 
 
 @dataclass
@@ -132,143 +127,14 @@ class _StepTest:
         return cert, np.inf
 
 
-def _reduced_hessian(w, R, free, problem, model="cgl-mcp"):
-    """The edges of the mask ``free`` whose diagonal entry of the Hessian in w
-    of the objective of ``model`` ("cgl-mcp" or "cgl-l1") is positive, as a
-    mask, with that diagonal and a matrix-free apply of the Hessian on them,
-    at w with R = (A* w + J)^{-1}.
-
-    The log-det part is v -> a(R A*(v) R) restricted to the kept edges, whose
-    diagonal is a(R)^2 = ((b_e^T R b_e)^2)_e > 0; the MCP adds -2/gamma on
-    the edges with w_e < gamma lam, and the l1 trace term adds nothing, so
-    for l1 every free edge is kept. The apply costs two n x n GEMMs and holds
-    no matrix larger than n x n.
-    """
-    lam, gamma = problem.params.lam, problem.params.gamma
-    if model == "cgl-mcp":
-        concave = (2.0 / gamma) * (w < gamma * lam)
-    else:
-        concave = np.zeros_like(w)
-    diag = problem.a(R) ** 2 - concave
-    free = free & (diag > 0)
-    sub = problem.prior.support(free.astype(float))
-    concave = concave[free]
-
-    def apply(v):
-        return laplacian_adjoint(R @ weights_to_laplacian(v, sub) @ R, sub) - concave * v
-
-    return free, diag[free], apply
-
-
-@dataclass
-class _Newton:
-    """Outcome of :func:`_projected_newton`: the final weights, their objective
-    and residual, the steps and CG steps taken, the last Newton decrement
-    (None before the first direction) and how the loop ended (None where it
-    did not run)."""
-
-    w: np.ndarray
-    f: float
-    stationarity: float
-    steps: int = 0
-    cg_steps: int = 0
-    decrement: float | None = None
-    termination: str | None = None
-
-    @property
-    def refused(self):
-        return self.termination in ("refused", "linesearch_failed")
-
-
-def _projected_newton(w, f, problem, model, eps, decrement_tol, max_steps):
-    """Projected Newton [Bertsekas 1982] on the objective of ``model`` from w
-    of value f, shared by the l1 warm start and the polish.
-
-    Each iteration, with R = (A* w + J)^{-1} and g the gradient, stops
-    ``"converged"`` once the stationarity residual is below eps, and
-    ``"max_iter"`` after ``max_steps`` steps, before any direction. The free
-    set F = {w > 0} | {g < 0} splits into the kept edges, whose diagonal
-    entry of the reduced Hessian of :func:`_reduced_hessian` is positive, and
-    the held ones (for the MCP, an edge in the concave zone with small
-    effective resistance; for l1 every free edge is kept); with no kept edge
-    it stops ``"refused"``. Along a held edge the objective is concave [More
-    & Sorensen 1979], so a held edge with w_e > 0 and g_e > 0 is pushed
-    toward 0 along d_e = -w_e; the other held edges keep their weight.
-
-    Where the kept gradient is at least 1e-2 eps, Jacobi-preconditioned CG
-    solves H x = g on the kept edges to 1e-2 min(1, sqrt(||g||)) ||g|| within
-    ``_POLISH_CG`` steps; where CG meets p^T H p <= 0 it stops at its iterate
-    so far, or x = g/diag(H) if that was its first step. The loop stops
-    ``"converged"`` once the Newton decrement g^T x / 2 is below
-    ``decrement_tol``, and otherwise sets d = -x on the kept edges. Below
-    1e-2 eps with no held edge pushed it stops ``"solved"``: the rest of the
-    residual sits on edges no step moves. The projected Armijo search takes
-    w+ = max(w + t d, 0) at the first t in 1, 1/2, ... with f(w+) <= f +
-    ``_POLISH_ARMIJO`` min(g^T (w+ - w), 0), so no step raises f; after
-    ``_POLISH_BACKTRACKS`` halvings it stops ``"linesearch_failed"``. The
-    steps taken before any stop stay.
-    """
-    steps = cg_steps = 0
-    decrement = None
-    while True:
-        R = np.linalg.inv(problem.astar(w) + problem.J)
-        g = objective_gradient(w, problem, model, R)
-        residual = _projected_residual(g, w)
-        if residual < eps:
-            termination = "converged"
-            break
-        if steps == max_steps:
-            termination = "max_iter"
-            break
-        kept, diag, hessian = _reduced_hessian(w, R, (w > 0) | (g < 0), problem, model)
-        if not kept.any():
-            termination = "refused"
-            break
-        push = ~kept & (w > 0) & (g > 0)
-        d = np.zeros_like(w)
-        d[push] = -w[push]
-        g_kept = g[kept]
-        gnorm = float(np.linalg.norm(g_kept))
-        if gnorm >= 1e-2 * eps:
-            target = 1e-2 * min(1.0, np.sqrt(gnorm)) * gnorm
-            x, k = _pcg(hessian, g_kept, diag, target, _POLISH_CG)
-            cg_steps += k
-            if not x.any():
-                # CG met p^T H p <= 0 on its first step
-                x = g_kept / diag
-            decrement = 0.5 * float(g_kept @ x)
-            if decrement < decrement_tol:
-                termination = "converged"
-                break
-            d[kept] = -x
-        elif not push.any():
-            termination = "solved"
-            break
-        t = 1.0
-        for _ in range(_POLISH_BACKTRACKS):
-            w_new = np.maximum(w + t * d, 0.0)
-            f_new = objective_value(w_new, problem, model)
-            if f_new <= f + _POLISH_ARMIJO * min(float(g @ (w_new - w)), 0.0):
-                break
-            t *= 0.5
-        else:
-            termination = "linesearch_failed"
-            break
-        w, f = w_new, f_new
-        steps += 1
-    return _Newton(w, f, residual, steps, cg_steps, decrement, termination)
-
-
 def _warm_start(problem):
     """The l1 warm start of :func:`solve_mcp`: :func:`_projected_newton` on
     the l1 (trace) objective, which is smooth and convex on w >= 0, so every
     free edge is kept and none is pushed.
 
-    It starts from the best constant weights w = c 1, c = (n - 1) /
-    (<A(S), 1> + 2 lam m), the minimizer of the objective over constant
-    weights (log det(c L + J) = (n - 1) log c + const); c > 0 because
-    :meth:`ProblemData.check_solvable` rejects MCP data with a(S) <= 0 on an
-    edge. It stops ``"converged"`` once the Newton decrement is below
+    It starts from the best constant weights (``newton._constant_start``),
+    c 1 with c > 0 because :meth:`ProblemData.check_solvable` rejects MCP
+    data with a(S) <= 0 on an edge. It stops ``"converged"`` once the Newton decrement is below
     ``_WARM_DECREMENT``, a value unchanged under (S, lam, w) ->
     (c S, c lam, w / c); otherwise it ends ``"max_iter"`` after
     ``_WARM_STEPS`` steps or ``"linesearch_failed"`` on a failed search,
@@ -279,11 +145,8 @@ def _warm_start(problem):
     computed) and ``wall_time_s``.
     """
     t0 = time.perf_counter()
-    lam = problem.params.lam
-    c = (problem.n - 1) / (float(problem.a_of_S.sum()) + 2.0 * lam * problem.m)
-    w = np.full(problem.m, c)
-    f = objective_value(w, problem, "cgl-l1")
-    run = _projected_newton(w, f, problem, "cgl-l1", 0.0, _WARM_DECREMENT, _WARM_STEPS)
+    w, f = _constant_start(problem)
+    run = _projected_newton(w, f, problem, "cgl-l1", math.inf, _WARM_DECREMENT, _WARM_STEPS)
     return run.w, {
         "termination": run.termination,
         # no ADMM runs in the warm start; the field stays while the
@@ -302,7 +165,7 @@ def _polish(w, f, problem, eps):
     stationarity residual is below eps; no decrement ends it. It refuses
     (``refused``) where no edge is kept or the search fails; otherwise the
     d.c. loop takes over where it stops."""
-    return _projected_newton(w, f, problem, "cgl-mcp", eps, 0.0, _POLISH_STEPS)
+    return _projected_newton(w, f, problem, "cgl-mcp", eps, None, _POLISH_STEPS)
 
 
 @dataclass
@@ -359,8 +222,8 @@ def solve_mcp(problem, params=None, keep_trace=False):
     ``polish_stationarity`` of the polished weights, equal to ``f``,
     ``dw_norm`` and ``stationarity`` where no polish step was taken. The
     report's ``objective`` and ``stationarity`` are those of its final
-    weights, and its ``admm_state`` is None. ``warm_start`` is the dict of
-    :func:`_warm_start`; its ``iterations``, the ADMM count, is always 0.
+    weights. ``warm_start`` is the dict of :func:`_warm_start`; its
+    ``iterations``, the ADMM count, is always 0.
     A disconnected prior or a degenerate covariance raises ValueError before
     the warm start (see :meth:`ProblemData.check_solvable`).
     """
@@ -413,7 +276,7 @@ def solve_mcp(problem, params=None, keep_trace=False):
                 "polish_refused": polish.refused,
                 "polish_f": polish.f,
                 "polish_dw_norm": float(np.linalg.norm(polish.w - w)),
-                "polish_stationarity": polish.stationarity,
+                "polish_stationarity": polish.residual,
             }
         )
         if keep_trace:
@@ -421,7 +284,7 @@ def solve_mcp(problem, params=None, keep_trace=False):
         w = polish.w
         f_prev = polish.f
         Z = ctx.cost_matrix + res.Y
-        if polish.stationarity < params.eps:
+        if polish.residual < params.eps:
             termination = "converged"
             break
         sigma = max(sigma * _RHO, _SIGMA_MIN)

@@ -5,7 +5,7 @@ A penalty enters the d.c. loop only through its value and the gradient of the
 smooth convex part h of its split lam|x| - h(x), so other separable non-convex
 penalties can slot in by providing the same two functions; the
 projected-Newton polish also reads the MCP's curvature, -1/gamma inside
-|x| < gamma lam (``dca._reduced_hessian``).
+|x| < gamma lam (``newton._reduced_hessian``).
 """
 
 from __future__ import annotations

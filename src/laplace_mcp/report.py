@@ -19,10 +19,8 @@ class SolveReport:
     ``stationarity`` is the first-order stationarity residual of ``w`` (see
     :func:`laplace_mcp.penalty.stationarity`); ``config`` echoes the fully
     resolved run configuration so the run can be reproduced from the report
-    alone. ``trace`` carries in-memory arrays for
-    certificate auditing and ``admm_state`` the final ADMM iterate of an l1
-    solve (an ``AdmmState``, the warm start of a later ``start=``; None for
-    MCP); neither is serialized.
+    alone. ``trace`` carries in-memory arrays for certificate auditing and is
+    not serialized.
     """
 
     model: str
@@ -37,7 +35,6 @@ class SolveReport:
     warm_start: dict | None = None
     stationarity: float | None = None
     trace: list | None = None
-    admm_state: object | None = None
 
     @property
     def converged(self):

@@ -152,11 +152,9 @@ def _solve_order(lambdas):
 def solve_chain(cfg, inst, seed, keep_trace=False):
     """Solve one seed's lambda grid as a chain and yield (record, problem,
     report) for each cell in solve order: descending lambda, ties in grid
-    order. For ``cgl-l1`` each cell's ADMM starts from the previous cell's
-    final ADMM iterate; a ``cgl-mcp`` cell runs no ADMM, and its warm start
-    starts from its own constant weights. ``keep_trace`` is passed to
+    order. Every cell, l1 or MCP, starts from its own constant weights, so
+    nothing carries from one cell to the next. ``keep_trace`` is passed to
     ``solve_mcp``."""
-    state = None
     for i in _solve_order(cfg.lambdas):
         lam = cfg.lambdas[i]
         t0 = time.perf_counter()
@@ -164,7 +162,7 @@ def solve_chain(cfg, inst, seed, keep_trace=False):
         if cfg.model == "cgl-mcp":
             report = solve_mcp(problem, DcaParams(eps=cfg.eps), keep_trace=keep_trace)
         elif cfg.model == "cgl-l1":
-            report = solve_l1(problem, AdmmParams(eps=cfg.eps), start=state)
+            report = solve_l1(problem, AdmmParams(eps=cfg.eps))
         else:
             raise ValueError(f"unknown model {cfg.model!r}")
         est = detected_edges(report.w, problem.prior.edges, cfg.threshold_rel)
@@ -178,7 +176,6 @@ def solve_chain(cfg, inst, seed, keep_trace=False):
             time_s=time.perf_counter() - t0,
             status=report.termination,
         )
-        state = report.admm_state
         yield record, problem, report
 
 
@@ -194,9 +191,8 @@ def run_sweep(cfg):
     """Run every (lambda, seed) cell and return (records, per-lambda averages).
 
     Instance data is synthesized once per seed. Each seed's lambda grid runs as
-    one chain in descending lambda: an l1 cell's ADMM starts from the previous
-    lambda's final ADMM iterate (pathwise continuation), while every d.c.
-    loop starts from its own lambda's l1 solution. Chains run one
+    one chain in descending lambda (see :func:`solve_chain`); every cell
+    starts from its own constant weights. Chains run one
     after another unless ``cfg.threads > 1``, which runs them on a thread pool
     of that size. Records come back lambda-major in the grid order as given,
     seeds in the order as given.

@@ -260,7 +260,8 @@ class TestCriterion4:
         elapsed = time.perf_counter() - t0
         _report(
             4,
-            "ADMM reaches relative KKT residual < 1e-5 within 20000 iterations",
+            "solve_l1 (projected Newton) reaches relative KKT residual < 1e-5 "
+            "within 20000 iterations",
             report.converged and kkt < 1e-5 and last["iteration"] <= 20000 and elapsed < 30.0,
             f"kkt {kkt:.2e} at iteration {last['iteration']}, {elapsed:.1f}s",
         )

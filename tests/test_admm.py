@@ -1,21 +1,11 @@
-import dataclasses
 import json
-import math
 
 import numpy as np
 import pytest
 
 import laplace_mcp as lm
-from laplace_mcp import admm
-from laplace_mcp.admm import (
-    _ADAPT_EVERY,
-    _ADAPT_HI,
-    _ADAPT_LO,
-    AdmmState,
-    admm_step,
-    initial_state,
-    kkt_residuals,
-)
+from laplace_mcp import admm, linalg
+from laplace_mcp.admm import AdmmState, admm_step, initial_state, kkt_residuals
 from laplace_mcp.sweep import SweepConfig, make_instance
 
 from util import (
@@ -222,12 +212,16 @@ class TestSolveL1:
         # edge counts recorded, not asserted: the l1 penalty need not sparsify
 
     def test_gap_decreases_with_tolerance(self):
+        # Newton converges quadratically, so two tolerances can end on the same
+        # iterate: the gap meets each tolerance and never rises as it tightens
         problem, _, _ = make_problem(n=10, p=0.4, seed=6, lam=0.05, k=5000 * 10)
         gaps = []
         for eps in (1e-3, 1e-5, 1e-7):
             rep = lm.solve_l1(problem, lm.AdmmParams(eps=eps))
+            assert rep.converged
             gaps.append(rep.history[-1]["eta_g"])
-        assert gaps[0] > gaps[1] > gaps[2]
+            assert gaps[-1] < eps
+        assert gaps[0] >= gaps[1] >= gaps[2]
 
     def test_matches_generic_convex_solver(self):
         # independent oracle: the same model handed to cvxpy
@@ -267,10 +261,13 @@ class TestSolveL1:
         with pytest.raises(ValueError, match="max_iter"):
             lm.AdmmParams(max_iter=max_iter)
 
-    @pytest.mark.parametrize("c", [0.1, 10.0])
+    @pytest.mark.parametrize("c", [1e-6, 0.1, 10.0, 1e3])
     def test_scale_equivariance(self, c):
         # (cS, c lam) scales the linear term by c, and -log det(A*w/c + J)
-        # differs from -log det(A*w + J) by a constant, so w -> w/c
+        # differs from -log det(A*w + J) by a constant, so w -> w/c. The KKT
+        # residuals do not scale, so at c = 1e-6 they pass at the constant
+        # start already; the Newton decrement, which scales, keeps the solve
+        # going
         problem, _, _ = make_problem(n=10, p=0.4, seed=8, lam=0.05, k=5000 * 10)
         ref = lm.solve_l1(problem, lm.AdmmParams(eps=1e-8))
         scaled = lm.ProblemData(c * problem.S, problem.prior, lm.PenaltyParams(c * 0.05, 1.5))
@@ -296,128 +293,76 @@ class TestSolveL1:
         mapped = np.array([w_perm[tuple(e)] for e in edges.tolist()])
         np.testing.assert_allclose(mapped, report.w, rtol=0, atol=1e-6 * np.abs(report.w).max())
 
+    def test_no_prox_or_gram_solve(self, monkeypatch):
+        # the solve is projected Newton: no log-det prox (eigh) and no ADMM
+        # x-update
+        def forbidden(*args, **kwargs):
+            raise AssertionError("solve_l1 ran an ADMM kernel")
 
-class TestPenaltyRule:
-    def test_sigma_moves_on_schedule_within_band(self, monkeypatch):
-        monkeypatch.setattr(admm, "_HISTORY_EVERY", 1)
-        problem, _, _ = make_problem(n=10, p=0.4, seed=9, lam=0.05, k=5000 * 10)
+        monkeypatch.setattr(admm, "prox_logdet", forbidden)
+        monkeypatch.setattr(linalg, "prox_logdet", forbidden)
+        monkeypatch.setattr(linalg.GramSolver, "solve", forbidden)
+        problem, _, _ = make_problem(n=12, p=0.3, seed=0, k=5000 * 12)
         rep = lm.solve_l1(problem, lm.AdmmParams(eps=1e-8))
         assert rep.converged
-        # one entry per iteration, holding the residuals and the sigma of that
-        # iteration's step; a change made at its end shows in the next entry
-        lo, hi = _ADAPT_LO, _ADAPT_HI
-        changes = 0
-        for h, nxt in zip(rep.history, rep.history[1:]):
-            factor = nxt["sigma"] / h["sigma"]
-            if factor != 1.0:
-                changes += 1
-                assert h["iteration"] % _ADAPT_EVERY == 0
-                assert lo <= factor <= hi
-            if h["iteration"] % _ADAPT_EVERY == 0:
-                step = min(max(math.sqrt(h["eta_p"] / h["eta_d"]), lo), hi)
-                assert factor == pytest.approx(step, rel=1e-12)
-        assert changes
 
-    def test_iterations_insensitive_to_sigma0(self):
-        problem, _, _ = make_problem(n=30, p=0.2, seed=3, lam=0.05, k=5000 * 30)
-        counts = []
-        for sigma0 in (1e-3, 1.0, 1e3):
-            start = dataclasses.replace(initial_state(problem), sigma=sigma0)
-            rep = lm.solve_l1(problem, lm.AdmmParams(eps=1e-8), start=start)
-            assert rep.converged
-            counts.append(rep.history[-1]["iteration"])
-        assert max(counts) <= 2 * min(counts), counts
-
-
-class TestOnDemandGap:
-    @pytest.mark.parametrize(
-        "eps, max_iter", [(1e-7, 20000), (1e-12, 67), (1e-12, 50)],
-        ids=["converged", "cap-off-record", "cap-on-record"],
-    )
-    def test_matches_every_iteration_reference(self, eps, max_iter):
-        problem, _, _ = make_problem(n=10, p=0.4, seed=9, lam=0.05, k=5000 * 10)
-        params = lm.AdmmParams(eps=eps, max_iter=max_iter)
-        state, history, iterations = reference_solve_l1(problem, params)
-        rep = lm.solve_l1(problem, params)
-        assert rep.w.tobytes() == state.w.tobytes()
-        assert rep.history == history
-        assert rep.history[-1]["iteration"] == iterations
-        assert rep.objective == history[-1]["pobj"]
-        assert rep.converged == (max_iter == 20000)
-        assert history[-1]["aa_steps"] > 0
+    def test_history_has_one_entry_per_step(self):
+        problem, _, _ = make_problem(n=10, p=0.4, seed=6, lam=0.05, k=5000 * 10)
+        rep = lm.solve_l1(problem, lm.AdmmParams(eps=1e-8))
+        assert [h["iteration"] for h in rep.history] == list(range(len(rep.history)))
+        cg = [h["cg_steps"] for h in rep.history]
+        assert cg[0] == 0 and cg == sorted(cg)
+        assert all(h["eta_p"] == 0.0 for h in rep.history)
+        assert set(rep.history[0]) == {
+            "iteration", "pobj", "dobj", "eta_p", "eta_d", "eta_g", "cg_steps"
+        }
+        assert rep.objective == rep.history[-1]["pobj"]
+        back = lm.SolveReport.from_dict(json.loads(json.dumps(rep.to_dict())))
+        assert back.history == rep.history
 
 
 class TestAnderson:
+    """The instances that the Anderson-accelerated ADMM loop of earlier
+    versions was tested on: the plain ADMM loop is their oracle, and the
+    projected-Newton loop that replaced the accelerated one must match it in
+    far fewer steps, also on the long linear tails that acceleration was
+    for."""
+
     @pytest.mark.parametrize("k", [None, 5000 * 12], ids=["exact", "sampled"])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_objective_matches_plain_loop(self, seed, k):
         problem, _, _ = make_problem(n=12, p=0.3, seed=seed, k=k)
         params = lm.AdmmParams(eps=1e-10)
         rep = lm.solve_l1(problem, params)
-        state, _, _ = reference_solve_l1(problem, params, accelerate=False)
+        state, iterations = reference_solve_l1(problem, params)
         assert rep.converged
-        assert rep.history[-1]["aa_steps"] > 0
+        assert rep.history[-1]["iteration"] < iterations
         assert rep.objective == pytest.approx(kkt_residuals(state, problem).pobj, rel=1e-10)
 
     def test_strict_float_settings(self):
-        # at lam = 1e6 float32 differences and their products underflow to 0,
-        # which must not raise where underflow is an error
+        # at lam = 1e6 no step must raise where underflow is an error; A* w + J
+        # is too ill-conditioned there for the residuals to reach eps, so the
+        # solve ends where no step lowers the objective or the residual
         problem, _, _ = make_problem(n=12, p=0.3, seed=0, lam=1e6)
         with np.errstate(all="raise"):
             rep = lm.solve_l1(problem, lm.AdmmParams(eps=1e-5, max_iter=2000))
-        assert rep.termination in ("converged", "max_iter")
-        assert rep.history[-1]["aa_steps"] > 0
+        assert rep.termination == "linesearch_failed"
+        assert rep.history[-1]["iteration"] > 0
         assert np.all(np.isfinite(rep.w))
-
-    def test_bad_candidate_rejected(self, monkeypatch):
-        problem, _, _ = make_problem(n=12, p=0.3, seed=0, k=5000 * 12)
-        params = lm.AdmmParams(eps=1e-10)
-        state_of = admm._Anderson._state
-        spoiled = []
-
-        def spoil_first_candidate(self, parts):
-            if self.candidate and not spoiled:
-                for part in parts:
-                    part *= 10.0
-                spoiled.append(self.steps)
-            return state_of(self, parts)
-
-        monkeypatch.setattr(admm._Anderson, "_state", spoil_first_candidate)
-        monkeypatch.setattr(admm, "_HISTORY_EVERY", 1)
-        rep = lm.solve_l1(problem, params)
-        assert spoiled
-        assert rep.converged
-        rejected = [h["aa_rejected"] for h in rep.history]
-        assert rejected == sorted(rejected) and rejected[-1] >= 1
-        # the spoiled candidate is the first one rejected
-        first = next(h for h in rep.history if h["aa_rejected"])
-        assert first["aa_steps"] == spoiled[0]
-        state, _, _ = reference_solve_l1(problem, params, accelerate=False)
-        assert rep.objective == pytest.approx(kkt_residuals(state, problem).pobj, rel=1e-10)
-        np.testing.assert_allclose(rep.w, state.w, rtol=0, atol=1e-6 * np.abs(state.w).max())
-
-    def test_history_counts_accelerated_steps(self):
-        problem, _, _ = make_problem(n=10, p=0.4, seed=6, lam=0.05, k=5000 * 10)
-        rep = lm.solve_l1(problem, lm.AdmmParams(eps=1e-8))
-        steps = [h["aa_steps"] for h in rep.history]
-        assert steps == sorted(steps) and 0 < steps[-1] < rep.history[-1]["iteration"]
-        assert all(0 <= h["aa_rejected"] <= h["aa_steps"] for h in rep.history)
-        back = lm.SolveReport.from_dict(json.loads(json.dumps(rep.to_dict())))
-        assert back.history == rep.history
 
     @staticmethod
     def grid_problem():
-        # the grid's small Fiedler value (0.076 at n=144) gives plain ADMM a
+        # the grid's small Fiedler value (0.076 at n=144) gave plain ADMM a
         # long linear tail
         cfg = SweepConfig(ensemble="grid", n=144, scenario="true", seeds=[0])
         inst = make_instance(cfg, 0)
         return lm.ProblemData(inst.S, inst.prior, lm.PenaltyParams(0.01, 1.5))
 
     def test_grid_tail(self):
-        # plain: 1452 iterations
+        # plain ADMM: 1452 iterations, Anderson-accelerated ADMM: 319
         rep = lm.solve_l1(self.grid_problem(), lm.AdmmParams(eps=1e-6))
         assert rep.converged
-        assert rep.history[-1]["iteration"] < 500
+        assert rep.history[-1]["iteration"] <= 15
 
     def test_grid_tail_mcp_warm_start(self):
         # the MCP warm start is projected Newton, not ADMM: no linear tail
@@ -433,53 +378,16 @@ class TestAnderson:
         problem = lm.ProblemData(1e3 * base.S, base.prior, lm.PenaltyParams(0.05, 1.5))
         rep = lm.solve_l1(problem, lm.AdmmParams(eps=1e-8))
         assert rep.converged
-        assert rep.history[-1]["iteration"] < 2000
+        assert rep.history[-1]["iteration"] <= 15
 
 
 class TestWarmStart:
-    def test_restart_from_own_solution(self):
-        problem, _, _ = make_problem(n=10, p=0.4, seed=10, lam=0.05, k=5000 * 10)
-        params = lm.AdmmParams(eps=1e-7)
-        cold = lm.solve_l1(problem, params)
-        warm = lm.solve_l1(problem, params, start=cold.admm_state)
-        assert cold.config["initial_point"] == "zeros"
-        assert warm.config["initial_point"] == "given"
-        assert warm.converged
-        assert warm.history[-1]["iteration"] < cold.history[-1]["iteration"] / 10
-        np.testing.assert_allclose(warm.w, cold.w, rtol=0, atol=1e-5 * np.abs(cold.w).max())
-
-    def test_start_not_mutated(self):
-        problem, _, _ = make_problem(n=10, p=0.4, seed=10, lam=0.05, k=5000 * 10)
-        start = lm.solve_l1(problem, lm.AdmmParams(eps=1e-4)).admm_state
-        before = {k: np.copy(v) for k, v in vars(start).items()}
-        other = lm.ProblemData(problem.S, problem.prior, lm.PenaltyParams(0.01, 1.5))
-        lm.solve_l1(other, lm.AdmmParams(eps=1e-7), start=start)
-        for key, value in before.items():
-            assert np.array_equal(getattr(start, key), value), key
-
-    @pytest.mark.parametrize("other", ["n", "m"])
-    def test_start_shape_mismatch(self, other):
-        problem, gw, _ = make_problem(n=10, p=0.4, seed=10, lam=0.05, k=5000 * 10)
-        if other == "n":
-            wrong, _, _ = make_problem(n=11, p=0.4, seed=10, lam=0.05, k=5000 * 11)
-        else:
-            wrong = lm.ProblemData(
-                problem.S, lm.perturb_connectivity(lm.true_prior(gw), "full"), problem.params
-            )
-            assert wrong.m != problem.m
-        start = initial_state(wrong)
-        with pytest.raises(ValueError, match="start"):
-            lm.solve_l1(problem, start=start)
-
     def test_admm_state_not_serialized(self):
-        # only an l1 solve runs ADMM, so only its report carries a state
+        # a report carries no solver state: its JSON round trip is exact
         problem, _, _ = make_problem(n=8, p=0.5, seed=12, lam=0.05, k=5000 * 8)
-        l1, mcp = lm.solve_l1(problem), lm.solve_mcp(problem)
-        assert isinstance(l1.admm_state, AdmmState)
-        assert mcp.admm_state is None
-        for report in (l1, mcp):
+        for report in (lm.solve_l1(problem), lm.solve_mcp(problem)):
+            assert not hasattr(report, "admm_state")
             d = report.to_dict()
             assert "admm_state" not in d
             back = lm.SolveReport.from_dict(json.loads(json.dumps(d)))
-            assert back.admm_state is None
             assert back.to_dict() == json.loads(json.dumps(d))

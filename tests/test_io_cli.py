@@ -169,7 +169,7 @@ class TestReportJson:
         if model == "cgl-l1":
             config = lm.solve_l1(problem).config
             fields = {"eps", "max_iter"}
-            other = {"model", "lam", "initial_point", "prior_tag"}
+            other = {"model", "lam", "prior_tag"}
             params = lm.AdmmParams
         else:
             config = lm.solve_mcp(problem).config
@@ -356,10 +356,9 @@ class TestCliSolveEval:
             ) in out
         else:
             last = rep.history[-1]
-            assert last["aa_steps"] > 0
+            assert last["cg_steps"] > 0
             assert (
-                f"work: {last['iteration']} ADMM iterations ({last['aa_steps']} accelerated, "
-                f"{last['aa_rejected']} rejected)"
+                f"work: {last['iteration']} projected-Newton steps ({last['cg_steps']} CG steps)"
             ) in out
 
     @pytest.mark.parametrize(
@@ -451,7 +450,8 @@ class TestCliSolveEval:
         assert rc == 2
 
     def test_max_iter_rejected_for_mcp(self, tmp_path, instance, capsys):
-        # cgl-mcp runs no ADMM, so any ADMM cap is a usage error, not ignored
+        # --max-iter caps the l1 solver alone, so with cgl-mcp it is a usage
+        # error, not ignored
         graph, cov = instance
         report = tmp_path / "r.json"
         rc = main(

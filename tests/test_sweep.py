@@ -23,7 +23,7 @@ def values(record):
 
 
 def cold_cell(cfg, lam, seed):
-    """Independent solve of one cell from the zero ADMM start."""
+    """Independent solve of one cell."""
     inst = make_instance(cfg, seed)
     problem = lm.ProblemData(inst.S, inst.prior, lm.PenaltyParams(lam, cfg.gamma))
     if cfg.model == "cgl-mcp":
@@ -70,22 +70,23 @@ class TestLambdaChain:
         calls = []
         solve_l1 = lm.sweep.solve_l1
 
-        def spy(problem, params=None, start=None):
-            report = solve_l1(problem, params, start=start)
-            calls.append((problem.params.lam, start, report.admm_state))
-            return report
+        def spy(problem, *args, **kwargs):
+            calls.append((problem.params.lam, args, kwargs))
+            return solve_l1(problem, *args, **kwargs)
 
         monkeypatch.setattr(lm.dca, "solve_l1", spy)
         monkeypatch.setattr(lm.sweep, "solve_l1", spy)
         run_sweep(dataclasses.replace(cfg, seeds=[0]))
         if cfg.model == "cgl-mcp":
-            # the MCP warm start is projected Newton: an MCP sweep runs no ADMM
+            # the MCP warm start is the solver's own: an MCP sweep makes no
+            # l1 solve
             assert calls == []
             return
+        # the chain runs in descending lambda, and no cell gets a start: each
+        # begins from its own constant weights
         assert [lam for lam, _, _ in calls] == sorted(cfg.lambdas, reverse=True)
-        assert calls[0][1] is None
-        for (_, _, prev), (_, start, _) in zip(calls, calls[1:]):
-            assert start is prev
+        for _, args, kwargs in calls:
+            assert [type(a) for a in args] == [lm.AdmmParams] and kwargs == {}
 
     def test_chain_yields_run_sweep_cells_in_solve_order(self, chained):
         cfg, records, _ = chained

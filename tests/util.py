@@ -87,38 +87,24 @@ def subproblem_primal_value(w, ctx):
     return logdet_objective(w, ctx.problem, ctx.cost_matrix, ctx)[0]
 
 
-def reference_solve_l1(problem, params, accelerate=True):
-    """The ADMM loop of :func:`laplace_mcp.solve_l1` with all three KKT
-    residuals at every iteration: returns the final state, the history and
-    the iteration count. With ``accelerate`` it takes the library's
-    Anderson steps; without, it is the plain loop, the oracle of the
-    accelerated solver."""
+def reference_solve_l1(problem, params):
+    """Plain four-block ADMM on the l1 model, the oracle of
+    :func:`laplace_mcp.solve_l1`: :func:`laplace_mcp.admm.admm_step` from the
+    zero state, the KKT residuals at every iteration and, every 10
+    iterations, sigma scaled by sqrt(eta_p / eta_d) clipped to [0.1, 10].
+    Returns the final state and the iteration count."""
     from laplace_mcp import admm
 
-    state = point = admm.initial_state(problem)
-    aa = admm._Anderson(problem) if accelerate else None
-    history = []
-    iterations = params.max_iter
+    state = admm.initial_state(problem)
     for it in range(1, params.max_iter + 1):
-        state = admm.admm_step(point, problem, problem.gram_solver)
+        state = admm.admm_step(state, problem, problem.gram_solver)
         res = admm.kkt_residuals(state, problem)
-        entry = {
-            "iteration": it, "pobj": res.pobj, "dobj": res.dobj, "eta_p": res.eta_p,
-            "eta_d": res.eta_d, "eta_g": res.eta_g, "sigma": state.sigma,
-            "aa_steps": aa.steps if aa else 0, "aa_rejected": aa.rejected if aa else 0,
-        }
-        if it % admm._HISTORY_EVERY == 0 or it == 1:
-            history.append(entry)
         if res.max < params.eps:
-            iterations = it
-            break
-        if it % admm._ADAPT_EVERY == 0:
+            return state, it
+        if it % 10 == 0:
             ratio = res.eta_p / max(res.eta_d, 1e-30)
-            state.sigma *= min(max(math.sqrt(ratio), admm._ADAPT_LO), admm._ADAPT_HI)
-        point = aa.next_point(state) if aa and it < params.max_iter else state
-    if history[-1]["iteration"] != iterations:
-        history.append(dict(entry, sigma=state.sigma))
-    return state, history, iterations
+            state.sigma *= min(max(math.sqrt(ratio), 0.1), 10.0)
+    return state, params.max_iter
 
 
 def lbfgsb_min(value_and_grad, w0):
