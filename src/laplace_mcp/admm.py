@@ -2,8 +2,13 @@
 baseline: :func:`solve_l1` runs projected Newton on it (the loop of
 :mod:`laplace_mcp.newton`, which also gives the non-convex solver its l1 warm
 start) and certifies its weights by the relative KKT residuals of the
-four-block splitting (x, theta, w; Y, zeta). One ADMM step on that splitting,
-:func:`admm_step`, is kept with the residuals; no solver runs it."""
+four-block splitting (x, theta, w; Y, zeta), in closed form for the pair
+that the weights define.
+
+The general residuals (:func:`kkt_residuals`) and one ADMM step on that
+splitting (:func:`admm_step`, with the Gram solver of its x-update) are the
+ADMM reference oracle, which the tests run against :func:`solve_l1`; no
+solver runs them."""
 
 from __future__ import annotations
 
@@ -153,24 +158,25 @@ def kkt_residuals(state, problem):
     return KktResiduals(eta_p, eta_d, float(eta_g), pobj, dobj)
 
 
-def _kkt_pair(problem):
-    """The stop residual of :func:`solve_l1`: at weights w with R = (A* w +
-    J)^{-1} and l1 gradient g, the largest relative KKT residual of the pair
-    x = w, theta = A* w, Y = R - K, zeta = -a(Y) = g (K = S + lam I), with
-    its record: the :class:`KktResiduals` and the stationarity residual of w.
+def _kkt_pair(w, f, g):
+    """The stop residual of :func:`solve_l1` at weights w >= 0 of l1 objective
+    f and l1 gradient g: the largest relative KKT residual (see
+    :func:`kkt_residuals`) of the pair x = w, theta = A* w, Y = R - K, zeta =
+    -a(Y), with R = (A* w + J)^{-1} and K = S + lam I, with its record: the
+    :class:`KktResiduals` and the stationarity residual of w.
 
-    The pair is primal feasible, so eta_p is 0. eta_d measures g < 0, and,
-    since <R, A* w> = n - 1, the gap pobj - dobj is g^T w.
+    For this pair the residuals have a closed form. It is primal feasible, so
+    eta_p is 0, and zeta = g, so eta_d = ||min(g, 0)||/(1 + ||g||). R 1 = 1
+    gives <J, R> = 1 and <R, A* w> = n - 1, hence pobj = f, dobj = f - g^T w
+    and eta_g = |g^T w|/(1 + |f| + |f - g^T w|). A non-finite f saturates
+    eta_g at 1, as in :func:`kkt_residuals`.
     """
-    K = problem.shifted_S
-
-    def residual(w, R, g):
-        Y = R - K
-        pair = AdmmState(x=w, theta=problem.astar(w), w=w, Y=Y, zeta=-problem.a(Y))
-        res = kkt_residuals(pair, problem)
-        return res.max, (res, _projected_residual(g, w))
-
-    return residual
+    gw = float(g @ w)
+    dobj = f - gw
+    eta_d = float(np.linalg.norm(np.minimum(g, 0.0)) / (1.0 + np.linalg.norm(g)))
+    eta_g = abs(gw) / (1.0 + abs(f) + abs(dobj)) if np.isfinite(f) else 1.0
+    res = KktResiduals(0.0, eta_d, eta_g, f, dobj)
+    return res.max, (res, _projected_residual(g, w))
 
 
 def solve_l1(problem, params=None):
@@ -181,7 +187,8 @@ def solve_l1(problem, params=None):
     is pushed. It starts from the best constant weights w = c 1, c = (n - 1)
     / (<A(S), 1> + 2 lam m), the minimizer over constant weights. At each
     iterate the stop residual is max(eta_p, eta_d, eta_g) of the primal-dual
-    pair that w defines (see :func:`kkt_residuals`); the residuals are
+    pair that w defines, in closed form from the objective and gradient the
+    loop already has (see :func:`_kkt_pair`); the residuals are
     relative to 1 + ||zeta||, so they do not scale with the data, and the
     solve ends ``"converged"`` only once they are below eps **and** the
     Newton decrement, which does scale, is below eps too. Otherwise it ends
@@ -205,7 +212,7 @@ def solve_l1(problem, params=None):
     t0 = time.perf_counter()
     w, f = _constant_start(problem)
     run = _projected_newton(
-        w, f, problem, "cgl-l1", params.eps, params.eps, params.max_iter, _kkt_pair(problem)
+        w, f, problem, "cgl-l1", params.eps, params.eps, params.max_iter, _kkt_pair
     )
     history = [
         {

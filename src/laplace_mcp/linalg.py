@@ -1,5 +1,6 @@
 """Symmetric eigen-calculus for the log-determinant proximal map, non-negative
-cone projections, and the solver for the shifted edge Gram system.
+cone projections, and the solver for the shifted edge Gram system, which only
+the x-update of the ADMM reference oracle (``admm.admm_step``) uses.
 
 Every dense kernel of the solver (eigh, Cholesky, inverse, GEMM/GEMV) goes
 through numpy's LAPACK/BLAS. numpy and scipy each bundle their own OpenBLAS
@@ -112,7 +113,7 @@ def clarke_diag(c):
 
 class GramSolver:
     """Solver for the SPD system (3I + |B|^T |B|) x = b of the edge pattern
-    ``graph``.
+    ``graph``, the x-update of ``admm.admm_step``.
 
     The Sherman-Morrison-Woodbury identity reduces the m x m system to the
     n x n system C = 3I + |B||B|^T. |B||B|^T is the signless Laplacian of the

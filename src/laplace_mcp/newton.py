@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import laplacian_adjoint, weights_to_laplacian
-from .penalty import _projected_residual, objective_gradient, objective_value
+from .penalty import _projected_residual, objective_gradient, objective_value, penalty_curvature
 from .ssn import _VALUE_RTOL, _pcg
 
 # CG takes at most _CG_STEPS steps per direction; _ARMIJO is the Armijo
@@ -26,23 +26,19 @@ def _reduced_hessian(w, R, free, problem, model="cgl-mcp"):
     at w with R = (A* w + J)^{-1}.
 
     The log-det part is v -> a(R A*(v) R) restricted to the kept edges, whose
-    diagonal is a(R)^2 = ((b_e^T R b_e)^2)_e > 0; the MCP adds -2/gamma on
-    the edges with w_e < gamma lam, and the l1 trace term adds nothing, so
-    for l1 every free edge is kept. The apply costs two n x n GEMMs and holds
-    no matrix larger than n x n.
+    diagonal is a(R)^2 = ((b_e^T R b_e)^2)_e > 0; the penalty adds its
+    curvature (``penalty.penalty_curvature``), which is 0 for l1, so for l1
+    every free edge is kept. The apply costs two n x n GEMMs and holds no
+    matrix larger than n x n.
     """
-    lam, gamma = problem.params.lam, problem.params.gamma
-    if model == "cgl-mcp":
-        concave = (2.0 / gamma) * (w < gamma * lam)
-    else:
-        concave = np.zeros_like(w)
-    diag = problem.a(R) ** 2 - concave
+    curvature = penalty_curvature(w, problem, model)
+    diag = problem.a(R) ** 2 + curvature
     free = free & (diag > 0)
     sub = problem.prior.support(free.astype(float))
-    concave = concave[free]
+    curvature = curvature[free]
 
     def apply(v):
-        return laplacian_adjoint(R @ weights_to_laplacian(v, sub) @ R, sub) - concave * v
+        return laplacian_adjoint(R @ weights_to_laplacian(v, sub) @ R, sub) + curvature * v
 
     return free, diag[free], apply
 
@@ -57,7 +53,7 @@ def _constant_start(problem):
     return w, objective_value(w, problem, "cgl-l1")
 
 
-def _stationarity(w, R, g):
+def _stationarity(w, f, g):
     """The stop residual of the warm start and the polish: the stationarity
     residual ||Pi(g)||/(1 + ||w||), recorded as itself."""
     residual = _projected_residual(g, w)
@@ -93,8 +89,8 @@ def _projected_newton(
     """Projected Newton [Bertsekas 1982] on the objective of ``model`` from w
     of value f, shared by the l1 solver, the l1 warm start and the polish.
 
-    At each iterate, with R = (A* w + J)^{-1} and g the gradient,
-    ``residual(w, R, g)`` gives the stop residual and a record of it (by
+    At each iterate, with f the objective and g the gradient,
+    ``residual(w, f, g)`` gives the stop residual and a record of it (by
     default :func:`_stationarity`). The loop stops ``"converged"``
     once the residual is below eps and the Newton decrement below
     ``decrement_tol`` (None: no decrement test), tested with the decrement
@@ -126,10 +122,10 @@ def _projected_newton(
     stay.
     """
 
-    def evaluate(w):
+    def evaluate(w, f):
         R = np.linalg.inv(problem.astar(w) + problem.J)
         g = objective_gradient(w, problem, model, R)
-        return (R, g, *residual(w, R, g))
+        return (R, g, *residual(w, f, g))
 
     def small(decrement):
         return decrement_tol is None or (decrement is not None and decrement < decrement_tol)
@@ -137,7 +133,7 @@ def _projected_newton(
     steps = cg_steps = 0
     decrement = None
     points = []
-    R, g, value, record = evaluate(w)
+    R, g, value, record = evaluate(w, f)
     while True:
         points.append((steps, cg_steps, record))
         if value < eps and small(decrement):
@@ -183,7 +179,7 @@ def _projected_newton(
                     break
             elif np.isfinite(f_new):
                 # f cannot resolve the change: the residual decides
-                nxt = evaluate(w_new)
+                nxt = evaluate(w_new, f_new)
                 if nxt[2] < value:
                     break
             t *= 0.5
@@ -191,6 +187,6 @@ def _projected_newton(
             termination = "linesearch_failed"
             break
         w, f = w_new, f_new
-        R, g, value, record = evaluate(w) if nxt is None else nxt
+        R, g, value, record = evaluate(w, f) if nxt is None else nxt
         steps += 1
     return _Newton(w, f, value, steps, cg_steps, decrement, termination, points)

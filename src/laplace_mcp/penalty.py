@@ -4,8 +4,8 @@ negative log-likelihood objective.
 A penalty enters the d.c. loop only through its value and the gradient of the
 smooth convex part h of its split lam|x| - h(x), so other separable non-convex
 penalties can slot in by providing the same two functions; the
-projected-Newton polish also reads the MCP's curvature, -1/gamma inside
-|x| < gamma lam (``newton._reduced_hessian``).
+projected-Newton polish also reads the penalty's curvature
+(:func:`penalty_curvature`).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ __all__ = [
     "dc_smooth_grad_matrix",
     "objective_value",
     "objective_gradient",
+    "penalty_curvature",
     "stationarity",
 ]
 
@@ -118,6 +119,16 @@ def objective_gradient(w, problem, model, X_inv):
     else:
         penalty_grad = 2.0 * lam
     return problem.a_of_S - problem.a(X_inv) + penalty_grad
+
+
+def penalty_curvature(w, problem, model):
+    """Second derivative in w of the penalty term of ``model`` ("cgl-mcp" or
+    "cgl-l1"), entrywise: -2/gamma on the edges with w_e < gamma lam for MCP,
+    whose value counts each edge twice, and 0 for the l1 trace term."""
+    if model == "cgl-mcp":
+        gamma = problem.params.gamma
+        return (-2.0 / gamma) * (w < gamma * problem.params.lam)
+    return np.zeros_like(w)
 
 
 def stationarity(w, problem, model, X_inv=None):

@@ -23,9 +23,10 @@ __all__ = ["ProblemData"]
 class ProblemData:
     """Covariance S, candidate edge pattern, penalty parameters, and J = (1/n)11^T.
 
-    The Gram solver of the ADMM x-update is built on first use and cached;
-    everything is read-only after construction, so one instance can back
-    many concurrent solver runs.
+    The Gram solver of the x-update of the ADMM reference oracle
+    (``admm.admm_step``) is built on first use and cached; everything is
+    read-only after construction, so one instance can back many concurrent
+    solver runs.
     """
 
     def __init__(self, S, prior, params):

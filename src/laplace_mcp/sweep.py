@@ -26,7 +26,7 @@ from .metrics import detected_edges, f1_score, recovery_error
 from .penalty import PenaltyParams
 from .problem import ProblemData
 
-__all__ = ["SweepConfig", "SweepRecord", "make_instance", "run_sweep", "solve_chain"]
+__all__ = ["SweepConfig", "SweepRecord", "make_instance", "run_sweep", "solve_cell"]
 
 _SCENARIOS = ("true", "coarse", "full", "drop")
 
@@ -55,8 +55,7 @@ class SweepConfig:
     weight_lo: float = 0.1
     weight_hi: float = 3.0
     threshold_rel: float = 1e-4
-    # seed chains solved at once; on 2 vCPU a pool was slower than one chain
-    # at a time on top of multithreaded BLAS, and faster with one BLAS thread
+    # cells solved at once on a thread pool; default 1 (see the README)
     threads: int = 1
 
     def to_dict(self):
@@ -144,71 +143,54 @@ def make_instance(cfg, seed):
     return _Instance(truth, L, S, prior)
 
 
-def _solve_order(lambdas):
-    """Grid indices in descending lambda, ties in grid order."""
-    return sorted(range(len(lambdas)), key=lambda i: lambdas[i], reverse=True)
-
-
-def solve_chain(cfg, inst, seed, keep_trace=False):
-    """Solve one seed's lambda grid as a chain and yield (record, problem,
-    report) for each cell in solve order: descending lambda, ties in grid
-    order. Every cell, l1 or MCP, starts from its own constant weights, so
-    nothing carries from one cell to the next. ``keep_trace`` is passed to
-    ``solve_mcp``."""
-    for i in _solve_order(cfg.lambdas):
-        lam = cfg.lambdas[i]
-        t0 = time.perf_counter()
-        problem = ProblemData(inst.S, inst.prior, PenaltyParams(lam, cfg.gamma))
-        if cfg.model == "cgl-mcp":
-            report = solve_mcp(problem, DcaParams(eps=cfg.eps), keep_trace=keep_trace)
-        elif cfg.model == "cgl-l1":
-            report = solve_l1(problem, AdmmParams(eps=cfg.eps))
-        else:
-            raise ValueError(f"unknown model {cfg.model!r}")
-        est = detected_edges(report.w, problem.prior.edges, cfg.threshold_rel)
-        record = SweepRecord(
-            lam=float(lam),
-            seed=int(seed),
-            edges=int(est.shape[0]),
-            f1=f1_score(est, inst.truth.edges),
-            recovery_error=recovery_error(report.theta(), inst.L_true),
-            objective=float(report.objective),
-            time_s=time.perf_counter() - t0,
-            status=report.termination,
-        )
-        yield record, problem, report
-
-
-def _chain_records(cfg, inst, seed):
-    """One seed's records in grid order."""
-    records = [None] * len(cfg.lambdas)
-    for i, (record, _, _) in zip(_solve_order(cfg.lambdas), solve_chain(cfg, inst, seed)):
-        records[i] = record
-    return records
+def solve_cell(cfg, inst, seed, lam, keep_trace=False):
+    """Solve the (lam, seed) cell of ``cfg`` on ``inst``, the instance of
+    ``seed``, from its own constant weights, and return (record, problem,
+    report). ``keep_trace`` is passed to ``solve_mcp``."""
+    t0 = time.perf_counter()
+    problem = ProblemData(inst.S, inst.prior, PenaltyParams(lam, cfg.gamma))
+    if cfg.model == "cgl-mcp":
+        report = solve_mcp(problem, DcaParams(eps=cfg.eps), keep_trace=keep_trace)
+    elif cfg.model == "cgl-l1":
+        report = solve_l1(problem, AdmmParams(eps=cfg.eps))
+    else:
+        raise ValueError(f"unknown model {cfg.model!r}")
+    est = detected_edges(report.w, problem.prior.edges, cfg.threshold_rel)
+    record = SweepRecord(
+        lam=float(lam),
+        seed=int(seed),
+        edges=int(est.shape[0]),
+        f1=f1_score(est, inst.truth.edges),
+        recovery_error=recovery_error(report.theta(), inst.L_true),
+        objective=float(report.objective),
+        time_s=time.perf_counter() - t0,
+        status=report.termination,
+    )
+    return record, problem, report
 
 
 def run_sweep(cfg):
     """Run every (lambda, seed) cell and return (records, per-lambda averages).
 
-    Instance data is synthesized once per seed. Each seed's lambda grid runs as
-    one chain in descending lambda (see :func:`solve_chain`); every cell
-    starts from its own constant weights. Chains run one
-    after another unless ``cfg.threads > 1``, which runs them on a thread pool
-    of that size. Records come back lambda-major in the grid order as given,
-    seeds in the order as given.
+    Instance data is synthesized once per seed. Each cell is solved on its
+    own (see :func:`solve_cell`), one after another unless ``cfg.threads >
+    1``, which solves that many cells at once on a thread pool. Records come
+    back lambda-major in the grid order as given, seeds in the order as given.
     """
     if not cfg.lambdas:
         raise ValueError("lambda grid is empty")
     if not cfg.seeds:
         raise ValueError("seed list is empty")
+    if cfg.threads < 1:
+        raise ValueError(f"threads must be at least 1, got {cfg.threads}")
     instances = {seed: make_instance(cfg, seed) for seed in cfg.seeds}
-    run = lambda seed: _chain_records(cfg, instances[seed], seed)
+    lams, seeds = zip(*[(lam, seed) for lam in cfg.lambdas for seed in cfg.seeds])
+    run = lambda lam, seed: solve_cell(cfg, instances[seed], seed, lam)[0]
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            chains = list(pool.map(run, cfg.seeds))
+            records = list(pool.map(run, lams, seeds))
     else:
-        chains = [run(seed) for seed in cfg.seeds]
-    records = [chain[i] for i in range(len(cfg.lambdas)) for chain in chains]
+        records = list(map(run, lams, seeds))
     averages = []
     for lam in cfg.lambdas:
         group = [r for r in records if r.lam == float(lam)]

@@ -1,9 +1,9 @@
 """Acceptance suite: end-to-end correctness and reproduction checks, one
 PASS/FAIL line per criterion. The benchmark-scale runs (criteria 7, 8) are
 shared through a module fixture whose per-step certificates feed criteria 5
-and 10. Criterion 7's cells are those of ``sweep.solve_chain``, which
-``laplace-mcp sweep`` solves: each seed's lambda grid in descending order,
-every MCP cell from its own l1 warm start."""
+and 10. Criterion 7's cells are those of ``sweep.solve_cell``, which
+``laplace-mcp sweep`` solves: each (lambda, seed) cell on its own, every MCP
+cell from its own l1 warm start."""
 
 import time
 from fractions import Fraction
@@ -21,7 +21,7 @@ from laplace_mcp.ssn import (
     dual_value,
     subproblem_error_vector,
 )
-from laplace_mcp.sweep import SweepConfig, make_instance, solve_chain
+from laplace_mcp.sweep import SweepConfig, make_instance, solve_cell
 
 from util import (
     edge_gram_matrix,
@@ -70,11 +70,12 @@ def _audit_run(problem, report):
     return audits
 
 
-def _fig1_chain(cfg, seed):
-    """One seed's Fig.-1 lambda chain, each cell audited."""
+def _fig1_cells(cfg, seed):
+    """One seed's Fig.-1 cells in grid order, each audited."""
     cells = []
     inst = make_instance(cfg, seed)
-    for record, problem, report in solve_chain(cfg, inst, seed, keep_trace=True):
+    for lam in cfg.lambdas:
+        record, problem, report = solve_cell(cfg, inst, seed, lam, keep_trace=True)
         cells.append(
             {
                 "lam": record.lam,
@@ -148,7 +149,7 @@ def runs():
 
     t0 = time.perf_counter()
     cfg = SweepConfig(lambdas=FIG1_LAMBDAS, seeds=FIG1_SEEDS)
-    data["fig1"] = [cell for seed in cfg.seeds for cell in _fig1_chain(cfg, seed)]
+    data["fig1"] = [cell for seed in cfg.seeds for cell in _fig1_cells(cfg, seed)]
     data["fig1_time"] = time.perf_counter() - t0
 
     data["table2"] = [_table2_run(seed) for seed in TABLE2_SEEDS]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import laplace_mcp as lm
-from laplace_mcp import admm, linalg
+from laplace_mcp import admm, linalg, penalty
 from laplace_mcp.admm import AdmmState, admm_step, initial_state, kkt_residuals
 from laplace_mcp.sweep import SweepConfig, make_instance
 
@@ -139,6 +139,55 @@ class TestKktResiduals:
         assert np.isposinf(res.pobj)
         assert np.isneginf(res.dobj)
         assert res.eta_g == 1.0
+
+
+def explicit_pair_residuals(w, problem):
+    """The KKT residuals of the pair that w defines, built as a four-block
+    state: x = w, theta = A* w, Y = R - K, zeta = -a(Y), with R = (A* w +
+    J)^{-1} and K = S + lam I."""
+    Y = np.linalg.inv(problem.astar(w) + problem.J) - problem.shifted_S
+    pair = AdmmState(x=w, theta=problem.astar(w), w=w, Y=Y, zeta=-problem.a(Y))
+    return kkt_residuals(pair, problem)
+
+
+class TestClosedFormPair:
+    @pytest.mark.parametrize("c", [1e-6, 1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("n", [10, 11, 12])
+    def test_matches_explicit_pair(self, n, c):
+        # (cS, c lam) scales the weights by 1/c; a fifth of the edges sit at
+        # 0, where the gradient may be negative
+        base, _, _ = make_problem(n=n, p=0.5, seed=n, lam=0.05, k=5000 * n)
+        problem = lm.ProblemData(c * base.S, base.prior, lm.PenaltyParams(c * 0.05, 1.5))
+        rng = np.random.default_rng(n)
+        w = rng.uniform(0.1, 2.0, problem.m) / c
+        w[rng.random(problem.m) < 0.2] = 0.0
+        f = lm.objective_value(w, problem, "cgl-l1")
+        R = np.linalg.inv(problem.astar(w) + problem.J)
+        g = penalty.objective_gradient(w, problem, "cgl-l1", R)
+        assert np.isfinite(f) and (g[w == 0] < 0).any()
+        value, (res, stationarity) = admm._kkt_pair(w, f, g)
+        want = explicit_pair_residuals(w, problem)
+        assert res.eta_p == want.eta_p == 0.0
+        for key in ("eta_d", "pobj", "dobj"):
+            assert getattr(res, key) == pytest.approx(getattr(want, key), rel=1e-9), key
+        # eta_g is the gap relative to 1 + |pobj| + |dobj|, so 1e-9 relative to
+        # the objectives is 1e-9 absolute there: at c = 1e-6, where A* w + J
+        # has condition ~1e7, the explicit pair's pobj - dobj cancels about
+        # three digits and is off by up to 4e-9 of eta_g itself
+        assert res.eta_g == pytest.approx(want.eta_g, rel=1e-9, abs=1e-9)
+        assert value == res.max
+        assert stationarity == penalty.stationarity(w, problem, "cgl-l1", R)
+
+    def test_solve_l1_makes_no_general_kkt_call(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("solve_l1 called kkt_residuals")
+
+        monkeypatch.setattr(admm, "kkt_residuals", forbidden)
+        problem, _, _ = make_problem(n=12, p=0.3, seed=0, k=5000 * 12)
+        rep = lm.solve_l1(problem, lm.AdmmParams(eps=1e-8))
+        assert rep.converged
+        last = rep.history[-1]
+        assert last["eta_p"] == 0.0 and max(last["eta_d"], last["eta_g"]) < 1e-8
 
 
 class TestSolveL1:

@@ -609,6 +609,14 @@ class TestCliSweep:
         )
         assert rc == 1
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_rejected(self, tmp_path, capsys, threads):
+        out = tmp_path / "s.csv"
+        rc = main(["sweep", "--threads", threads, "--out", str(out)])
+        assert rc == 1
+        assert f"threads must be at least 1, got {threads}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestLambdaGrid:
     def test_parse(self):

@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 import laplace_mcp as lm
-from laplace_mcp.sweep import SweepConfig, make_instance, run_sweep, solve_chain
+from laplace_mcp.sweep import SweepConfig, make_instance, run_sweep, solve_cell
 
 LAMBDAS = [1e-3, 1e-1, 1.0]
 
@@ -41,15 +41,15 @@ def cold_cell(cfg, lam, seed):
 
 
 @pytest.fixture(scope="module", params=["cgl-mcp", "cgl-l1"])
-def chained(request):
+def swept(request):
     cfg = small_config(request.param)
     records, averages = run_sweep(cfg)
     return cfg, records, averages
 
 
 class TestLambdaChain:
-    def test_matches_cold_solves(self, chained):
-        cfg, records, _ = chained
+    def test_matches_cold_solves(self, swept):
+        cfg, records, _ = swept
         assert len(records) == len(cfg.lambdas) * len(cfg.seeds)
         for rec in records:
             cold = cold_cell(cfg, rec.lam, rec.seed)
@@ -59,44 +59,52 @@ class TestLambdaChain:
             assert rec.objective == pytest.approx(cold["objective"], rel=1e-6)
             assert rec.recovery_error == pytest.approx(cold["recovery_error"], rel=1e-3)
 
-    def test_lambda_major_grid_order(self, chained):
-        cfg, records, averages = chained
+    def test_lambda_major_grid_order(self, swept):
+        cfg, records, averages = swept
         cells = [(r.lam, r.seed) for r in records]
         assert cells == [(lam, seed) for lam in cfg.lambdas for seed in cfg.seeds]
         assert [a.lam for a in averages] == cfg.lambdas
 
-    def test_descending_chain_of_warm_starts(self, chained, monkeypatch):
-        cfg, _, _ = chained
+    def test_each_cell_solved_once_in_grid_order(self, swept, monkeypatch):
+        # the solvers are looked up as module globals of sweep at call time,
+        # so a wrapper patched there sees every cell
+        cfg, _, _ = swept
         calls = []
-        solve_l1 = lm.sweep.solve_l1
 
-        def spy(problem, *args, **kwargs):
-            calls.append((problem.params.lam, args, kwargs))
-            return solve_l1(problem, *args, **kwargs)
+        def spy(name):
+            solver = getattr(lm.sweep, name)
 
-        monkeypatch.setattr(lm.dca, "solve_l1", spy)
-        monkeypatch.setattr(lm.sweep, "solve_l1", spy)
-        run_sweep(dataclasses.replace(cfg, seeds=[0]))
+            def wrapper(problem, *args, **kwargs):
+                calls.append((name, problem.params.lam, args, kwargs))
+                return solver(problem, *args, **kwargs)
+
+            return wrapper
+
+        def no_l1(*args, **kwargs):
+            raise AssertionError("an MCP sweep made an l1 solve")
+
+        monkeypatch.setattr(lm.sweep, "solve_l1", spy("solve_l1"))
+        monkeypatch.setattr(lm.sweep, "solve_mcp", spy("solve_mcp"))
         if cfg.model == "cgl-mcp":
-            # the MCP warm start is the solver's own: an MCP sweep makes no
-            # l1 solve
-            assert calls == []
-            return
-        # the chain runs in descending lambda, and no cell gets a start: each
-        # begins from its own constant weights
-        assert [lam for lam, _, _ in calls] == sorted(cfg.lambdas, reverse=True)
-        for _, args, kwargs in calls:
-            assert [type(a) for a in args] == [lm.AdmmParams] and kwargs == {}
+            # the MCP warm start is the solver's own
+            monkeypatch.setattr(lm.dca, "solve_l1", no_l1)
+        run_sweep(dataclasses.replace(cfg, seeds=[0]))
+        name = "solve_mcp" if cfg.model == "cgl-mcp" else "solve_l1"
+        assert [(n, lam) for n, lam, _, _ in calls] == [(name, lam) for lam in cfg.lambdas]
+        # no cell gets a start: each begins from its own constant weights
+        params = lm.DcaParams if cfg.model == "cgl-mcp" else lm.AdmmParams
+        kwargs = {"keep_trace": False} if cfg.model == "cgl-mcp" else {}
+        for _, _, a, kw in calls:
+            assert [type(x) for x in a] == [params] and kw == kwargs
 
-    def test_chain_yields_run_sweep_cells_in_solve_order(self, chained):
-        cfg, records, _ = chained
+    def test_solve_cell_returns_run_sweep_records(self, swept):
+        cfg, records, _ = swept
         by_cell = {(r.lam, r.seed): values(r) for r in records}
         for seed in cfg.seeds:
-            cells = list(solve_chain(cfg, make_instance(cfg, seed), seed))
-            lams = [record.lam for record, _, _ in cells]
-            assert lams == sorted(cfg.lambdas, reverse=True)
-            for record, problem, report in cells:
-                assert values(record) == by_cell[(record.lam, seed)]
+            inst = make_instance(cfg, seed)
+            for lam in cfg.lambdas:
+                record, problem, report = solve_cell(cfg, inst, seed, lam)
+                assert values(record) == by_cell[(lam, seed)]
                 assert problem.params.lam == record.lam
                 assert report.termination == record.status
 
@@ -108,16 +116,21 @@ class TestLambdaChain:
         records, _ = run_sweep(small_config("cgl-l1", [1e-1]))
         assert len(records) == 2
 
-    def test_two_threads_identical(self, chained):
-        cfg, records, _ = chained
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected(self, threads):
+        with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
+            run_sweep(SweepConfig(threads=threads))
+
+    def test_two_threads_identical(self, swept):
+        cfg, records, _ = swept
         threaded, _ = run_sweep(dataclasses.replace(cfg, threads=2))
         assert [values(r) for r in threaded] == [values(r) for r in records]
 
     @pytest.mark.parametrize("grid", ["ascending", "shuffled"])
-    def test_grid_order_does_not_change_cells(self, chained, grid):
-        # the chain always runs in descending lambda, so any order of the same
-        # grid solves the same path
-        cfg, records, _ = chained
+    def test_grid_order_does_not_change_cells(self, swept, grid):
+        # each cell is solved on its own, so any order of the same grid solves
+        # the same cells
+        cfg, records, _ = swept
         lambdas = sorted(cfg.lambdas)
         if grid == "shuffled":
             lambdas = [lambdas[i] for i in (1, 2, 0)]
@@ -135,7 +148,7 @@ class TestLambdaChain:
         ]
         assert all(r.status == "converged" for r in records)
         assert len(averages) == len(lambdas)
-        # the repeat restarts from the first solve of its lambda
+        # the repeat solves the same cells again
         for first, again in zip(records[:2], records[4:]):
             assert again.edges == first.edges
             assert again.objective == pytest.approx(first.objective, rel=1e-6)
