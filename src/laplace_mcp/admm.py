@@ -168,13 +168,14 @@ def _kkt_pair(w, f, g):
     For this pair the residuals have a closed form. It is primal feasible, so
     eta_p is 0, and zeta = g, so eta_d = ||min(g, 0)||/(1 + ||g||). R 1 = 1
     gives <J, R> = 1 and <R, A* w> = n - 1, hence pobj = f, dobj = f - g^T w
-    and eta_g = |g^T w|/(1 + |f| + |f - g^T w|). A non-finite f saturates
-    eta_g at 1, as in :func:`kkt_residuals`.
+    and eta_g = |g^T w|/(1 + |f| + |f - g^T w|). f is finite at every
+    iterate: the start is checked by ``newton._constant_start`` and the line
+    search accepts no step to +inf.
     """
     gw = float(g @ w)
     dobj = f - gw
     eta_d = float(np.linalg.norm(np.minimum(g, 0.0)) / (1.0 + np.linalg.norm(g)))
-    eta_g = abs(gw) / (1.0 + abs(f) + abs(dobj)) if np.isfinite(f) else 1.0
+    eta_g = abs(gw) / (1.0 + abs(f) + abs(dobj))
     res = KktResiduals(0.0, eta_d, eta_g, f, dobj)
     return res.max, (res, _projected_residual(g, w))
 
@@ -205,7 +206,9 @@ def solve_l1(problem, params=None):
 
     A disconnected prior, and at lam = 0 a degenerate covariance, raise
     ValueError before the first step (see
-    :meth:`ProblemData.check_solvable`).
+    :meth:`ProblemData.check_solvable`), as does a lam so large that the
+    objective is +inf at the constant start (see
+    ``newton._constant_start``).
     """
     params = params or AdmmParams()
     problem.check_solvable("cgl-l1")

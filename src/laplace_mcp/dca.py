@@ -51,9 +51,11 @@ _SIGMA_MIN = 1e-4
 _WARM_STEPS = 50
 _WARM_DECREMENT = 1e-4
 
-# the projected-Newton polish of an accepted iterate: it runs on every step
-# whose residual is below _POLISH_START and takes at most _POLISH_STEPS steps
+# the projected-Newton polish of an accepted iterate: it runs on a step whose
+# residual is below _POLISH_START, or below _POLISH_HANDOVER on any step after
+# the first, and takes at most _POLISH_STEPS steps
 _POLISH_START = 1e-2
+_POLISH_HANDOVER = 1e-1
 _POLISH_STEPS = 6
 
 
@@ -64,9 +66,12 @@ class DcaParams:
     sigma starts at ``_SIGMA0`` (1.0) and shrinks by ``_RHO`` (0.8) each
     iteration until it reaches ``_SIGMA_MIN`` (1e-4). The l1 warm start and
     the polish have no settings (see :func:`_warm_start` and
-    :func:`_polish`); the d.c. loop's descent argument does not depend on how
-    accurate the start is. ``max_outer`` is non-negative. The Newton caps
-    are the module constants ``ssn._MAX_NEWTON`` and ``ssn._MAX_CG``.
+    :func:`_polish`): the polish runs on an accepted step whose residual is
+    below ``_POLISH_START`` (1e-2), or below ``_POLISH_HANDOVER`` (1e-1) on
+    any step after the first. The d.c. loop's descent argument does not
+    depend on how accurate the start is. ``max_outer`` is non-negative. The
+    Newton caps are the module constants ``ssn._MAX_NEWTON`` and
+    ``ssn._MAX_CG``.
     """
 
     eps: float = 1e-6
@@ -164,7 +169,13 @@ def _polish(w, f, problem, eps):
     of value f, for at most ``_POLISH_STEPS`` steps, stopping once the
     stationarity residual is below eps; no decrement ends it. It refuses
     (``refused``) where no edge is kept or the search fails; otherwise the
-    d.c. loop takes over where it stops."""
+    d.c. loop takes over where it stops.
+
+    :func:`solve_mcp` calls it on the first accepted step only below
+    residual ``_POLISH_START``, since that step still sits next to the l1
+    warm start and Newton from there can settle on a worse critical point;
+    on every later step it calls it below ``_POLISH_HANDOVER``, where the
+    d.c. loop would otherwise crawl a few percent per step."""
     return _projected_newton(w, f, problem, "cgl-mcp", eps, None, _POLISH_STEPS)
 
 
@@ -202,10 +213,15 @@ def solve_mcp(problem, params=None, keep_trace=False):
     the quantified descent property (violations raise
     :class:`DescentError`).
 
-    An accepted step whose stationarity residual is below 1e-2
-    (``_POLISH_START``) is polished (see :func:`_polish`), which only lowers
-    f. The next subproblem is centred at the polished weights, and the prox
-    argument Z carries over unchanged. A polish that ends, or refuses, hands
+    An accepted step is polished (see :func:`_polish`), which only lowers f,
+    where its stationarity residual is at least eps and below 1e-2
+    (``_POLISH_START``), or, on any step after the first (k >= 1), below
+    1e-1 (``_POLISH_HANDOVER``). The first step leaves the l1 warm start and
+    is polished only close to a critical point; from the second on, the
+    loop hands over to projected Newton once the residual is below 1e-1,
+    and the d.c. steps remain the globalization. The next subproblem is
+    centred at the polished weights, and the prox argument Z carries over
+    unchanged. A polish that ends, or refuses, hands
     back to the d.c. loop. The solve ends ``"converged"`` once, and only
     once, the stationarity residual of the current weights, polished or not,
     is below eps; a solve whose residual never gets there ends
@@ -225,7 +241,9 @@ def solve_mcp(problem, params=None, keep_trace=False):
     weights. ``warm_start`` is the dict of :func:`_warm_start`; its
     ``iterations``, the ADMM count, is always 0.
     A disconnected prior or a degenerate covariance raises ValueError before
-    the warm start (see :meth:`ProblemData.check_solvable`).
+    the warm start (see :meth:`ProblemData.check_solvable`), and so does a
+    lam so large that the warm start's constant weights already have
+    objective +inf (see ``newton._constant_start``).
     """
     params = params or DcaParams()
     problem.check_solvable("cgl-mcp")
@@ -251,7 +269,7 @@ def solve_mcp(problem, params=None, keep_trace=False):
                 f"descent violated at outer iteration {k}: "
                 f"f {f_prev:.12e} -> {f_next:.12e}, sigma={sigma:.3e}, |dw|={dw_norm:.3e}"
             )
-        if params.eps <= test.stationarity < _POLISH_START:
+        if params.eps <= test.stationarity < (_POLISH_HANDOVER if k else _POLISH_START):
             polish = _polish(w_next, f_next, problem, params.eps)
         else:
             polish = _Newton(w_next, f_next, test.stationarity)

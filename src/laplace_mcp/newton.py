@@ -46,11 +46,23 @@ def _reduced_hessian(w, R, free, problem, model="cgl-mcp"):
 def _constant_start(problem):
     """The best constant weights w = c 1 for the l1 objective and their l1
     objective value: c = (n - 1) / (<A(S), 1> + 2 lam m) minimizes it over
-    constant weights, since log det(c L + J) = (n - 1) log c + const."""
+    constant weights, since log det(c L + J) = (n - 1) log c + const.
+
+    Raises ValueError where that value is +inf: a lam so large against S
+    (lam = 1e12 on a unit-scale S) that c puts a Cholesky pivot of A* w + J
+    below the 1e-12 floor of :func:`penalty.objective_value`, so no step
+    from it could be compared."""
     lam = problem.params.lam
     c = (problem.n - 1) / (float(problem.a_of_S.sum()) + 2.0 * lam * problem.m)
     w = np.full(problem.m, c)
-    return w, objective_value(w, problem, "cgl-l1")
+    f = objective_value(w, problem, "cgl-l1")
+    if not np.isfinite(f):
+        raise ValueError(
+            f"lambda = {lam:g} is too large for this covariance: the best constant "
+            f"weights {c:.3g} put a Cholesky pivot of A* w + J below the objective's "
+            "1e-12 pivot floor, so the objective is +inf at the start"
+        )
+    return w, f
 
 
 def _stationarity(w, f, g):

@@ -230,6 +230,15 @@ class TestSolveL1:
         with pytest.raises(ValueError, match="connectivity prior is disconnected"):
             lm.solve_l1(problem)
 
+    def test_lambda_beyond_pivot_floor_rejected(self):
+        # lam = 1e9 still starts from a finite objective and ends on the line
+        # search; at lam = 1e12 the constant start's objective is +inf
+        problem, _, _ = make_problem(n=12, p=0.3, seed=0, lam=1e9)
+        assert lm.solve_l1(problem).termination == "linesearch_failed"
+        problem, _, _ = make_problem(n=12, p=0.3, seed=0, lam=1e12)
+        with pytest.raises(ValueError, match=r"lambda = 1e\+12 .* 1e-12 pivot floor"):
+            lm.solve_l1(problem)
+
     def test_degenerate_covariance_rejected_only_at_zero_lambda(self):
         # a duplicated data column makes S_44 + S_55 - 2 S_45 exactly zero; the
         # trace term keeps the l1 objective bounded below for lam > 0 only

@@ -274,6 +274,14 @@ class TestSolveMcp:
         if failed:
             assert runs[-1].status in ("max_iter", "linesearch_failed")
 
+    def test_lambda_beyond_pivot_floor_rejected(self):
+        # at lam = 1e12 the best constant weights (2.75e-13) already put a
+        # pivot of A* w + J below the objective's 1e-12 floor: the warm start
+        # has nowhere finite to start from
+        problem, _, _ = make_problem(n=12, p=0.3, seed=0, lam=1e12)
+        with pytest.raises(ValueError, match=r"lambda = 1e\+12 .* 1e-12 pivot floor"):
+            solve_mcp(problem)
+
     def test_history_shape(self):
         problem, _, _ = make_problem(n=8, p=0.5, seed=12, lam=0.05, k=5000 * 8)
         report = solve_mcp(problem, lm.DcaParams(eps=1e-6))
@@ -395,7 +403,10 @@ class TestSolveMcp:
         np.testing.assert_allclose(mapped, report.w, rtol=0, atol=1e-6 * np.abs(report.w).max())
 
     def test_outer_cap_reported(self):
-        problem, _, _ = make_problem(n=10, p=0.4, seed=14, lam=0.05, k=5000 * 10)
+        # at lam = 0.3 both steps end above the polish thresholds (residuals
+        # 0.52 and 0.40), so no polish reaches eps before the cap; at
+        # lam = 0.05 the second step is polished to 1e-16
+        problem, _, _ = make_problem(n=10, p=0.4, seed=14, lam=0.3, k=5000 * 10)
         report = solve_mcp(problem, lm.DcaParams(eps=1e-14, max_outer=2))
         assert report.termination == "max_outer"
         assert len(report.history) == 2
@@ -699,12 +710,18 @@ class TestPolish:
         report = solve_mcp(problem, lm.DcaParams(eps=eps))
         assert report.termination == "converged"
         assert report.stationarity < eps
+        # a work count, not a timing: the first step leaves the warm start at
+        # residual 0.09-0.11 and the second is polished to eps, so these
+        # solves take 2-3 outer steps; polishing only below 1e-2 took 15-18
+        assert len(report.history) <= 4
         assert sum(h["polish_steps"] for h in report.history) > 0
         assert not any(h["polish_refused"] for h in report.history)
-        # the polish runs on every step with eps <= residual < _POLISH_START
+        # the polish runs on every step with eps <= residual below
+        # _POLISH_START on the first step and below _POLISH_HANDOVER after it
         for h in report.history:
             ran = h["polish_steps"] > 0
-            assert ran == (eps <= h["stationarity"] < dca._POLISH_START)
+            start = dca._POLISH_HANDOVER if h["k"] else dca._POLISH_START
+            assert ran == (eps <= h["stationarity"] < start)
         # once the gradient on the kept edges is below 1e-2 eps, another
         # Newton step cannot help: the polish ends, or pushes held edges
         # without a CG call

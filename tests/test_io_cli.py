@@ -498,6 +498,22 @@ class TestCliSolveEval:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: connectivity prior is disconnected")
 
+    @pytest.mark.parametrize("model", ["cgl-l1", "cgl-mcp"])
+    def test_lambda_beyond_pivot_floor_exits_1(self, tmp_path, instance, capsys, model):
+        graph, cov = instance
+        report = tmp_path / "report.json"
+        rc = main(
+            [
+                "solve", "--model", model, "--cov", str(cov), "--connectivity",
+                str(graph), "--lambda", "1e12", "--out", str(report),
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: lambda = 1e+12 is too large")
+        assert "1e-12 pivot floor" in err
+        assert not report.exists()
+
     def test_descent_error_exit_code(self, tmp_path, instance, monkeypatch, capsys):
         graph, cov = instance
 
