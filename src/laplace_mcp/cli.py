@@ -226,9 +226,12 @@ def _cmd_solve(args):
             f"{sum(h['ssn_iterations'] for h in steps)} Newton steps, "
             f"{sum(h['ssn_cg_steps'] for h in steps)} CG steps"
         )
+        polished = [h for h in steps if h["polish_steps"] or h["polish_refused"]]
         print(
             f"polish: {sum(h['polish_steps'] for h in steps)} steps, "
-            f"{sum(h['polish_refused'] for h in steps)} refused"
+            f"{sum(h['polish_refused'] for h in steps)} refused, "
+            f"{sum(h['split_exact'] for h in polished)} of {len(polished)} started on "
+            "the exact split"
         )
     else:
         last = report.history[-1]

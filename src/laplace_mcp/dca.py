@@ -13,7 +13,7 @@ import numpy as np
 
 from .admm import solve_l1  # noqa: F401
 from .newton import _constant_start, _Newton, _projected_newton
-from .penalty import objective_value, stationarity
+from .penalty import objective_value, penalty_curvature, stationarity
 from .report import SolveReport
 from .ssn import (
     CertificateError,
@@ -52,8 +52,9 @@ _WARM_STEPS = 50
 _WARM_DECREMENT = 1e-4
 
 # the projected-Newton polish of an accepted iterate: it runs on a step whose
-# residual is below _POLISH_START, or below _POLISH_HANDOVER on any step after
-# the first, and takes at most _POLISH_STEPS steps
+# residual is below _POLISH_START, or, on any step after the first, below
+# _POLISH_HANDOVER or with the d.c. split exact (see _split_exact), and takes
+# at most _POLISH_STEPS steps
 _POLISH_START = 1e-2
 _POLISH_HANDOVER = 1e-1
 _POLISH_STEPS = 6
@@ -67,8 +68,9 @@ class DcaParams:
     iteration until it reaches ``_SIGMA_MIN`` (1e-4). The l1 warm start and
     the polish have no settings (see :func:`_warm_start` and
     :func:`_polish`): the polish runs on an accepted step whose residual is
-    below ``_POLISH_START`` (1e-2), or below ``_POLISH_HANDOVER`` (1e-1) on
-    any step after the first. The d.c. loop's descent argument does not
+    below ``_POLISH_START`` (1e-2), or, on any step after the first, below
+    ``_POLISH_HANDOVER`` (1e-1) or with no positive weight in MCP's concave
+    zone (:func:`_split_exact`). The d.c. loop's descent argument does not
     depend on how accurate the start is. ``max_outer`` is non-negative. The
     Newton caps are the module constants ``ssn._MAX_NEWTON`` and
     ``ssn._MAX_CG``.
@@ -164,6 +166,18 @@ def _warm_start(problem):
     }
 
 
+def _split_exact(w, problem):
+    """True iff no positive weight of w lies in MCP's concave zone
+    (0, gamma lam), where ``penalty.penalty_curvature`` is nonzero.
+
+    The smooth part h of the split lam|x| - h(x) is affine on the plateau
+    w >= gamma lam, so there the linearization of h is exact on the support
+    and a d.c. subproblem is a proximal-point step on the MCP objective
+    itself. The test is unchanged under (w, lam, gamma) -> (w / c, c lam,
+    gamma / c^2), and always true at lam = 0, where the model is convex."""
+    return not penalty_curvature(w, problem, "cgl-mcp")[w > 0].any()
+
+
 def _polish(w, f, problem, eps):
     """:func:`_projected_newton` on the objective from the accepted iterate w
     of value f, for at most ``_POLISH_STEPS`` steps, stopping once the
@@ -173,9 +187,12 @@ def _polish(w, f, problem, eps):
 
     :func:`solve_mcp` calls it on the first accepted step only below
     residual ``_POLISH_START``, since that step still sits next to the l1
-    warm start and Newton from there can settle on a worse critical point;
-    on every later step it calls it below ``_POLISH_HANDOVER``, where the
-    d.c. loop would otherwise crawl a few percent per step."""
+    warm start and Newton from there can settle on a worse critical point.
+    On every later step it calls it below ``_POLISH_HANDOVER``, where the
+    d.c. loop would otherwise crawl a few percent per step, and wherever the
+    split is exact (:func:`_split_exact`): each d.c. step there is a
+    proximal-point step on the objective, which gains a few percent per
+    step where Newton converges quadratically."""
     return _projected_newton(w, f, problem, "cgl-mcp", eps, None, _POLISH_STEPS)
 
 
@@ -216,10 +233,14 @@ def solve_mcp(problem, params=None, keep_trace=False):
     An accepted step is polished (see :func:`_polish`), which only lowers f,
     where its stationarity residual is at least eps and below 1e-2
     (``_POLISH_START``), or, on any step after the first (k >= 1), below
-    1e-1 (``_POLISH_HANDOVER``). The first step leaves the l1 warm start and
+    1e-1 (``_POLISH_HANDOVER``) or at any residual where the d.c. split is
+    exact: no accepted weight lies in MCP's concave zone (0, gamma lam)
+    (see :func:`_split_exact`). The first step leaves the l1 warm start and
     is polished only close to a critical point; from the second on, the
-    loop hands over to projected Newton once the residual is below 1e-1,
-    and the d.c. steps remain the globalization. The next subproblem is
+    loop hands over to projected Newton once the residual is below 1e-1 or
+    once the linearized part of the penalty is affine on the support, where
+    a d.c. step is a proximal-point step on the objective itself; the d.c.
+    steps remain the globalization. The next subproblem is
     centred at the polished weights, and the prox argument Z carries over
     unchanged. A polish that ends, or refuses, hands
     back to the d.c. loop. The solve ends ``"converged"`` once, and only
@@ -232,7 +253,8 @@ def solve_mcp(problem, params=None, keep_trace=False):
     0), the certificate (``delta_norm``, ``r``, ``bound``), and the
     first-order ``stationarity`` residual of the accepted weights (see
     :func:`laplace_mcp.penalty.stationarity`; it costs one A(.) of the
-    X2^{-1} the rule check already has). Then the polish: ``polish_steps``,
+    X2^{-1} the rule check already has), and ``split_exact``, the split
+    test of those weights. Then the polish: ``polish_steps``,
     ``polish_cg_steps``, ``polish_refused``, and the objective ``polish_f``,
     distance ``polish_dw_norm`` from the step's start and residual
     ``polish_stationarity`` of the polished weights, equal to ``f``,
@@ -269,7 +291,11 @@ def solve_mcp(problem, params=None, keep_trace=False):
                 f"descent violated at outer iteration {k}: "
                 f"f {f_prev:.12e} -> {f_next:.12e}, sigma={sigma:.3e}, |dw|={dw_norm:.3e}"
             )
-        if params.eps <= test.stationarity < (_POLISH_HANDOVER if k else _POLISH_START):
+        split_exact = _split_exact(w_next, problem)
+        threshold = _POLISH_HANDOVER if k else _POLISH_START
+        if params.eps <= test.stationarity and (
+            test.stationarity < threshold or (k >= 1 and split_exact)
+        ):
             polish = _polish(w_next, f_next, problem, params.eps)
         else:
             polish = _Newton(w_next, f_next, test.stationarity)
@@ -289,6 +315,7 @@ def solve_mcp(problem, params=None, keep_trace=False):
                 "r": cert.r,
                 "bound": cert.bound,
                 "stationarity": test.stationarity,
+                "split_exact": split_exact,
                 "polish_steps": polish.steps,
                 "polish_cg_steps": polish.cg_steps,
                 "polish_refused": polish.refused,

@@ -4,8 +4,8 @@ negative log-likelihood objective.
 A penalty enters the d.c. loop only through its value and the gradient of the
 smooth convex part h of its split lam|x| - h(x), so other separable non-convex
 penalties can slot in by providing the same two functions; the
-projected-Newton polish also reads the penalty's curvature
-(:func:`penalty_curvature`).
+projected-Newton polish, and the d.c. loop's test for when to hand over to
+it, also read the penalty's curvature (:func:`penalty_curvature`).
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import laplace_mcp as lm
-from laplace_mcp import dca, newton, ssn
+from laplace_mcp import dca, newton, ssn, sweep
 from laplace_mcp import problem as problem_module
 from laplace_mcp.dca import descent_check, solve_mcp
 from laplace_mcp.penalty import dc_smooth_grad_matrix
@@ -24,7 +24,7 @@ from util import (
 WARM_START_KEYS = {"termination", "iterations", "steps", "cg_steps", "decrement", "wall_time_s"}
 HISTORY_KEYS = {
     "k", "f", "f_prev", "sigma", "dw_norm", "ssn_iterations", "ssn_cg_steps",
-    "cert_retries", "delta_norm", "r", "bound", "stationarity", "polish_steps",
+    "cert_retries", "delta_norm", "r", "bound", "stationarity", "split_exact", "polish_steps",
     "polish_cg_steps", "polish_refused", "polish_f", "polish_dw_norm",
     "polish_stationarity",
 }
@@ -707,7 +707,7 @@ class TestPolish:
 
         monkeypatch.setattr(newton, "_pcg", pcg)
         problem, _ = full_prior_problem(12, 0.05, seed)
-        report = solve_mcp(problem, lm.DcaParams(eps=eps))
+        report = solve_mcp(problem, lm.DcaParams(eps=eps), keep_trace=True)
         assert report.termination == "converged"
         assert report.stationarity < eps
         # a work count, not a timing: the first step leaves the warm start at
@@ -716,12 +716,18 @@ class TestPolish:
         assert len(report.history) <= 4
         assert sum(h["polish_steps"] for h in report.history) > 0
         assert not any(h["polish_refused"] for h in report.history)
-        # the polish runs on every step with eps <= residual below
-        # _POLISH_START on the first step and below _POLISH_HANDOVER after it
-        for h in report.history:
+        # the polish runs on every step with eps <= residual and either a
+        # residual below _POLISH_START on the first step and below
+        # _POLISH_HANDOVER after it, or, after the first, an exact split: no
+        # accepted weight in the concave zone (0, gamma lam)
+        gamma_lam = problem.params.gamma * problem.params.lam
+        for h, step in zip(report.history, report.trace):
+            w_next = step.w_next
+            assert h["split_exact"] == (not ((0 < w_next) & (w_next < gamma_lam)).any())
             ran = h["polish_steps"] > 0
             start = dca._POLISH_HANDOVER if h["k"] else dca._POLISH_START
-            assert ran == (eps <= h["stationarity"] < start)
+            handover = h["stationarity"] < start or (h["k"] >= 1 and h["split_exact"])
+            assert ran == (eps <= h["stationarity"] and handover)
         # once the gradient on the kept edges is below 1e-2 eps, another
         # Newton step cannot help: the polish ends, or pushes held edges
         # without a CG call
@@ -751,6 +757,54 @@ class TestPolish:
         assert report.termination == "converged"
         assert report.stationarity < 1e-6
         assert not any(h["polish_refused"] for h in report.history)
+
+
+class TestSplitHandover:
+    @staticmethod
+    def problem(lam, gamma, c=1.0):
+        base, _, _ = make_problem(n=6, p=0.5, seed=0)
+        return lm.ProblemData(c * base.S, base.prior, lm.PenaltyParams(c * lam, gamma / c**2))
+
+    @pytest.mark.parametrize("c", [1e-3, 0.5, 1.0, 2.0])
+    def test_concave_zone_weight_breaks_the_split(self, c):
+        # under (S, lam, gamma) -> (c S, c lam, gamma / c^2) the weights go
+        # to w / c and the plateau edge gamma lam to gamma lam / c
+        lam, gamma = 0.2, 6.0
+        problem = self.problem(lam, gamma, c)
+        m, gamma_lam = problem.m, gamma * lam
+        plateau = np.where(np.arange(m) % 2, 1.5 * gamma_lam, 0.0)
+        assert dca._split_exact(plateau / c, problem)
+        assert dca._split_exact(np.zeros(m), problem)
+        inside = plateau.copy()
+        inside[0] = 0.5 * gamma_lam
+        assert not dca._split_exact(inside / c, problem)
+        if c == 1.0:
+            # the plateau starts at gamma lam itself
+            inside[0] = gamma_lam
+            assert dca._split_exact(inside, problem)
+
+    def test_always_exact_at_zero_lambda(self):
+        # lam = 0 makes the model convex, and h vanishes
+        problem = self.problem(0.0, 1.5)
+        rng = np.random.default_rng(0)
+        assert dca._split_exact(rng.uniform(1e-12, 1e-6, problem.m), problem)
+
+    @pytest.mark.parametrize("n", [20, 30, 40])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_exact_split_hands_over_early(self, monkeypatch, n, seed):
+        # a work count, not a timing: these solves reach the plateau after a
+        # step or two but stay above residual 1e-1, where the d.c. loop alone
+        # took 3-6 outer steps; the hand-over reaches the same critical point
+        cfg = sweep.SweepConfig(model="cgl-mcp", ensemble="er", n=n, scenario="true")
+        inst = sweep.make_instance(cfg, seed)
+        problem = lm.ProblemData(inst.S, inst.prior, lm.PenaltyParams(0.1, cfg.gamma))
+        report = solve_mcp(problem, lm.DcaParams(eps=cfg.eps))
+        assert report.termination == "converged"
+        assert len(report.history) <= 3
+        monkeypatch.setattr(dca, "_split_exact", lambda w, problem: False)
+        plain = solve_mcp(problem, lm.DcaParams(eps=cfg.eps))
+        assert plain.termination == "converged"
+        assert report.objective == pytest.approx(plain.objective, rel=1e-9, abs=0)
 
 
 class TestDcaParams:

@@ -344,7 +344,12 @@ class TestCliSolveEval:
             assert f"work: {len(steps)} outer steps, {newton} Newton steps, {cg} CG steps" in out
             polish = sum(h["polish_steps"] for h in steps)
             refused = sum(h["polish_refused"] for h in steps)
-            assert f"\npolish: {polish} steps, {refused} refused\n" in out
+            polished = [h for h in steps if h["polish_steps"] or h["polish_refused"]]
+            exact = sum(h["split_exact"] for h in polished)
+            assert (
+                f"\npolish: {polish} steps, {refused} refused, {exact} of {len(polished)} "
+                "started on the exact split\n"
+            ) in out
             assert polish > 0
             assert rep.termination == "converged"
             assert rep.stationarity < rep.config["eps"]
