@@ -13,7 +13,7 @@ solver runs them."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -41,7 +41,7 @@ class AdmmParams:
     """Parameters of :func:`solve_l1`: the relative KKT tolerance ``eps``
     and the cap ``max_iter`` (at least 1) on its projected-Newton steps."""
 
-    eps: float = 1e-5
+    eps: float = 1e-6
     max_iter: int = 20000
 
     def __post_init__(self):
@@ -232,8 +232,7 @@ def solve_l1(problem, params=None):
     config = {
         "model": "cgl-l1",
         "lam": problem.params.lam,
-        "eps": params.eps,
-        "max_iter": params.max_iter,
+        **asdict(params),
         "prior_tag": problem.prior_tag,
     }
     return SolveReport(

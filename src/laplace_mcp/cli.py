@@ -8,6 +8,7 @@ unconverged (an iteration cap, a failed line search or no certified step),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -45,7 +46,33 @@ def _parse_lambda_grid(spec):
     return list(np.logspace(np.log10(lo), np.log10(hi), count))
 
 
+def _seed_range(count):
+    """The seeds 0..count-1 of a ``--seeds`` count."""
+    return list(range(int(count)))
+
+
+def _add_graph_options(parser, defaults, required):
+    """The truth-graph options that gen and sweep share. Each sets the
+    :class:`SweepConfig` field named by its dest, or for ``--weights`` the
+    weight range, and defaults to that field's value in ``defaults``; with
+    ``required``, ``--ensemble`` and ``--nodes`` must be given."""
+    parser.add_argument(
+        "--ensemble", choices=["er", "grid", "modular"], required=required,
+        default=defaults.ensemble,
+    )
+    parser.add_argument("--nodes", dest="n", type=int, required=required, default=defaults.n)
+    parser.add_argument("--prob", type=float, default=defaults.prob, help="edge probability (er)")
+    parser.add_argument("--p1", type=float, default=defaults.p1, help="cross-module probability")
+    parser.add_argument("--p2", type=float, default=defaults.p2, help="within-module probability")
+    parser.add_argument("--modules", type=int, default=defaults.modules)
+    parser.add_argument(
+        "--weights", type=float, nargs=2, metavar=("LO", "HI"),
+        default=(defaults.weight_lo, defaults.weight_hi),
+    )
+
+
 def _build_parser():
+    defaults = SweepConfig()
     parser = argparse.ArgumentParser(
         prog="laplace-mcp",
         description="Learn sparse combinatorial graph Laplacians from covariance data.",
@@ -53,14 +80,8 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a synthetic weighted graph (and covariance)")
-    gen.add_argument("--ensemble", choices=["er", "grid", "modular"], required=True)
-    gen.add_argument("--nodes", type=int, required=True)
-    gen.add_argument("--prob", type=float, default=0.1, help="edge probability (er)")
-    gen.add_argument("--p1", type=float, default=0.005, help="cross-module probability")
-    gen.add_argument("--p2", type=float, default=0.25, help="within-module probability")
-    gen.add_argument("--modules", type=int, default=4)
+    _add_graph_options(gen, defaults, required=True)
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--weights", type=float, nargs=2, default=(0.1, 3.0), metavar=("LO", "HI"))
     gen.add_argument("--out", required=True, help="graph JSON output path")
     gen.add_argument("--cov", help="also write a covariance Matrix Market file")
     gen.add_argument(
@@ -85,70 +106,73 @@ def _build_parser():
         help="'full' or a graph JSON file with the candidate edges",
     )
     solve.add_argument("--lambda", dest="lam", type=float, required=True)
-    solve.add_argument("--gamma", type=float, default=1.5)
-    solve.add_argument("--eps", type=float, default=1e-6)
-    solve.add_argument("--max-outer", type=int, default=500)
+    solve.add_argument("--gamma", type=float, default=defaults.gamma)
+    solve.add_argument("--eps", type=float)
+    solve.add_argument(
+        "--max-outer",
+        type=int,
+        help="cap on the outer d.c. steps of a cgl-mcp solve; cgl-l1 rejects it",
+    )
     solve.add_argument(
         "--max-iter",
         type=int,
-        help="cap on the projected-Newton steps of a cgl-l1 solve (default 20000); "
-        "cgl-mcp rejects it",
+        help="cap on the projected-Newton steps of a cgl-l1 solve; cgl-mcp rejects it",
     )
     solve.add_argument("--out", help="report JSON output path")
 
     sweep = sub.add_parser("sweep", help="lambda/seed benchmark sweep on synthetic graphs")
-    sweep.add_argument("--model", choices=["cgl-mcp", "cgl-l1"], default="cgl-mcp")
-    sweep.add_argument("--ensemble", choices=["er", "grid", "modular"], default="er")
-    sweep.add_argument("--nodes", type=int, default=100)
-    sweep.add_argument("--prob", type=float, default=0.1)
-    sweep.add_argument("--p1", type=float, default=0.005)
-    sweep.add_argument("--p2", type=float, default=0.25)
-    sweep.add_argument("--modules", type=int, default=4)
-    sweep.add_argument("--truth", help="fixed truth graph JSON instead of an ensemble")
+    sweep.add_argument("--model", choices=["cgl-mcp", "cgl-l1"], default=defaults.model)
+    _add_graph_options(sweep, defaults, required=False)
     sweep.add_argument(
-        "--scenario", choices=["true", "coarse", "full", "drop"], default="true"
+        "--truth", dest="truth_file", help="fixed truth graph JSON instead of an ensemble"
     )
-    sweep.add_argument("--coarse-factor", type=float, default=1.5)
-    sweep.add_argument("--drop-percent", type=float, default=10.0)
-    sweep.add_argument("--lambdas", default="1e-4:1:10", help="log grid lo:hi:count")
-    sweep.add_argument("--seeds", type=int, default=5, help="number of seeds (0..N-1)")
-    sweep.add_argument("--samples-per-node", type=int, default=5000)
-    sweep.add_argument("--exact-cov", action="store_true")
-    sweep.add_argument("--gamma", type=float, default=1.5)
-    sweep.add_argument("--eps", type=float, default=1e-6)
-    sweep.add_argument("--weights", type=float, nargs=2, default=(0.1, 3.0))
+    sweep.add_argument(
+        "--scenario", choices=["true", "coarse", "full", "drop"], default=defaults.scenario
+    )
+    sweep.add_argument("--coarse-factor", type=float, default=defaults.coarse_factor)
+    sweep.add_argument("--drop-percent", type=float, default=defaults.drop_percent)
+    sweep.add_argument("--lambdas", help="log grid lo:hi:count")
+    sweep.add_argument(
+        "--seeds", type=_seed_range, default=defaults.seeds, help="number of seeds (0..N-1)"
+    )
+    sweep.add_argument("--samples-per-node", type=int, default=defaults.samples_per_node)
+    sweep.add_argument("--exact-cov", action="store_true", default=defaults.exact_cov)
+    sweep.add_argument("--gamma", type=float, default=defaults.gamma)
+    sweep.add_argument("--eps", type=float, default=defaults.eps)
     sweep.add_argument(
         "--threads",
         type=int,
-        default=1,
-        help="(lambda, seed) cells solved at once, at least 1; default 1: more "
-        "threads compete with a multithreaded BLAS, and pay with one BLAS thread "
-        "(OPENBLAS_NUM_THREADS=1)",
+        default=defaults.threads,
+        help="(lambda, seed) cells solved at once, at least 1; more threads compete "
+        "with a multithreaded BLAS, and pay with one BLAS thread (OPENBLAS_NUM_THREADS=1)",
     )
     sweep.add_argument("--out", required=True, help="CSV output path")
 
     ev = sub.add_parser("eval", help="score a report against a truth graph")
     ev.add_argument("--report", required=True)
     ev.add_argument("--truth", required=True)
-    ev.add_argument("--threshold-rel", type=float, default=1e-4)
+    ev.add_argument("--threshold-rel", type=float, default=defaults.threshold_rel)
     ev.add_argument("--out", help="metrics JSON output path (default: stdout)")
     return parser
+
+
+def _sweep_config(args):
+    """The :class:`SweepConfig` of parsed gen or sweep options: each option
+    sets the field named by its dest, ``--weights`` the weight range and
+    ``--lambdas``, where given, the grid it spells; the other fields keep
+    their defaults."""
+    names = {f.name for f in dataclasses.fields(SweepConfig)}
+    given = {k: v for k, v in vars(args).items() if k in names and v is not None}
+    if "lambdas" in given:
+        given["lambdas"] = _parse_lambda_grid(given["lambdas"])
+    given["weight_lo"], given["weight_hi"] = args.weights
+    return SweepConfig(**given)
 
 
 def _cmd_gen(args):
     if args.samples is not None and args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
-    cfg = SweepConfig(
-        ensemble=args.ensemble,
-        n=args.nodes,
-        prob=args.prob,
-        p1=args.p1,
-        p2=args.p2,
-        modules=args.modules,
-        weight_lo=args.weights[0],
-        weight_hi=args.weights[1],
-    )
-    g = truth_graph(cfg, args.seed)
+    g = truth_graph(_sweep_config(args), args.seed)
     io.save_graph(args.out, g)
     print(f"wrote {args.out}: n={g.n}, edges={g.m}")
     if args.cov:
@@ -181,6 +205,11 @@ def _cmd_solve(args):
             "--max-iter must be left unset for --model cgl-mcp: it caps the "
             "projected Newton steps of a cgl-l1 solve"
         )
+    if args.model == "cgl-l1" and args.max_outer is not None:
+        raise ValueError(
+            "--max-outer must be left unset for --model cgl-l1: it caps the "
+            "outer d.c. steps of a cgl-mcp solve"
+        )
     if args.cov:
         S = io.read_covariance(args.cov)
     else:
@@ -189,14 +218,16 @@ def _cmd_solve(args):
     prior = _resolve_prior(args.connectivity, n)
     if args.model == "cgl-l1" and args.lam <= 0:
         raise ValueError("the cgl-l1 model requires lambda > 0")
-    if args.lam < 0:
-        raise ValueError("lambda must be non-negative")
     problem = ProblemData(S, prior, PenaltyParams(args.lam, args.gamma))
+    # an option left unset keeps the parameter class's default
+    given = {
+        k: v for k, v in vars(args).items()
+        if k in ("eps", "max_outer", "max_iter") and v is not None
+    }
     if args.model == "cgl-mcp":
-        report = solve_mcp(problem, DcaParams(eps=args.eps, max_outer=args.max_outer))
+        report = solve_mcp(problem, DcaParams(**given))
     else:
-        max_iter = AdmmParams.max_iter if args.max_iter is None else args.max_iter
-        report = solve_l1(problem, AdmmParams(eps=args.eps, max_iter=max_iter))
+        report = solve_l1(problem, AdmmParams(**given))
     report.config.update(
         {
             "cov": args.cov,
@@ -242,28 +273,7 @@ def _cmd_solve(args):
 
 
 def _cmd_sweep(args):
-    cfg = SweepConfig(
-        model=args.model,
-        ensemble=args.ensemble,
-        n=args.nodes,
-        prob=args.prob,
-        p1=args.p1,
-        p2=args.p2,
-        modules=args.modules,
-        truth_file=args.truth,
-        scenario=args.scenario,
-        coarse_factor=args.coarse_factor,
-        drop_percent=args.drop_percent,
-        lambdas=_parse_lambda_grid(args.lambdas),
-        seeds=list(range(args.seeds)),
-        samples_per_node=args.samples_per_node,
-        exact_cov=args.exact_cov,
-        gamma=args.gamma,
-        eps=args.eps,
-        weight_lo=args.weights[0],
-        weight_hi=args.weights[1],
-        threads=args.threads,
-    )
+    cfg = _sweep_config(args)
     records, averages = run_sweep(cfg)
     io.write_sweep_csv(args.out, [r.row() for r in records])
     stem = args.out[:-4] if args.out.endswith(".csv") else args.out

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -196,17 +196,7 @@ def _polish(w, f, problem, eps):
     return _projected_newton(w, f, problem, "cgl-mcp", eps, None, _POLISH_STEPS)
 
 
-@dataclass
-class _TraceStep:
-    """Per-iteration arrays kept for certificate auditing (never serialized)."""
-
-    w_prev: np.ndarray
-    w_next: np.ndarray
-    E: np.ndarray
-    sigma: float
-
-
-def solve_mcp(problem, params=None, keep_trace=False):
+def solve_mcp(problem, params=None):
     """Solve the MCP-penalized Laplacian model by the inexact proximal d.c. loop.
 
     Step 0 warm-starts from the l1 model by projected Newton from the best
@@ -261,7 +251,10 @@ def solve_mcp(problem, params=None, keep_trace=False):
     ``dw_norm`` and ``stationarity`` where no polish step was taken. The
     report's ``objective`` and ``stationarity`` are those of its final
     weights. ``warm_start`` is the dict of :func:`_warm_start`; its
-    ``iterations``, the ADMM count, is always 0.
+    ``iterations``, the ADMM count, is always 0. The report keeps no
+    per-step arrays: each accepted step is the one :func:`ssn_solve` run of
+    its outer step that returns a certificate, so an audit of the
+    certificates records (w_k, w_hat, E, sigma) from those runs.
     A disconnected prior or a degenerate covariance raises ValueError before
     the warm start (see :meth:`ProblemData.check_solvable`), and so does a
     lam so large that the warm start's constant weights already have
@@ -275,7 +268,6 @@ def solve_mcp(problem, params=None, keep_trace=False):
     sigma = _SIGMA0
     Z = None
     history = []
-    trace = [] if keep_trace else None
     termination = "max_outer"
     for k in range(params.max_outer):
         ctx = SubproblemContext(problem, sigma, w)
@@ -324,8 +316,6 @@ def solve_mcp(problem, params=None, keep_trace=False):
                 "polish_stationarity": polish.residual,
             }
         )
-        if keep_trace:
-            trace.append(_TraceStep(w.copy(), w_next.copy(), res.E.copy(), sigma))
         w = polish.w
         f_prev = polish.f
         Z = ctx.cost_matrix + res.Y
@@ -337,8 +327,7 @@ def solve_mcp(problem, params=None, keep_trace=False):
         "model": "cgl-mcp",
         "lam": problem.params.lam,
         "gamma": problem.params.gamma,
-        "eps": params.eps,
-        "max_outer": params.max_outer,
+        **asdict(params),
         "prior_tag": problem.prior_tag,
     }
     return SolveReport(
@@ -357,5 +346,4 @@ def solve_mcp(problem, params=None, keep_trace=False):
             else stationarity(w, problem, "cgl-mcp")
         ),
         warm_start=warm,
-        trace=trace,
     )

@@ -233,13 +233,17 @@ def sample_weights(graph, lo, hi, seed):
     return graph.with_weights(rng.uniform(lo, hi, graph.m))
 
 
-def generate_connected(factory, seed, max_tries=64):
-    """Call ``factory(seed_t)`` over derived seeds until a connected graph appears."""
-    for t in range(max_tries):
+_CONNECT_TRIES = 64
+
+
+def generate_connected(factory, seed):
+    """Call ``factory(seed_t)`` over derived seeds until a connected graph
+    appears, for at most ``_CONNECT_TRIES`` draws."""
+    for t in range(_CONNECT_TRIES):
         g = factory(seed + t * 1_000_003)
         if is_connected(g):
             return g
-    raise GraphError(f"no connected graph after {max_tries} attempts")
+    raise GraphError(f"no connected graph after {_CONNECT_TRIES} attempts")
 
 
 def is_connected(graph):

@@ -41,6 +41,9 @@ def sym_eig(X):
     return U, lam
 
 
+_CACHE_RTOL = 1e-12
+
+
 @dataclass(frozen=True)
 class EigCache:
     """Eigenvectors ``U`` of a prox base point plus derived quantities.
@@ -56,12 +59,14 @@ class EigCache:
     gamma: np.ndarray
     base: np.ndarray
 
-    def matches(self, X, rtol=1e-12):
+    def matches(self, X):
+        """True iff X has the base point's shape and equals it entrywise to
+        ``_CACHE_RTOL`` relative to max(1, max |base|)."""
         X = np.asarray(X, dtype=float)
         if X.shape != self.base.shape:
             return False
         scale = max(1.0, float(np.abs(self.base).max()))
-        return bool(np.abs(X - self.base).max() <= rtol * scale)
+        return bool(np.abs(X - self.base).max() <= _CACHE_RTOL * scale)
 
 
 def prox_logdet(X, sigma):

@@ -19,8 +19,8 @@ class SolveReport:
     ``stationarity`` is the first-order stationarity residual of ``w`` (see
     :func:`laplace_mcp.penalty.stationarity`); ``config`` echoes the fully
     resolved run configuration so the run can be reproduced from the report
-    alone. ``trace`` carries in-memory arrays for certificate auditing and is
-    not serialized.
+    alone. Every field is serialized: :meth:`to_dict` has one key per field,
+    and :meth:`from_dict` restores each of them.
     """
 
     model: str
@@ -34,7 +34,6 @@ class SolveReport:
     config: dict = field(default_factory=dict)
     warm_start: dict | None = None
     stationarity: float | None = None
-    trace: list | None = None
 
     @property
     def converged(self):

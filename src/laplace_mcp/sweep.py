@@ -143,14 +143,14 @@ def make_instance(cfg, seed):
     return _Instance(truth, L, S, prior)
 
 
-def solve_cell(cfg, inst, seed, lam, keep_trace=False):
+def solve_cell(cfg, inst, seed, lam):
     """Solve the (lam, seed) cell of ``cfg`` on ``inst``, the instance of
     ``seed``, from its own constant weights, and return (record, problem,
-    report). ``keep_trace`` is passed to ``solve_mcp``."""
+    report). The solver gets ``cfg.eps`` and its other parameters' defaults."""
     t0 = time.perf_counter()
     problem = ProblemData(inst.S, inst.prior, PenaltyParams(lam, cfg.gamma))
     if cfg.model == "cgl-mcp":
-        report = solve_mcp(problem, DcaParams(eps=cfg.eps), keep_trace=keep_trace)
+        report = solve_mcp(problem, DcaParams(eps=cfg.eps))
     elif cfg.model == "cgl-l1":
         report = solve_l1(problem, AdmmParams(eps=cfg.eps))
     else:

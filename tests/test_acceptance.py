@@ -24,6 +24,7 @@ from laplace_mcp.ssn import (
 from laplace_mcp.sweep import SweepConfig, make_instance, solve_cell
 
 from util import (
+    certified_steps,
     edge_gram_matrix,
     incidence_matrix,
     random_connected_graph,
@@ -47,10 +48,12 @@ def _report(num, desc, ok, detail=""):
     assert ok, line
 
 
-def _audit_run(problem, report):
-    """Recompute the certificate chain for every accepted step, then free the trace."""
+def _audit_run(problem, report, steps):
+    """Recompute the certificate chain for every accepted step of ``report``,
+    from the :class:`util.CertifiedStep` list that recorded its solve."""
+    assert len(steps) == len(report.history)
     audits = []
-    for step in report.trace:
+    for step in steps:
         ctx = SubproblemContext(problem, step.sigma, step.w_prev)
         try:
             cert = subproblem_error_vector(step.w_next, step.E, ctx)
@@ -66,7 +69,6 @@ def _audit_run(problem, report):
             audits.append(
                 {"r": exc.r, "delta": float("nan"), "bound": float("nan"), "ok": False}
             )
-    report.trace = None
     return audits
 
 
@@ -75,7 +77,8 @@ def _fig1_cells(cfg, seed):
     cells = []
     inst = make_instance(cfg, seed)
     for lam in cfg.lambdas:
-        record, problem, report = solve_cell(cfg, inst, seed, lam, keep_trace=True)
+        with certified_steps() as steps:
+            record, problem, report = solve_cell(cfg, inst, seed, lam)
         cells.append(
             {
                 "lam": record.lam,
@@ -83,7 +86,7 @@ def _fig1_cells(cfg, seed):
                 "f1": record.f1,
                 "err": record.recovery_error,
                 "history": report.history,
-                "audits": _audit_run(problem, report),
+                "audits": _audit_run(problem, report, steps),
                 "converged": report.converged,
             }
         )
@@ -95,9 +98,10 @@ def _table2_run(seed):
     truth, L = inst.truth, inst.L_true
     problem = lm.ProblemData(inst.S, inst.prior, lm.PenaltyParams(0.005, 1.5))
     t0 = time.perf_counter()
-    report = solve_mcp(problem, lm.DcaParams(eps=1e-6), keep_trace=True)
+    with certified_steps() as steps:
+        report = solve_mcp(problem, lm.DcaParams(eps=1e-6))
     solve_time = time.perf_counter() - t0
-    audits = _audit_run(problem, report)
+    audits = _audit_run(problem, report, steps)
     est_default = lm.detected_edges(report.w, problem.prior.edges)
     est_repro = lm.detected_edges(report.w, problem.prior.edges, TABLE2_DETECT_REL)
     return {
@@ -124,10 +128,11 @@ def runs():
     L = truth.laplacian()
     S = lm.sample_covariance(L, 5000 * 20, 6)
     problem = lm.ProblemData(S, lm.true_prior(truth), lm.PenaltyParams(0.05, 1.5))
-    rep = solve_mcp(problem, lm.DcaParams(eps=1e-6), keep_trace=True)
+    with certified_steps() as steps:
+        rep = solve_mcp(problem, lm.DcaParams(eps=1e-6))
     data["er20"] = {
         "history": rep.history,
-        "audits": _audit_run(problem, rep),
+        "audits": _audit_run(problem, rep, steps),
         "f1": lm.f1_score(
             lm.detected_edges(rep.w, problem.prior.edges), truth.edges
         ),
@@ -139,12 +144,13 @@ def runs():
         lm.population_covariance(g2.laplacian()), lm.true_prior(g2),
         lm.PenaltyParams(0.1, 1.5),
     )
-    rep2 = solve_mcp(prob2, lm.DcaParams(eps=1e-12), keep_trace=True)
+    with certified_steps() as steps:
+        rep2 = solve_mcp(prob2, lm.DcaParams(eps=1e-12))
     data["scalar"] = {
         "w": float(rep2.w[0]),
         "problem": prob2,
         "history": rep2.history,
-        "audits": _audit_run(prob2, rep2),
+        "audits": _audit_run(prob2, rep2, steps),
     }
 
     t0 = time.perf_counter()

@@ -12,6 +12,7 @@ from laplace_mcp.penalty import dc_smooth_grad_matrix
 from laplace_mcp.ssn import SubproblemContext, check_stop_condition, subproblem_error_vector
 
 from util import (
+    certified_steps,
     incidence_matrix,
     lbfgsb_min,
     make_problem,
@@ -177,8 +178,9 @@ class TestSolveMcp:
 
     def test_feasible_iterates(self):
         problem, _, _ = make_problem(n=8, p=0.5, seed=9, lam=0.1, k=5000 * 8)
-        report = solve_mcp(problem, lm.DcaParams(eps=1e-6), keep_trace=True)
-        for step in report.trace:
+        with certified_steps() as steps:
+            solve_mcp(problem, lm.DcaParams(eps=1e-6))
+        for step in steps:
             assert np.all(step.w_next >= 0.0)
             vals = np.linalg.eigvalsh(problem.astar(step.w_next) + problem.J)
             assert vals[0] > 0.0
@@ -187,9 +189,10 @@ class TestSolveMcp:
         # recompute the error vector for every accepted step and re-verify the
         # acceptance rule and the certificate inequality chain
         problem, _, _ = make_problem(n=12, p=0.35, seed=10, lam=0.05, k=5000 * 12)
-        report = solve_mcp(problem, lm.DcaParams(eps=1e-6), keep_trace=True)
-        assert report.trace
-        for step in report.trace:
+        with certified_steps() as steps:
+            solve_mcp(problem, lm.DcaParams(eps=1e-6))
+        assert steps
+        for step in steps:
             ctx = SubproblemContext(problem, step.sigma, step.w_prev)
             cert = subproblem_error_vector(step.w_next, step.E, ctx)
             assert cert.r < 1.0
@@ -306,12 +309,13 @@ class TestSolveMcp:
         assert back.history == report.history
 
     def test_certified_steps_recomputed(self):
-        # every step's certificate, recomputed from the trace alone, matches
-        # the history and passes the rule with r < 1
+        # every step's certificate, recomputed from the recorded arrays
+        # alone, matches the history and passes the rule with r < 1
         problem, _, _ = make_problem(n=10, p=0.4, seed=6, lam=0.05, k=5000 * 10)
-        report = solve_mcp(problem, lm.DcaParams(eps=1e-6), keep_trace=True)
-        assert len(report.trace) == len(report.history) > 0
-        for h, step in zip(report.history, report.trace):
+        with certified_steps() as steps:
+            report = solve_mcp(problem, lm.DcaParams(eps=1e-6))
+        assert len(steps) == len(report.history) > 0
+        for h, step in zip(report.history, steps):
             ctx = SubproblemContext(problem, step.sigma, step.w_prev)
             cert = subproblem_error_vector(step.w_next, step.E, ctx)
             assert cert.r < 1.0
@@ -364,12 +368,13 @@ class TestSolveMcp:
 
     def test_stationarity_recorded(self):
         problem, _, _ = make_problem(n=10, p=0.4, seed=6, lam=0.05, k=5000 * 10)
-        report = solve_mcp(problem, lm.DcaParams(eps=1e-6), keep_trace=True)
+        with certified_steps() as steps:
+            report = solve_mcp(problem, lm.DcaParams(eps=1e-6))
         # each step's subproblem is centred at the polished weights of the
         # step before; the last step's polished weights are the output
-        polished = [step.w_prev for step in report.trace[1:]] + [report.w]
+        polished = [step.w_prev for step in steps[1:]] + [report.w]
         assert any(h["polish_steps"] > 0 for h in report.history)
-        for h, step, w_polish in zip(report.history, report.trace, polished):
+        for h, step, w_polish in zip(report.history, steps, polished):
             want = stationarity_oracle(step.w_next, problem, "cgl-mcp")
             assert h["stationarity"] == pytest.approx(want, rel=1e-8)
             want = stationarity_oracle(w_polish, problem, "cgl-mcp")
@@ -707,7 +712,8 @@ class TestPolish:
 
         monkeypatch.setattr(newton, "_pcg", pcg)
         problem, _ = full_prior_problem(12, 0.05, seed)
-        report = solve_mcp(problem, lm.DcaParams(eps=eps), keep_trace=True)
+        with certified_steps() as steps:
+            report = solve_mcp(problem, lm.DcaParams(eps=eps))
         assert report.termination == "converged"
         assert report.stationarity < eps
         # a work count, not a timing: the first step leaves the warm start at
@@ -721,7 +727,7 @@ class TestPolish:
         # _POLISH_HANDOVER after it, or, after the first, an exact split: no
         # accepted weight in the concave zone (0, gamma lam)
         gamma_lam = problem.params.gamma * problem.params.lam
-        for h, step in zip(report.history, report.trace):
+        for h, step in zip(report.history, steps):
             w_next = step.w_next
             assert h["split_exact"] == (not ((0 < w_next) & (w_next < gamma_lam)).any())
             ran = h["polish_steps"] > 0

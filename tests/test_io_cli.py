@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import re
@@ -7,9 +8,10 @@ import numpy as np
 import pytest
 
 import laplace_mcp as lm
-from laplace_mcp import dca
+from laplace_mcp import cli, dca
 from laplace_mcp import io as lio
 from laplace_mcp.cli import main
+from laplace_mcp.sweep import SweepConfig
 
 from util import make_problem, random_connected_graph
 
@@ -158,6 +160,21 @@ class TestReportJson:
         lio.save_report(path, l1)
         config = lio.load_report(path).config
         assert config == l1.config
+
+    @pytest.mark.parametrize("model", ["cgl-l1", "cgl-mcp"])
+    def test_every_field_round_trips(self, model):
+        # the JSON has one key per field and restores each field exactly
+        problem, _, _ = make_problem(n=8, p=0.5, seed=12, lam=0.05, k=5000 * 8)
+        report = (lm.solve_l1 if model == "cgl-l1" else lm.solve_mcp)(problem)
+        fields = [f.name for f in dataclasses.fields(lm.SolveReport)]
+        assert set(fields) == set(report.to_dict())
+        back = lm.SolveReport.from_dict(json.loads(json.dumps(report.to_dict())))
+        for name in fields:
+            want, got = getattr(report, name), getattr(back, name)
+            if isinstance(want, np.ndarray):
+                assert np.array_equal(got, want), name
+            else:
+                assert got == want, name
 
     @pytest.mark.parametrize("model", ["cgl-l1", "cgl-mcp"])
     def test_config_echo(self, model):
@@ -472,6 +489,56 @@ class TestCliSolveEval:
         assert "projected Newton" in err
         assert not report.exists()
 
+    def test_max_outer_rejected_for_l1(self, tmp_path, instance, capsys):
+        # --max-outer caps the d.c. loop alone, so with cgl-l1 it is a usage
+        # error, not ignored
+        graph, cov = instance
+        report = tmp_path / "r.json"
+        rc = main(
+            [
+                "solve", "--model", "cgl-l1", "--cov", str(cov),
+                "--connectivity", str(graph), "--lambda", "0.05",
+                "--max-outer", "5", "--out", str(report),
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error: --max-outer must be left unset for --model cgl-l1" in err
+        assert "outer d.c. steps" in err
+        assert not report.exists()
+
+    @pytest.mark.parametrize("model", ["cgl-mcp", "cgl-l1"])
+    def test_unset_options_keep_parameter_defaults(self, instance, monkeypatch, model):
+        graph, cov = instance
+        name = "solve_mcp" if model == "cgl-mcp" else "solve_l1"
+        real = getattr(cli, name)
+        seen = []
+
+        def spy(problem, params=None):
+            seen.append(params)
+            return real(problem, params)
+
+        monkeypatch.setattr(cli, name, spy)
+        rc = main(
+            [
+                "solve", "--model", model, "--cov", str(cov),
+                "--connectivity", str(graph), "--lambda", "0.05",
+            ]
+        )
+        assert rc == 0
+        assert seen == [lm.DcaParams() if model == "cgl-mcp" else lm.AdmmParams()]
+
+    def test_negative_lambda_rejected(self, instance, capsys):
+        graph, cov = instance
+        rc = main(
+            [
+                "solve", "--model", "cgl-mcp", "--cov", str(cov),
+                "--connectivity", str(graph), "--lambda", "-0.1",
+            ]
+        )
+        assert rc == 1
+        assert "lam must be finite and non-negative" in capsys.readouterr().err
+
     def test_degenerate_data_rejected(self, tmp_path, capsys):
         X = np.random.default_rng(0).standard_normal((400, 6))
         X[:, 5] = X[:, 4]
@@ -637,6 +704,40 @@ class TestCliSweep:
         assert rc == 1
         assert f"threads must be at least 1, got {threads}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+class TestCliDefaults:
+    """Each CLI default is the parameter class's own."""
+
+    def test_sweep_defaults_are_sweep_config(self):
+        args = cli._build_parser().parse_args(["sweep", "--out", "x"])
+        assert cli._sweep_config(args) == SweepConfig()
+
+    def test_gen_takes_graph_options_from_sweep_config(self):
+        args = cli._build_parser().parse_args(
+            ["gen", "--ensemble", "er", "--nodes", "10", "--out", "x"]
+        )
+        assert cli._sweep_config(args) == dataclasses.replace(SweepConfig(), ensemble="er", n=10)
+
+    def test_no_default_literal_repeats_a_parameter_class(self):
+        # a literal default= in cli.py would be a second definition of a
+        # value that a parameter dataclass already defines
+        defined = {
+            (type(f.default), f.default)
+            for cls in (SweepConfig, lm.DcaParams, lm.AdmmParams)
+            for f in dataclasses.fields(cls)
+            if f.default is not dataclasses.MISSING
+        }
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        literals = [
+            c.value
+            for node in ast.walk(tree) if isinstance(node, ast.Call)
+            for kw in node.keywords if kw.arg == "default"
+            for c in (kw.value.elts if isinstance(kw.value, ast.Tuple) else [kw.value])
+            if isinstance(c, ast.Constant)
+        ]
+        assert literals
+        assert not [v for v in literals if (type(v), v) in defined]
 
 
 class TestLambdaGrid:

@@ -93,9 +93,8 @@ class TestLambdaChain:
         assert [(n, lam) for n, lam, _, _ in calls] == [(name, lam) for lam in cfg.lambdas]
         # no cell gets a start: each begins from its own constant weights
         params = lm.DcaParams if cfg.model == "cgl-mcp" else lm.AdmmParams
-        kwargs = {"keep_trace": False} if cfg.model == "cgl-mcp" else {}
         for _, _, a, kw in calls:
-            assert [type(x) for x in a] == [params] and kw == kwargs
+            assert [type(x) for x in a] == [params] and kw == {}
 
     def test_solve_cell_returns_run_sweep_records(self, swept):
         cfg, records, _ = swept

@@ -1,15 +1,55 @@
 """Shared fixtures-in-plain-functions for the test suite, and value oracles
 that only the tests evaluate (the solvers never need these values)."""
 
+import contextlib
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import minimize
 
 import laplace_mcp as lm
+from laplace_mcp import dca
 from laplace_mcp.penalty import mcp_value
 from laplace_mcp.ssn import Certificate, SubproblemContext
+
+
+@dataclass
+class CertifiedStep:
+    """Arrays of one certified Newton run of ``dca.solve_mcp``: the
+    subproblem's centre ``w_prev`` and sigma, the accepted weights
+    ``w_next`` and their error matrix ``E``."""
+
+    w_prev: np.ndarray
+    w_next: np.ndarray
+    E: np.ndarray
+    sigma: float
+
+
+@contextlib.contextmanager
+def certified_steps():
+    """Wrap ``dca.ssn_solve`` and yield the list of a :class:`CertifiedStep`
+    for each run that returns a certificate, in call order. ``solve_mcp``
+    makes one run per outer step and accepts exactly the runs with a
+    certificate, so the list holds the accepted steps of every solve made
+    inside the block, in the order of their history entries."""
+    steps = []
+    real = dca.ssn_solve
+
+    def recording(ctx, Y0, accept):
+        res = real(ctx, Y0, accept)
+        if res.certificate is not None:
+            steps.append(
+                CertifiedStep(ctx.w_ref.copy(), res.w_hat.copy(), res.E.copy(), ctx.sigma)
+            )
+        return res
+
+    dca.ssn_solve = recording
+    try:
+        yield steps
+    finally:
+        dca.ssn_solve = real
 
 
 def moreau_logdet_value(X, sigma):
