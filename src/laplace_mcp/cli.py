@@ -1,8 +1,9 @@
 """Command-line surface: gen, solve, sweep, and eval subcommands.
 
-Exit codes: 0 success, 1 usage, input or IO error, 2 the solve ended
-unconverged (an iteration cap, a failed line search or no certified step),
-3 solver invariant violated (the quantified descent check failed).
+Exit codes: 0 success, 1 usage (argparse's own usage errors included),
+input or IO error, 2 the solve ended unconverged (an iteration cap, a failed
+line search or no certified step), 3 solver invariant violated (the
+quantified descent check failed).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .graphs import (
     sample_covariance,
 )
 from .metrics import detected_edges, f1_score, recovery_error
-from .penalty import PenaltyParams
+from .penalty import _MODELS, PenaltyParams
 from .problem import ProblemData
 from .sweep import SweepConfig, run_sweep, truth_graph
 
@@ -71,9 +72,17 @@ def _add_graph_options(parser, defaults, required):
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser with usage errors exiting 1, not argparse's 2, which
+    here means an unconverged solve; the subcommand parsers share the class."""
+
+    def error(self, message):
+        self.exit(1, f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+
 def _build_parser():
     defaults = SweepConfig()
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="laplace-mcp",
         description="Learn sparse combinatorial graph Laplacians from covariance data.",
     )
@@ -92,7 +101,7 @@ def _build_parser():
     )
 
     solve = sub.add_parser("solve", help="solve one model instance from files")
-    solve.add_argument("--model", choices=["cgl-mcp", "cgl-l1"], required=True)
+    solve.add_argument("--model", choices=_MODELS, required=True)
     cov_src = solve.add_mutually_exclusive_group(required=True)
     cov_src.add_argument("--cov", help="covariance Matrix Market file")
     cov_src.add_argument(
@@ -121,7 +130,7 @@ def _build_parser():
     solve.add_argument("--out", help="report JSON output path")
 
     sweep = sub.add_parser("sweep", help="lambda/seed benchmark sweep on synthetic graphs")
-    sweep.add_argument("--model", choices=["cgl-mcp", "cgl-l1"], default=defaults.model)
+    sweep.add_argument("--model", choices=_MODELS, default=defaults.model)
     _add_graph_options(sweep, defaults, required=False)
     sweep.add_argument(
         "--truth", dest="truth_file", help="fixed truth graph JSON instead of an ensemble"

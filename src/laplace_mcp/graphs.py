@@ -79,11 +79,6 @@ class EdgeGraph:
         """Number of edges."""
         return self.edges.shape[0]
 
-    def degrees(self):
-        ei, ej = self.edges[:, 0], self.edges[:, 1]
-        ones = np.ones(self.m)
-        return np.bincount(ei, ones, self.n) + np.bincount(ej, ones, self.n)
-
     def support(self, weights):
         """Subgraph of the edges with nonzero ``weights``, weighted by them.
 
@@ -108,9 +103,6 @@ class EdgeGraph:
         if self.weights is None:
             raise GraphError("graph has no weights")
         return weights_to_laplacian(self.weights, self)
-
-    def edge_set(self):
-        return {(int(i), int(j)) for i, j in self.edges}
 
     def __repr__(self):
         w = "weighted" if self.weights is not None else "unweighted"
@@ -185,12 +177,10 @@ def gen_erdos_renyi(n, p, seed):
     return EdgeGraph(n, pairs[mask])
 
 
-def gen_grid(n, seed=None):
-    """Square lattice where nodes connect to their four nearest neighbours.
-
-    ``n`` must be a perfect square; ``seed`` is accepted for interface
-    uniformity with the random ensembles but the structure is deterministic.
-    """
+def gen_grid(n):
+    """Square lattice where nodes connect to their four nearest neighbours;
+    ``n`` must be a perfect square. The structure is deterministic, so unlike
+    the random ensembles it takes no seed."""
     side = int(round(np.sqrt(n)))
     if side * side != n:
         raise GraphError("grid graphs require a perfect-square node count")

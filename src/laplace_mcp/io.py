@@ -22,7 +22,6 @@ __all__ = [
     "save_report",
     "SWEEP_COLUMNS",
     "write_sweep_csv",
-    "read_sweep_csv",
 ]
 
 SWEEP_COLUMNS = ["lambda", "edges", "f1", "recovery_error", "objective", "time_s", "status"]
@@ -139,11 +138,3 @@ def write_sweep_csv(path, rows):
         writer.writeheader()
         for row in rows:
             writer.writerow({k: row[k] for k in SWEEP_COLUMNS})
-
-
-def read_sweep_csv(path):
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != SWEEP_COLUMNS:
-            raise ValueError(f"unexpected sweep columns in {path}: {reader.fieldnames}")
-        return list(reader)

@@ -2,20 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = ["detected_edges", "f1_score", "recovery_error"]
-
-
-@dataclass(frozen=True)
-class _EdgeDecision:
-    """Confusion counts of an estimated edge set against the true one."""
-
-    tp: int
-    fp: int
-    fn: int
 
 
 def detected_edges(w, edges, threshold_rel=1e-4):
@@ -36,26 +25,18 @@ def detected_edges(w, edges, threshold_rel=1e-4):
 
 
 def _as_edge_set(edges):
-    if isinstance(edges, set):
-        return {(int(i), int(j)) for i, j in edges}
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     return {(int(i), int(j)) for i, j in edges}
 
 
-def _edge_decision(est, truth):
-    est_set = _as_edge_set(est)
-    true_set = _as_edge_set(truth)
-    tp = len(est_set & true_set)
-    return _EdgeDecision(tp=tp, fp=len(est_set) - tp, fn=len(true_set) - tp)
-
-
 def f1_score(est, truth):
-    """2 tp / (2 tp + fp + fn); defined as 1 when both edge sets are empty."""
-    d = _edge_decision(est, truth)
-    denom = 2 * d.tp + d.fp + d.fn
+    """2 tp / (2 tp + fp + fn), computed as 2 |est & truth| / (|est| + |truth|),
+    the same integers; defined as 1 when both edge sets are empty."""
+    est, truth = _as_edge_set(est), _as_edge_set(truth)
+    denom = len(est) + len(truth)
     if denom == 0:
         return 1.0
-    return 2.0 * d.tp / denom
+    return 2.0 * len(est & truth) / denom
 
 
 def recovery_error(theta, L_true):

@@ -26,6 +26,16 @@ __all__ = [
 ]
 
 
+# the objectives by name: the MCP model and its l1 (trace) relaxation
+_MODELS = ("cgl-mcp", "cgl-l1")
+
+
+def _check_model(model):
+    """Raise ValueError unless ``model`` names one of ``_MODELS``."""
+    if model not in _MODELS:
+        raise ValueError(f"unknown model {model!r}; expected one of {_MODELS}")
+
+
 @dataclass(frozen=True)
 class PenaltyParams:
     """MCP parameters: penalty level lam >= 0 and concavity gamma > 1.
@@ -88,6 +98,7 @@ def objective_value(w, problem, model="cgl-mcp"):
     nodes with weight 3e-13 has eigenvalues 6e-13 and 1 and last pivot
     squared 1.2e-12, and gets its finite value here.
     """
+    _check_model(model)
     w = np.asarray(w, dtype=float).reshape(-1)
     if w.shape[0] != problem.m:
         raise ValueError(f"expected {problem.m} weights, got {w.shape[0]}")
@@ -113,6 +124,7 @@ def objective_gradient(w, problem, model, X_inv):
     g = -A(X^{-1}) + A(S) + p'(w), X = A* w + J, with ``X_inv`` = X^{-1} and
     p'(w) = 2 (lam - h'(w)) = 2 max(lam - w/gamma, 0) for MCP and 2 lam for
     the l1 trace term."""
+    _check_model(model)
     lam = problem.params.lam
     if model == "cgl-mcp":
         penalty_grad = 2.0 * (lam - dc_smooth_grad(w, problem.params))
@@ -125,6 +137,7 @@ def penalty_curvature(w, problem, model):
     """Second derivative in w of the penalty term of ``model`` ("cgl-mcp" or
     "cgl-l1"), entrywise: -2/gamma on the edges with w_e < gamma lam for MCP,
     whose value counts each edge twice, and 0 for the l1 trace term."""
+    _check_model(model)
     if model == "cgl-mcp":
         gamma = problem.params.gamma
         return (-2.0 / gamma) * (w < gamma * problem.params.lam)

@@ -15,7 +15,7 @@ from .graphs import (
     weights_to_laplacian,
 )
 from .linalg import GramSolver
-from .penalty import PenaltyParams
+from .penalty import PenaltyParams, _check_model
 
 __all__ = ["ProblemData"]
 
@@ -93,6 +93,7 @@ class ProblemData:
         lam = 0; a positive trace term 2 lam sum(w) keeps l1 bounded below.
         The connectivity verdict is computed once per instance.
         """
+        _check_model(model)
         if not self._connected:
             raise ValueError(
                 "connectivity prior is disconnected: the objective is +inf everywhere"

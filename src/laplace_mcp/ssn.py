@@ -3,7 +3,7 @@ recovery, and the checkable inexactness certificate."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,13 +16,10 @@ __all__ = [
     "SsnResult",
     "Certificate",
     "CertificateError",
-    "dual_value",
-    "dual_gradient",
     "dual_jacobian_apply",
     "ssn_solve",
     "recover_primal",
     "subproblem_error_vector",
-    "check_stop_condition",
 ]
 
 
@@ -117,16 +114,6 @@ def _dual_eval(Y, ctx):
     return _DualPoint(value, grad, cache, c, w_hat)
 
 
-def dual_value(Y, ctx):
-    """Concave dual objective of the subproblem at the multiplier Y."""
-    return _dual_eval(np.asarray(Y, dtype=float), ctx).value
-
-
-def dual_gradient(Y, ctx):
-    """Gradient of the dual objective: recovered theta minus A* of recovered w."""
-    return _dual_eval(np.asarray(Y, dtype=float), ctx).grad
-
-
 def dual_jacobian_apply(Y, H, ctx, mask, cache=None):
     """Apply a generalized Jacobian element of the dual gradient to H.
 
@@ -215,27 +202,26 @@ def _newton_direction(point, ctx, mask, gnorm, excess):
     ||delta|| over the bound of the inexactness rule at the point (+inf when
     the rule was not what failed). delta is linear in E = -g to first order,
     so a residual below _RULE_MARGIN/excess of ||g|| moves delta by less than
-    the rule can see.
+    the rule can see. As excess is above 1 or +inf, the target lies below
+    gnorm whenever gnorm > 0, so CG's zero start never already meets it.
     """
     target = min(
         _ETA_BAR, max(gnorm ** (1.0 + _FORCING_TAU), _RULE_MARGIN * gnorm / excess)
     )
-    g = point.grad
-    if gnorm <= target:
-        return g.copy(), 0
     active = ctx.problem.prior.support(mask)
     T = _newton_operator(point.cache, active, ctx.sigma, _CG_RIDGE)
     diag = _jacobi_diagonal(point.cache, active, ctx.sigma, _CG_RIDGE)
-    return _pcg(T, g, diag, target, _MAX_CG)
+    return _pcg(T, point.grad, diag, target, _MAX_CG)
 
 
 @dataclass
 class SsnResult:
     """Final multiplier Y, residual matrix E = -grad, the recovered weights
     ``w_hat`` = project_nonneg(w_ref + A(Y)/sigma) (the ``w`` of
-    :func:`recover_primal` at Y), and run diagnostics; ``cg_steps`` totals
-    the CG steps of every Newton direction of the run, one Newton-operator
-    apply each.
+    :func:`recover_primal` at Y), the number of Newton steps taken, and
+    ``cg_steps``, the CG steps of every Newton direction of the run, one
+    Newton-operator apply each. The run keeps no per-step record: ``accept``
+    sees every iterate, so a caller that wants one records it there.
 
     ``status`` says why the run stopped: ``"certified"`` (the ``accept``
     test passed at Y, and ``certificate`` is its result), ``"max_iter"`` or
@@ -246,11 +232,8 @@ class SsnResult:
     E: np.ndarray
     w_hat: np.ndarray
     iterations: int
-    grad_norm: float
     status: str
     cg_steps: int = 0
-    grad_norms: list = field(default_factory=list)
-    values: list = field(default_factory=list)
     certificate: Certificate | None = None
 
     @property
@@ -273,10 +256,12 @@ def ssn_solve(ctx, Y0, accept):
     dual value to resolve (below ``_VALUE_RTOL`` max(1, |value|)), a step is taken
     instead when it lowers the gradient norm.
 
-    ``accept`` is the only stop short of the caps. It is called once at every
-    iterate, the start point and the point at the iteration cap included,
-    with the dual point, whose ``w_hat`` holds the recovered weights and
-    ``grad`` the dual gradient (E = -grad), and returns a pair: a
+    ``accept`` is the only stop short of the caps, and the only view of the
+    run's iterates: the result keeps no per-step values or gradient norms.
+    It is called once at every iterate, the start point and the point at
+    the iteration cap included, with the dual point, whose ``w_hat`` holds
+    the recovered weights and ``grad`` the dual gradient (E = -grad),
+    ``value`` the dual value, and returns a pair: a
     certificate or None, and ``excess``, the factor by which the point
     missed the caller's rule on ||delta|| (+inf when something else failed).
     The first certificate ends the run as ``"certified"``. Otherwise
@@ -288,24 +273,18 @@ def ssn_solve(ctx, Y0, accept):
     n = ctx.problem.n
     Y = np.zeros((n, n)) if Y0 is None else np.array(Y0, dtype=float)
     cur = _dual_eval(Y, ctx)
-    grad_norms = []
-    values = [cur.value]
     cg_steps = 0
 
-    def result(iterations, gnorm, status, certificate=None):
-        return SsnResult(
-            Y, -cur.grad, cur.w_hat, iterations, gnorm, status, cg_steps,
-            grad_norms, values, certificate,
-        )
+    def result(iterations, status, certificate=None):
+        return SsnResult(Y, -cur.grad, cur.w_hat, iterations, status, cg_steps, certificate)
 
     for j in range(_MAX_NEWTON + 1):
-        gnorm = float(np.linalg.norm(cur.grad))
-        grad_norms.append(gnorm)
         cert, excess = accept(cur)
         if cert is not None:
-            return result(j, gnorm, "certified", cert)
+            return result(j, "certified", cert)
         if j == _MAX_NEWTON:
-            return result(j, gnorm, "max_iter")
+            return result(j, "max_iter")
+        gnorm = float(np.linalg.norm(cur.grad))
         mask = clarke_diag(cur.c)
         D, steps = _newton_direction(cur, ctx, mask, gnorm, excess)
         cg_steps += steps
@@ -326,10 +305,9 @@ def ssn_solve(ctx, Y0, accept):
                 break
             step *= _ARMIJO_RHO
         if nxt is None:
-            return result(j, gnorm, "linesearch_failed")
+            return result(j, "linesearch_failed")
         Y = Y + step * D
         cur = nxt
-        values.append(cur.value)
 
 
 def recover_primal(Y, ctx):
@@ -426,9 +404,3 @@ def _rule_bound(w_next, ctx):
         return 1e-12
     datw = float(np.linalg.norm(ctx.problem.astar(dw)))
     return 0.25 * ctx.sigma * dwn + 0.5 * ctx.sigma * datw * datw / dwn
-
-
-def check_stop_condition(delta, w_next, ctx):
-    """Inexactness acceptance rule of the outer loop: true iff ||delta|| is
-    at most :func:`_rule_bound`; boundary equality counts as satisfied."""
-    return float(np.linalg.norm(delta)) <= _rule_bound(w_next, ctx)

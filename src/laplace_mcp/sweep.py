@@ -111,7 +111,7 @@ def truth_graph(cfg, seed):
     if cfg.ensemble == "er":
         factory = lambda s: gen_erdos_renyi(cfg.n, cfg.prob, s)
     elif cfg.ensemble == "grid":
-        factory = lambda s: gen_grid(cfg.n, s)
+        factory = lambda s: gen_grid(cfg.n)
     elif cfg.ensemble == "modular":
         factory = lambda s: gen_modular(cfg.n, cfg.p1, cfg.p2, s, cfg.modules)
     else:

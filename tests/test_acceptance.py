@@ -15,16 +15,16 @@ import laplace_mcp as lm
 from laplace_mcp.dca import descent_check, solve_mcp
 from laplace_mcp.ssn import (
     SubproblemContext,
-    check_stop_condition,
-    dual_gradient,
     dual_jacobian_apply,
-    dual_value,
     subproblem_error_vector,
 )
 from laplace_mcp.sweep import SweepConfig, make_instance, solve_cell
 
 from util import (
     certified_steps,
+    check_stop_condition,
+    dual_gradient,
+    dual_value,
     edge_gram_matrix,
     incidence_matrix,
     random_connected_graph,

@@ -9,14 +9,20 @@ from laplace_mcp import dca, newton, ssn, sweep
 from laplace_mcp import problem as problem_module
 from laplace_mcp.dca import descent_check, solve_mcp
 from laplace_mcp.penalty import dc_smooth_grad_matrix
-from laplace_mcp.ssn import SubproblemContext, check_stop_condition, subproblem_error_vector
+from laplace_mcp.ssn import (
+    CertificateError,
+    SubproblemContext,
+    subproblem_error_vector,
+)
 
 from util import (
     certified_steps,
+    check_stop_condition,
     incidence_matrix,
     lbfgsb_min,
     make_problem,
     mcp_objective,
+    random_context,
     scan_then_golden,
     stationarity_oracle,
 )
@@ -47,6 +53,72 @@ def pcg_calls(monkeypatch):
 
 def cost_matrix(w, problem):
     return SubproblemContext(problem, 1.0, w).cost_matrix
+
+
+def refuse_once(monkeypatch, kind):
+    """Make the step test refuse the first point that passes the
+    inexactness rule, by an unusable certificate (r >= 1) or by a non-finite
+    objective, and defer to the real check from then on. Returns the list of
+    the patched function's calls."""
+    calls = []
+    if kind == "certificate":
+        real = dca.subproblem_error_vector
+
+        def patched(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise CertificateError(1.0)
+            return real(*args)
+
+        monkeypatch.setattr(dca, "subproblem_error_vector", patched)
+    else:
+        real = dca.objective_value
+
+        def patched(*args):
+            calls.append(args)
+            return np.inf if len(calls) == 1 else real(*args)
+
+        monkeypatch.setattr(dca, "objective_value", patched)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["certificate", "objective"])
+class TestStepTestRefusals:
+    """A point that passes the inexactness rule is still refused, as
+    (None, +inf), where its certificate is unusable or its objective is not
+    finite; the Newton run then goes on to the next iterate."""
+
+    def test_refused_point(self, monkeypatch, kind):
+        ctx, _ = random_context(n=10, seed=42, sigma=0.5)
+        points = []
+        test = dca._StepTest(ctx)
+        ssn.ssn_solve(ctx, None, lambda point: points.append(point) or test(point))
+        point = points[-1]
+        calls = refuse_once(monkeypatch, kind)
+        test = dca._StepTest(ctx)
+        assert test(point) == (None, np.inf)
+        assert test.stationarity is None
+        assert len(calls) == 1
+        # the same point passes once the patched check defers to the real one
+        cert, excess = test(point)
+        assert cert is not None and excess == np.inf
+        assert np.isfinite(test.f) and test.stationarity is not None
+
+    def test_run_goes_on(self, monkeypatch, kind):
+        ctx, _ = random_context(n=10, seed=42, sigma=0.5)
+        ref = ssn.ssn_solve(ctx, None, dca._StepTest(ctx))
+        calls = refuse_once(monkeypatch, kind)
+        test = dca._StepTest(ctx)
+        verdicts = []
+        res = ssn.ssn_solve(ctx, None, lambda point: verdicts.append(test(point)) or verdicts[-1])
+        assert ref.status == res.status == "certified"
+        # the point where the unpatched run stopped is refused, and the run
+        # certifies a later iterate
+        assert verdicts[ref.iterations] == (None, np.inf)
+        assert res.iterations > ref.iterations
+        assert len(verdicts) == res.iterations + 1
+        assert len(calls) >= 2
+        assert check_stop_condition(res.certificate.delta, res.w_hat, ctx)
 
 
 class TestCostMatrix:
@@ -251,6 +323,24 @@ class TestSolveMcp:
         report = solve_mcp(problem, lm.DcaParams(eps=1e-10))
         assert report.termination == "certificate_failed"
         assert not report.converged
+
+    def test_failed_line_search_reported(self, monkeypatch):
+        # a Newton run whose line search finds no step ends the solve
+        runs = []
+        real = dca.ssn_solve
+
+        def spy(*args):
+            runs.append(real(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(dca, "ssn_solve", spy)
+        monkeypatch.setattr(ssn, "_ARMIJO_MU", np.inf)
+        problem, _, _ = make_problem(n=8, p=0.5, seed=13, lam=0.05, k=5000 * 8)
+        report = solve_mcp(problem)
+        assert [r.status for r in runs] == ["linesearch_failed"]
+        assert report.termination == "certificate_failed"
+        assert not report.converged
+        assert report.history == []
 
     def test_huge_lambda_ends_with_named_status(self, monkeypatch):
         # near the dual optimum (K + Y)/sigma cancels, so an asymmetric Newton

@@ -1,4 +1,5 @@
 import ast
+import csv
 import dataclasses
 import json
 import re
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import laplace_mcp as lm
-from laplace_mcp import cli, dca
+from laplace_mcp import cli, dca, ssn
 from laplace_mcp import io as lio
 from laplace_mcp.cli import main
 from laplace_mcp.sweep import SweepConfig
@@ -200,9 +201,8 @@ class TestReportJson:
 class TestPackageNamespace:
     # solver internals stay in their modules
     INTERNAL = (
-        "SubproblemContext", "ssn_solve", "recover_primal", "dual_value", "dual_gradient",
-        "dual_jacobian_apply", "subproblem_error_vector", "check_stop_condition",
-        "descent_check",
+        "SubproblemContext", "ssn_solve", "recover_primal", "dual_jacobian_apply",
+        "subproblem_error_vector", "descent_check",
     )
 
     def test_exports_readme_names_only(self):
@@ -471,6 +471,21 @@ class TestCliSolveEval:
         )
         assert rc == 2
 
+    def test_failed_line_search_exit_code(self, tmp_path, instance, monkeypatch):
+        # no Newton step can meet an infinite Armijo increase, so no
+        # subproblem step is certified
+        graph, cov = instance
+        monkeypatch.setattr(ssn, "_ARMIJO_MU", np.inf)
+        report = tmp_path / "r.json"
+        rc = main(
+            [
+                "solve", "--model", "cgl-mcp", "--cov", str(cov),
+                "--connectivity", str(graph), "--lambda", "0.05", "--out", str(report),
+            ]
+        )
+        assert rc == 2
+        assert lio.load_report(report).termination == "certificate_failed"
+
     def test_max_iter_rejected_for_mcp(self, tmp_path, instance, capsys):
         # --max-iter caps the l1 solver alone, so with cgl-mcp it is a usage
         # error, not ignored
@@ -664,6 +679,14 @@ class TestDegenerateInputs:
         assert report.stationarity == report.history[-1]["polish_stationarity"]
 
 
+def read_sweep_rows(path):
+    """The rows of a sweep CSV as dicts, once its header is SWEEP_COLUMNS."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        assert reader.fieldnames == lio.SWEEP_COLUMNS
+        return list(reader)
+
+
 class TestCliSweep:
     def test_small_sweep(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -676,10 +699,10 @@ class TestCliSweep:
             ]
         )
         assert rc == 0
-        rows = lio.read_sweep_csv(out)
+        rows = read_sweep_rows(out)
         assert len(rows) == 6
         assert list(rows[0].keys()) == lio.SWEEP_COLUMNS
-        avg = lio.read_sweep_csv(tmp_path / "sweep_avg.csv")
+        avg = read_sweep_rows(tmp_path / "sweep_avg.csv")
         assert len(avg) == 3
         with open(tmp_path / "sweep_config.json") as fh:
             cfg = json.load(fh)
@@ -704,6 +727,31 @@ class TestCliSweep:
         assert rc == 1
         assert f"threads must be at least 1, got {threads}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+class TestCliUsageErrors:
+    """argparse's usage errors exit 1, as the CLI's own do; 2 means a solve
+    that ended unconverged."""
+
+    def test_missing_covariance_exits_1(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--model", "cgl-mcp", "--lambda", "0.1"])
+        assert exc.value.code == 1
+        assert "one of the arguments --cov --data is required" in capsys.readouterr().err
+
+    def test_bad_seed_count_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--seeds", "x", "--out", str(out)])
+        assert exc.value.code == 1
+        assert "argument --seeds" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: laplace-mcp")
 
 
 class TestCliDefaults:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import laplace_mcp as lm
-from laplace_mcp.metrics import _edge_decision
 
 
 class TestDetectedEdges:
@@ -52,10 +51,20 @@ class TestF1:
         assert lm.f1_score(est, truth) == lm.f1_score(truth, est)
 
     def test_counts(self):
-        d = _edge_decision([(0, 1), (1, 2)], [(0, 1), (2, 3), (3, 4)])
-        assert (d.tp, d.fp, d.fn) == (1, 1, 2)
-        assert d.tp + d.fn == 3
-        assert d.tp + d.fp == 2
+        # tp=1, fp=1, fn=2: 2 tp / (2 tp + fp + fn) = 2/5
+        assert lm.f1_score([(0, 1), (1, 2)], [(0, 1), (2, 3), (3, 4)]) == 2.0 / 5
+
+    def test_equals_confusion_count_formula(self):
+        # 2 |est & truth| / (|est| + |truth|) is 2 tp / (2 tp + fp + fn) in
+        # the same integers, so the two agree to the last bit
+        rng = np.random.default_rng(3)
+        pairs = [(i, j) for i in range(8) for j in range(i + 1, 8)]
+        for _ in range(50):
+            est = [pairs[k] for k in rng.choice(len(pairs), rng.integers(0, 10), replace=False)]
+            truth = [pairs[k] for k in rng.choice(len(pairs), rng.integers(1, 10), replace=False)]
+            tp = len(set(est) & set(truth))
+            fp, fn = len(est) - tp, len(truth) - tp
+            assert lm.f1_score(est, truth) == 2.0 * tp / (2 * tp + fp + fn)
 
 
 class TestRecoveryError:

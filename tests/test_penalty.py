@@ -196,6 +196,38 @@ class TestObjective:
             assert value == pytest.approx(expected, abs=1e-3)
 
 
+class TestModelNames:
+    """Only "cgl-mcp" and "cgl-l1" name an objective; any other name, a
+    near miss included, is an error rather than the l1 objective."""
+
+    @pytest.fixture()
+    def point(self):
+        problem, _, _ = make_problem(n=8, lam=0.3)
+        w = 0.2 * np.ones(problem.m)
+        return problem, w, np.linalg.inv(problem.astar(w) + problem.J)
+
+    def test_the_two_models_differ(self, point):
+        problem, w, _ = point
+        mcp = lm.objective_value(w, problem, "cgl-mcp")
+        assert mcp == lm.objective_value(w, problem)
+        assert mcp < lm.objective_value(w, problem, "cgl-l1")
+
+    @pytest.mark.parametrize("model", ["mcp", "CGL-MCP", "l1", "cgl_l1", ""])
+    def test_unknown_model_rejected(self, point, model):
+        problem, w, R = point
+        calls = [
+            lambda: lm.objective_value(w, problem, model),
+            lambda: lm.penalty.objective_gradient(w, problem, model, R),
+            lambda: lm.penalty.penalty_curvature(w, problem, model),
+            lambda: lm.penalty.stationarity(w, problem, model),
+            lambda: lm.penalty.stationarity(w, problem, model, R),
+            lambda: problem.check_solvable(model),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=r"unknown model .*'cgl-mcp', 'cgl-l1'"):
+                call()
+
+
 class TestPenaltyParams:
     def test_validation(self):
         with pytest.raises(ValueError):

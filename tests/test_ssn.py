@@ -10,10 +10,7 @@ from laplace_mcp.ssn import (
     Certificate,
     CertificateError,
     SubproblemContext,
-    check_stop_condition,
-    dual_gradient,
     dual_jacobian_apply,
-    dual_value,
     _dual_eval,
     _jacobi_diagonal,
     _newton_direction,
@@ -23,6 +20,10 @@ from laplace_mcp.ssn import (
 )
 
 from util import (
+    IterateLog,
+    check_stop_condition,
+    dual_gradient,
+    dual_value,
     golden_min,
     grad_below,
     lbfgsb_min,
@@ -365,17 +366,20 @@ class TestSsnSolve:
 
     def test_converges_on_random_context(self):
         ctx, _ = random_context(n=10, seed=15)
-        res = ssn_solve(ctx, None, grad_below(1e-8))
+        log = IterateLog(grad_below(1e-8))
+        res = ssn_solve(ctx, None, log)
         assert res.converged
-        assert res.grad_norm < 1e-8
+        assert float(np.linalg.norm(res.E)) == log.grad_norms[-1] < 1e-8
         # gradient norms eventually strictly decrease
-        tail = res.grad_norms[-3:]
+        tail = log.grad_norms[-3:]
         assert all(tail[i + 1] < tail[i] for i in range(len(tail) - 1))
 
     def test_dual_ascent(self):
         ctx, _ = random_context(n=8, seed=16)
-        res = ssn_solve(ctx, None, grad_below(1e-8))
-        vals = res.values
+        log = IterateLog(grad_below(1e-8))
+        res = ssn_solve(ctx, None, log)
+        assert res.converged
+        vals = log.values
         assert all(vals[i + 1] >= vals[i] - 1e-12 for i in range(len(vals) - 1))
 
     def test_zero_e_at_convergence(self):
@@ -392,11 +396,13 @@ class TestSsnSolve:
         assert res.w_hat.tobytes() == w_bar.tobytes()
 
 
-def run_fields(res):
+def run_fields(res, log):
+    """Every field of an ssn_solve result, with the values and gradient
+    norms its :class:`IterateLog` recorded."""
     return (
         res.Y.tobytes(), res.E.tobytes(), res.w_hat.tobytes(), res.iterations,
-        res.converged, res.grad_norm, res.status, res.cg_steps, res.grad_norms,
-        res.values,
+        res.converged, res.status, res.cg_steps, res.certificate, log.grad_norms,
+        log.values,
     )
 
 
@@ -405,25 +411,23 @@ class TestAcceptStop:
     def test_failing_test_changes_nothing(self, max_iter, monkeypatch):
         monkeypatch.setattr(ssn, "_MAX_NEWTON", max_iter)
         ctx, _ = random_context(n=8, seed=40)
-        seen = []
-
-        def never(point):
-            seen.append(float(np.linalg.norm(point.grad)))
-            return None, np.inf
-
+        never = IterateLog(lambda point: (None, np.inf))
+        ref_log = IterateLog(grad_below(1e-9))
         res = ssn_solve(ctx, None, never)
-        ref = ssn_solve(ctx, None, grad_below(1e-9))
+        ref = ssn_solve(ctx, None, ref_log)
         assert res.certificate is None
-        # tested once at every iterate
-        assert seen == res.grad_norms
+        # tested once at every iterate, the start and the last included
+        assert len(never.grad_norms) == res.iterations + 1
+        assert never.grad_norms[-1] == float(np.linalg.norm(res.E))
         if max_iter < 100:
             assert ref.status == "max_iter"
-            assert run_fields(res) == run_fields(ref)
+            assert run_fields(res, never) == run_fields(ref, ref_log)
         else:
             # the gradient test ends the reference run; the failing test goes
             # on from the same iterates until a cap or a stalled line search
             assert ref.status == "certified"
-            assert res.grad_norms[: len(ref.grad_norms)] == ref.grad_norms
+            assert never.grad_norms[: len(ref_log.grad_norms)] == ref_log.grad_norms
+            assert never.values[: len(ref_log.values)] == ref_log.values
             assert res.status in ("max_iter", "linesearch_failed")
 
     def test_passing_test_stops_there(self, monkeypatch):
@@ -443,7 +447,8 @@ class TestAcceptStop:
         assert res.certificate is cert
         assert res.Y.tobytes() == ref.Y.tobytes()
         assert res.w_hat.tobytes() == seen[-1].w_hat.tobytes() == ref.w_hat.tobytes()
-        assert (res.grad_norm, res.cg_steps) == (ref.grad_norm, ref.cg_steps)
+        assert res.E.tobytes() == ref.E.tobytes()
+        assert (np.linalg.norm(res.E), res.cg_steps) == (np.linalg.norm(ref.E), ref.cg_steps)
 
     def test_stops_at_first_certified_point(self):
         # the rule's excess steers the CG targets, never the stop: the run
@@ -464,6 +469,19 @@ class TestAcceptStop:
         assert any(np.isfinite(excess) for _, excess in verdicts[:-1])
         assert verdicts[-1][0] is not None
         assert res.w_hat.tobytes() == points[-1].w_hat.tobytes()
+
+    def test_failed_line_search_ends_the_run(self, monkeypatch):
+        # no step can meet an infinite Armijo increase, so the first line
+        # search backtracks to its cap and the run ends at its start point
+        monkeypatch.setattr(ssn, "_ARMIJO_MU", np.inf)
+        ctx, _ = random_context(n=8, seed=45)
+        log = IterateLog(grad_below(1e-9))
+        res = ssn_solve(ctx, None, log)
+        assert (res.status, res.converged, res.iterations) == ("linesearch_failed", False, 0)
+        assert res.certificate is None
+        assert res.cg_steps > 0
+        assert not res.Y.any()
+        assert len(log.grad_norms) == 1
 
     @pytest.mark.parametrize("seed", [42, 43, 44])
     def test_certified_run_is_no_longer(self, seed):

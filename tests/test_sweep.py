@@ -1,9 +1,13 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 import laplace_mcp as lm
+from laplace_mcp import io as lio
 from laplace_mcp.sweep import SweepConfig, make_instance, run_sweep, solve_cell
+
+from util import edge_tuples
 
 LAMBDAS = [1e-3, 1e-1, 1.0]
 
@@ -151,6 +155,63 @@ class TestLambdaChain:
         for first, again in zip(records[:2], records[4:]):
             assert again.edges == first.edges
             assert again.objective == pytest.approx(first.objective, rel=1e-6)
+
+
+class TestScenarios:
+    """The instance paths beside an ensemble draw, its sampled covariance
+    and the true prior: a truth file, the exact covariance, and the
+    perturbed priors of the paper's coarse and drop experiments."""
+
+    @staticmethod
+    def config(**kw):
+        return SweepConfig(
+            ensemble="er", n=12, prob=0.3, lambdas=[1e-2], seeds=[3],
+            samples_per_node=2000, **kw,
+        )
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_truth_file(self, tmp_path, weighted):
+        g = lm.generate_connected(lambda s: lm.gen_erdos_renyi(10, 0.4, s), 7)
+        if weighted:
+            g = lm.sample_weights(g, 0.5, 2.0, 8)
+        path = tmp_path / "truth.json"
+        lio.save_graph(path, g)
+        cfg = self.config(truth_file=str(path))
+        inst = make_instance(cfg, 3)
+        assert np.array_equal(inst.truth.edges, g.edges)
+        # a weighted file keeps its weights; an unweighted one draws them
+        # from the seed
+        drawn = g if weighted else lm.sample_weights(g, cfg.weight_lo, cfg.weight_hi, 3)
+        assert np.array_equal(inst.truth.weights, drawn.weights)
+        assert np.array_equal(inst.L_true, drawn.laplacian())
+        assert inst.prior.tag == "true"
+        assert np.array_equal(inst.prior.graph.edges, g.edges)
+        (record,), _ = run_sweep(cfg)
+        assert record.status == "converged"
+
+    def test_exact_cov(self):
+        inst = make_instance(self.config(exact_cov=True), 3)
+        sampled = make_instance(self.config(), 3)
+        assert np.array_equal(inst.L_true, sampled.L_true)
+        assert np.array_equal(inst.S, lm.population_covariance(inst.L_true))
+        assert not np.array_equal(inst.S, sampled.S)
+        assert inst.prior.tag == "true"
+
+    def test_coarse(self):
+        cfg = self.config(scenario="coarse")
+        inst = make_instance(cfg, 3)
+        m = inst.truth.m
+        assert inst.prior.tag == "coarse"
+        assert inst.prior.graph.m == int(round(cfg.coarse_factor * m)) == int(round(1.5 * m))
+        assert edge_tuples(inst.truth) < edge_tuples(inst.prior.graph)
+
+    def test_drop(self):
+        cfg = self.config(scenario="drop")
+        inst = make_instance(cfg, 3)
+        m = inst.truth.m
+        assert inst.prior.tag == "drop_10_percent"
+        assert inst.prior.graph.m == m - int(round(0.1 * m)) < m
+        assert edge_tuples(inst.prior.graph) < edge_tuples(inst.truth)
 
 
 class TestHeadlineClaim:

@@ -12,7 +12,7 @@ from scipy.optimize import minimize
 import laplace_mcp as lm
 from laplace_mcp import dca
 from laplace_mcp.penalty import mcp_value
-from laplace_mcp.ssn import Certificate, SubproblemContext
+from laplace_mcp.ssn import Certificate, SubproblemContext, _dual_eval, _rule_bound
 
 
 @dataclass
@@ -159,6 +159,23 @@ def lbfgsb_min(value_and_grad, w0):
     )
 
 
+def dual_value(Y, ctx):
+    """Concave dual objective of the subproblem at the multiplier Y."""
+    return _dual_eval(np.asarray(Y, dtype=float), ctx).value
+
+
+def dual_gradient(Y, ctx):
+    """Gradient of the dual objective: recovered theta minus A* of recovered w."""
+    return _dual_eval(np.asarray(Y, dtype=float), ctx).grad
+
+
+def check_stop_condition(delta, w_next, ctx):
+    """Inexactness acceptance rule of the outer loop, which ``solve_mcp``
+    tests through ``ssn._rule_bound``: true iff ||delta|| is at most that
+    bound; boundary equality counts as satisfied."""
+    return float(np.linalg.norm(delta)) <= _rule_bound(w_next, ctx)
+
+
 def grad_below(tol):
     """Accept test for ``ssn_solve`` that passes, with a zero certificate,
     once the dual gradient norm is at most ``tol``. It has no rule on delta,
@@ -170,6 +187,28 @@ def grad_below(tol):
         return None, np.inf
 
     return accept
+
+
+class IterateLog:
+    """Accept test for ``ssn_solve`` that records, at each iterate the run
+    shows it, the dual value and the gradient norm, then defers to
+    ``accept``. ``ssn_solve`` calls its test once at every iterate, so the
+    lists hold the run's values and gradient norms in order."""
+
+    def __init__(self, accept):
+        self.accept = accept
+        self.values = []
+        self.grad_norms = []
+
+    def __call__(self, point):
+        self.values.append(point.value)
+        self.grad_norms.append(float(np.linalg.norm(point.grad)))
+        return self.accept(point)
+
+
+def edge_tuples(graph):
+    """The edges of ``graph`` as a set of (i, j) tuples."""
+    return set(map(tuple, graph.edges.tolist()))
 
 
 def incidence_matrix(graph):
