@@ -18,18 +18,18 @@ import numpy as np
 from . import io
 from .admm import AdmmParams, solve_l1
 from .dca import DcaParams, DescentError, solve_mcp
-from .graphs import (
-    ConnectivityPrior,
-    EdgeGraph,
-    GraphError,
-    _pair_indices,
-    population_covariance,
-    sample_covariance,
-)
+from .graphs import ConnectivityPrior, EdgeGraph, GraphError, _pair_indices
 from .metrics import detected_edges, f1_score, recovery_error
 from .penalty import _MODELS, PenaltyParams
 from .problem import ProblemData
-from .sweep import SweepConfig, run_sweep, truth_graph
+from .sweep import (
+    _ENSEMBLES,
+    _SCENARIOS,
+    SweepConfig,
+    instance_covariance,
+    run_sweep,
+    truth_graph,
+)
 
 __all__ = ["main"]
 
@@ -58,7 +58,7 @@ def _add_graph_options(parser, defaults, required):
     weight range, and defaults to that field's value in ``defaults``; with
     ``required``, ``--ensemble`` and ``--nodes`` must be given."""
     parser.add_argument(
-        "--ensemble", choices=["er", "grid", "modular"], required=required,
+        "--ensemble", choices=list(_ENSEMBLES), required=required,
         default=defaults.ensemble,
     )
     parser.add_argument("--nodes", dest="n", type=int, required=required, default=defaults.n)
@@ -135,9 +135,7 @@ def _build_parser():
     sweep.add_argument(
         "--truth", dest="truth_file", help="fixed truth graph JSON instead of an ensemble"
     )
-    sweep.add_argument(
-        "--scenario", choices=["true", "coarse", "full", "drop"], default=defaults.scenario
-    )
+    sweep.add_argument("--scenario", choices=list(_SCENARIOS), default=defaults.scenario)
     sweep.add_argument("--coarse-factor", type=float, default=defaults.coarse_factor)
     sweep.add_argument("--drop-percent", type=float, default=defaults.drop_percent)
     sweep.add_argument("--lambdas", help="log grid lo:hi:count")
@@ -185,14 +183,8 @@ def _cmd_gen(args):
     io.save_graph(args.out, g)
     print(f"wrote {args.out}: n={g.n}, edges={g.m}")
     if args.cov:
-        L = g.laplacian()
-        if args.samples is not None:
-            S = sample_covariance(L, args.samples, args.seed + 104729)
-            kind = f"sampled k={args.samples}"
-        else:
-            S = population_covariance(L)
-            kind = "exact pseudo-inverse"
-        io.write_covariance(args.cov, S)
+        io.write_covariance(args.cov, instance_covariance(g.laplacian(), args.seed, args.samples))
+        kind = "exact pseudo-inverse" if args.samples is None else f"sampled k={args.samples}"
         print(f"wrote {args.cov} ({kind})")
     return 0
 
@@ -225,8 +217,6 @@ def _cmd_solve(args):
         S = io.covariance_from_data(io.read_data_matrix(args.data))
     n = S.shape[0]
     prior = _resolve_prior(args.connectivity, n)
-    if args.model == "cgl-l1" and args.lam <= 0:
-        raise ValueError("the cgl-l1 model requires lambda > 0")
     problem = ProblemData(S, prior, PenaltyParams(args.lam, args.gamma))
     # an option left unset keeps the parameter class's default
     given = {

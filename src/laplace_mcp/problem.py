@@ -51,7 +51,7 @@ class ProblemData:
         if prior.n != S.shape[0]:
             raise ValueError("covariance and prior disagree on the node count")
         if not isinstance(params, PenaltyParams):
-            params = PenaltyParams(*params)
+            raise TypeError("params must be a PenaltyParams")
         self.S = S
         self.S.setflags(write=False)
         self.prior = prior
@@ -88,7 +88,8 @@ class ProblemData:
     def check_solvable(self, model):
         """Raise ValueError naming the cause when ``model`` ("cgl-mcp" or
         "cgl-l1") has no finite minimum on this data: a disconnected prior,
-        or a(S) = S_ii + S_jj - 2 S_ij vanishing on a candidate edge. The
+        or a(S) = S_ii + S_jj - 2 S_ij vanishing on a candidate edge, that is
+        at most 1e-12 of its largest entry, so rescaling S moves no verdict. The
         second matters to MCP, whose penalty is bounded, and to l1 only at
         lam = 0; a positive trace term 2 lam sum(w) keeps l1 bounded below.
         The connectivity verdict is computed once per instance.
@@ -101,7 +102,7 @@ class ProblemData:
         if model == "cgl-l1" and self.params.lam > 0:
             return
         a_S = self.a_of_S
-        degenerate = np.flatnonzero(a_S <= 1e-12 * max(1.0, float(a_S.max())))
+        degenerate = np.flatnonzero(a_S <= 1e-12 * a_S.max())
         if degenerate.size:
             edges = ", ".join(
                 f"({i}, {j})" for i, j in self.prior.edges[degenerate[:10]].tolist()

@@ -2,13 +2,25 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
 from .graphs import EdgeGraph, weights_to_laplacian
 
 __all__ = ["SolveReport"]
+
+
+def _same(value):
+    return value
+
+
+def _edge_array(edges):
+    return np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+
+
+def _float_array(values):
+    return np.asarray(values, dtype=float)
 
 
 @dataclass
@@ -20,16 +32,17 @@ class SolveReport:
     :func:`laplace_mcp.penalty.stationarity`); ``config`` echoes the fully
     resolved run configuration so the run can be reproduced from the report
     alone. Every field is serialized: :meth:`to_dict` has one key per field,
-    and :meth:`from_dict` restores each of them.
+    and :meth:`from_dict` restores each of them, both through the field's
+    ``convert`` metadata where it has one.
     """
 
     model: str
-    n: int
-    edges: np.ndarray
-    w: np.ndarray
-    objective: float
+    n: int = field(metadata={"convert": int})
+    edges: np.ndarray = field(metadata={"convert": _edge_array})
+    w: np.ndarray = field(metadata={"convert": _float_array})
+    objective: float = field(metadata={"convert": float})
     termination: str
-    wall_time_s: float
+    wall_time_s: float = field(metadata={"convert": float})
     history: list = field(default_factory=list)
     config: dict = field(default_factory=dict)
     warm_start: dict | None = None
@@ -47,32 +60,23 @@ class SolveReport:
         return weights_to_laplacian(self.w, self.graph())
 
     def to_dict(self):
-        return {
-            "model": self.model,
-            "n": int(self.n),
-            "edges": [[int(i), int(j)] for i, j in np.asarray(self.edges)],
-            "w": [float(v) for v in np.asarray(self.w)],
-            "objective": float(self.objective),
-            "termination": self.termination,
-            "wall_time_s": float(self.wall_time_s),
-            "history": self.history,
-            "config": self.config,
-            "warm_start": self.warm_start,
-            "stationarity": self.stationarity,
-        }
+        """One JSON-ready entry per field, each converted by its ``convert``
+        (arrays become nested lists)."""
+        d = {}
+        for f in fields(self):
+            value = f.metadata.get("convert", _same)(getattr(self, f.name))
+            d[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
+        return d
 
     @classmethod
     def from_dict(cls, d):
+        """The report of a :meth:`to_dict` mapping. A missing field without a
+        default raises KeyError naming it; a key that names no field is
+        ignored."""
         return cls(
-            model=d["model"],
-            n=int(d["n"]),
-            edges=np.asarray(d["edges"], dtype=np.int64).reshape(-1, 2),
-            w=np.asarray(d["w"], dtype=float),
-            objective=float(d["objective"]),
-            termination=d["termination"],
-            wall_time_s=float(d["wall_time_s"]),
-            history=list(d.get("history", [])),
-            config=dict(d.get("config", {})),
-            warm_start=d.get("warm_start"),
-            stationarity=d.get("stationarity"),
+            **{
+                f.name: f.metadata.get("convert", _same)(d[f.name])
+                for f in fields(cls)
+                if f.name in d or (f.default is MISSING and f.default_factory is MISSING)
+            }
         )

@@ -204,6 +204,13 @@ def _newton_direction(point, ctx, mask, gnorm, excess):
     so a residual below _RULE_MARGIN/excess of ||g|| moves delta by less than
     the rule can see. As excess is above 1 or +inf, the target lies below
     gnorm whenever gnorm > 0, so CG's zero start never already meets it.
+
+    Whenever g is nonzero the direction ascends the dual, g^T D > 0, so the
+    line search needs no fallback. T is positive definite: Gamma lies in (0, 1)
+    entrywise, the projection part is positive semidefinite and the ridge is
+    positive. So no CG step stops on non-positive curvature, and already the
+    first iterate has g^T x = alpha r^T diag^-1 r > 0, which later steps only
+    raise.
     """
     target = min(
         _ETA_BAR, max(gnorm ** (1.0 + _FORCING_TAU), _RULE_MARGIN * gnorm / excess)
@@ -289,9 +296,6 @@ def ssn_solve(ctx, Y0, accept):
         D, steps = _newton_direction(cur, ctx, mask, gnorm, excess)
         cg_steps += steps
         gD = float(np.vdot(cur.grad, D))
-        if not np.isfinite(gD) or gD <= 0:
-            D = cur.grad.copy()
-            gD = gnorm * gnorm
         step = 1.0
         nxt = None
         resolution = _VALUE_RTOL * max(1.0, abs(cur.value))

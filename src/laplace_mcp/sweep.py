@@ -28,7 +28,25 @@ from .problem import ProblemData
 
 __all__ = ["SweepConfig", "SweepRecord", "make_instance", "run_sweep", "solve_cell"]
 
-_SCENARIOS = ("true", "coarse", "full", "drop")
+# the truth ensembles by name: each draws an unweighted graph of cfg from a seed
+_ENSEMBLES = {
+    "er": lambda cfg, s: gen_erdos_renyi(cfg.n, cfg.prob, s),
+    "grid": lambda cfg, s: gen_grid(cfg.n),
+    "modular": lambda cfg, s: gen_modular(cfg.n, cfg.p1, cfg.p2, s, cfg.modules),
+}
+
+# the connectivity-prior scenarios by name: each maps the true prior to the
+# prior of cfg's scenario for one seed
+_SCENARIOS = {
+    "true": lambda base, cfg, seed: base,
+    "coarse": lambda base, cfg, seed: perturb_connectivity(
+        base, "coarse", seed + 15485863, factor=cfg.coarse_factor
+    ),
+    "full": lambda base, cfg, seed: perturb_connectivity(base, "full"),
+    "drop": lambda base, cfg, seed: perturb_connectivity(
+        base, "drop", seed + 32452843, percent=cfg.drop_percent
+    ),
+}
 
 
 @dataclass
@@ -98,6 +116,14 @@ class _Instance:
     prior: object
 
 
+def _lookup(table, kind, name):
+    """The entry ``name`` of ``table``; a ValueError names the choices when
+    there is none."""
+    if name not in table:
+        raise ValueError(f"unknown {kind} {name!r}; expected one of {tuple(table)}")
+    return table[name]
+
+
 def truth_graph(cfg, seed):
     """The seeded weighted truth graph of ``cfg``: its truth file, or a
     connected draw from its ensemble."""
@@ -108,39 +134,28 @@ def truth_graph(cfg, seed):
         if g.weights is None:
             g = sample_weights(g, cfg.weight_lo, cfg.weight_hi, seed)
         return g
-    if cfg.ensemble == "er":
-        factory = lambda s: gen_erdos_renyi(cfg.n, cfg.prob, s)
-    elif cfg.ensemble == "grid":
-        factory = lambda s: gen_grid(cfg.n)
-    elif cfg.ensemble == "modular":
-        factory = lambda s: gen_modular(cfg.n, cfg.p1, cfg.p2, s, cfg.modules)
-    else:
-        raise ValueError(f"unknown ensemble {cfg.ensemble!r}")
-    g = generate_connected(factory, seed)
+    draw = _lookup(_ENSEMBLES, "ensemble", cfg.ensemble)
+    g = generate_connected(lambda s: draw(cfg, s), seed)
     return sample_weights(g, cfg.weight_lo, cfg.weight_hi, seed + 7919)
+
+
+def instance_covariance(L, seed, k):
+    """The covariance input of the instance of ``seed`` with Laplacian ``L``:
+    sampled from ``k`` draws, or the exact pseudo-inverse when ``k`` is None."""
+    if k is None:
+        return population_covariance(L)
+    return sample_covariance(L, k, seed + 104729)
 
 
 def make_instance(cfg, seed):
     """Build one seeded instance: weighted truth, its Laplacian, the covariance
     input, and the connectivity prior for the configured scenario."""
+    scenario = _lookup(_SCENARIOS, "scenario", cfg.scenario)
     truth = truth_graph(cfg, seed)
     L = truth.laplacian()
-    if cfg.exact_cov:
-        S = population_covariance(L)
-    else:
-        S = sample_covariance(L, cfg.samples_per_node * truth.n, seed + 104729)
-    base = true_prior(truth)
-    if cfg.scenario == "true":
-        prior = base
-    elif cfg.scenario == "coarse":
-        prior = perturb_connectivity(base, "coarse", seed + 15485863, factor=cfg.coarse_factor)
-    elif cfg.scenario == "full":
-        prior = perturb_connectivity(base, "full")
-    elif cfg.scenario == "drop":
-        prior = perturb_connectivity(base, "drop", seed + 32452843, percent=cfg.drop_percent)
-    else:
-        raise ValueError(f"unknown scenario {cfg.scenario!r}; expected one of {_SCENARIOS}")
-    return _Instance(truth, L, S, prior)
+    k = None if cfg.exact_cov else cfg.samples_per_node * truth.n
+    S = instance_covariance(L, seed, k)
+    return _Instance(truth, L, S, scenario(true_prior(truth), cfg, seed))
 
 
 def solve_cell(cfg, inst, seed, lam):

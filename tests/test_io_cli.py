@@ -177,6 +177,30 @@ class TestReportJson:
             else:
                 assert got == want, name
 
+    @pytest.fixture()
+    def saved(self, tmp_path):
+        """A solved 2-node report as a JSON dict, and the truth graph file."""
+        g = lm.EdgeGraph(2, [(0, 1)], weights=[1.0])
+        problem = lm.ProblemData(
+            lm.population_covariance(g.laplacian()), lm.true_prior(g), lm.PenaltyParams(0.1, 1.5)
+        )
+        truth = tmp_path / "g.json"
+        lio.save_graph(truth, g)
+        return lm.solve_mcp(problem).to_dict(), truth
+
+    def test_missing_key_exits_eval_1(self, tmp_path, capsys, saved):
+        d, truth = saved
+        del d["w"]
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(d))
+        assert main(["eval", "--report", str(path), "--truth", str(truth)]) == 1
+        assert "'w'" in capsys.readouterr().err
+
+    def test_unknown_key_ignored(self, saved):
+        d, _ = saved
+        back = lm.SolveReport.from_dict({**d, "profile": {"ssn_s": 0.1}})
+        assert back.to_dict() == d
+
     @pytest.mark.parametrize("model", ["cgl-l1", "cgl-mcp"])
     def test_config_echo(self, model):
         # the echo holds every settable value and nothing else: the problem's
@@ -238,6 +262,24 @@ class TestCliGen:
         truth = make_instance(SweepConfig(ensemble="er", n=30), 3).truth
         np.testing.assert_array_equal(g.edges, truth.edges)
         np.testing.assert_array_equal(g.weights, truth.weights)
+
+    @pytest.mark.parametrize("samples", [None, 500])
+    def test_covariance_is_the_sweep_covariance(self, tmp_path, samples):
+        out, cov = tmp_path / "g.json", tmp_path / "g.mtx"
+        given = [] if samples is None else ["--samples", str(samples)]
+        rc = main(
+            [
+                "gen", "--ensemble", "er", "--nodes", "10", "--prob", "0.4", "--seed", "4",
+                "--out", str(out), "--cov", str(cov), *given,
+            ]
+        )
+        assert rc == 0
+        L = lio.load_graph(out).laplacian()
+        if samples is None:
+            want = lm.population_covariance(L)
+        else:
+            want = lm.sample_covariance(L, samples, 4 + 104729)
+        np.testing.assert_array_equal(lio.read_covariance(cov), want)
 
     def test_grid_edge_count(self, tmp_path):
         out = tmp_path / "grid.json"
@@ -418,15 +460,34 @@ class TestCliSolveEval:
         assert rep.config["prior_tag"] == "full"
         assert "connectivity_kind" not in rep.config
 
-    def test_l1_requires_positive_lambda(self, tmp_path, instance):
+    def test_l1_zero_lambda_solves(self, tmp_path, instance):
+        # the CLI adds no lambda rule of its own: check_solvable passes this S
         _, cov = instance
+        report = tmp_path / "l1.json"
         rc = main(
             [
                 "solve", "--model", "cgl-l1", "--cov", str(cov),
-                "--connectivity", "full", "--lambda", "0.0",
+                "--connectivity", "full", "--lambda", "0", "--out", str(report),
+            ]
+        )
+        assert rc == 0
+        assert lio.load_report(report).termination == "converged"
+
+    def test_l1_zero_lambda_degenerate_data_rejected(self, tmp_path, capsys):
+        X = np.random.default_rng(0).standard_normal((400, 6))
+        X[:, 5] = X[:, 4]
+        path = tmp_path / "dup.csv"
+        np.savetxt(path, X, delimiter=",")
+        rc = main(
+            [
+                "solve", "--model", "cgl-l1", "--data", str(path),
+                "--connectivity", "full", "--lambda", "0",
             ]
         )
         assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: degenerate covariance")
+        assert "(4, 5)" in err
 
     def test_solve_from_raw_data(self, tmp_path):
         # generate data from a known 3-node chain and solve from the CSV
